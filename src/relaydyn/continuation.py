@@ -24,8 +24,9 @@ between the rotation omega and the mean of p.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -358,25 +359,59 @@ def continue_ns_curve(zeta: float, epsilon: float, *, seed=None,
 # Fourier representation of closed invariant curves
 
 
+@dataclass(frozen=True)
+class _TrigTable:
+    """cos(k phi) and sin(k phi), k = 1..n, at a fixed set of angles phi."""
+
+    phi: np.ndarray
+    k: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    unit: np.ndarray | None = None  # (cos phi, sin phi) rows, node tables only
+
+    @classmethod
+    def at(cls, phi, n: int) -> "_TrigTable":
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        k = np.arange(1, n + 1)
+        ka = phi[:, None] * k
+        return cls(phi, k, np.cos(ka), np.sin(ka))
+
+    def series(self, coeffs: np.ndarray, zero_mean: bool = False, deriv: int = 0) -> np.ndarray:
+        """Evaluate a trigonometric polynomial [a0, a1, b1, ...] at phi."""
+        if zero_mean:
+            a0, rest = 0.0, coeffs
+        else:
+            a0, rest = coeffs[0], coeffs[1:]
+        k, A, B = self.k, rest[0::2], rest[1::2]
+        if deriv == 0:
+            return a0 + self.cos @ A + self.sin @ B
+        if deriv == 1:
+            return -(self.sin * k) @ A + (self.cos * k) @ B
+        if deriv == 2:
+            return -(self.cos * k * k) @ A - (self.sin * k * k) @ B
+        raise ValueError("deriv must be 0, 1 or 2")
+
+
+@functools.lru_cache(maxsize=16)
+def _node_trig(n_modes: int, midpoint: bool = False) -> _TrigTable:
+    """Read-only table at the 2n+1 collocation nodes, or midway between them.
+
+    The residual evaluates the same few node sets tens of thousands of times
+    per continuation, so each table is built once and shared.
+    """
+    m = 2 * n_modes + 1
+    phi = 2.0 * math.pi * ((np.arange(m) + 0.5) if midpoint else np.arange(m)) / m
+    table = replace(_TrigTable.at(phi, n_modes),
+                    unit=np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
+
+
 def _series_val(coeffs: np.ndarray, phi, zero_mean: bool = False, deriv: int = 0):
     """Evaluate a real trigonometric polynomial [a0, a1, b1, ...] at phi."""
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    if zero_mean:
-        a0, rest = 0.0, coeffs
-    else:
-        a0, rest = coeffs[0], coeffs[1:]
-    n = rest.size // 2
-    k = np.arange(1, n + 1)
-    ka = phi_arr[:, None] * k
-    A, B = rest[0::2], rest[1::2]
-    if deriv == 0:
-        out = a0 + np.cos(ka) @ A + np.sin(ka) @ B
-    elif deriv == 1:
-        out = -(np.sin(ka) * k) @ A + (np.cos(ka) * k) @ B
-    elif deriv == 2:
-        out = -(np.cos(ka) * k * k) @ A - (np.sin(ka) * k * k) @ B
-    else:
-        raise ValueError("deriv must be 0, 1 or 2")
+    n = (coeffs.size if zero_mean else coeffs.size - 1) // 2
+    out = _TrigTable.at(phi, n).series(coeffs, zero_mean, deriv)
     return out if np.ndim(phi) else float(out[0])
 
 
@@ -420,8 +455,8 @@ class FourierCurve:
     # -- evaluation ---------------------------------------------------------
 
     def nodes(self) -> np.ndarray:
-        m = 2 * self.n_modes + 1
-        return 2.0 * math.pi * np.arange(m) / m
+        """The 2n+1 collocation angles (a shared, read-only array)."""
+        return _node_trig(self.n_modes).phi
 
     def radius(self, phi, deriv: int = 0):
         return _series_val(self.r_coeffs, phi, deriv=deriv)
@@ -482,8 +517,7 @@ class FourierCurve:
 
     def resample(self, n_modes: int) -> "FourierCurve":
         """Re-interpolate on a different mode count (exact when growing)."""
-        m = 2 * n_modes + 1
-        phi = 2.0 * math.pi * np.arange(m) / m
+        phi = _node_trig(n_modes).phi
         return FourierCurve(
             n_modes=n_modes,
             r_coeffs=_fit_series(self.radius(phi)),
@@ -493,6 +527,22 @@ class FourierCurve:
             y0=self.y0.copy(),
             t0=self.t0,
         )
+
+
+def _invariance_defect(curve: FourierCurve, trig: _TrigTable, tau: float, alpha: float,
+                       epsilon: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Invariance defect (img + fwd) and threshold defect at the angles of a
+    node table; see :func:`invariant_curve_residual`."""
+    flow = AffineOscillatorFlow(zeta)
+    c = np.array([math.cos(alpha), math.sin(alpha)])
+    pts = curve.y0 + trig.series(curve.r_coeffs)[:, None] * trig.unit
+    t_phi = trig.series(curve.t_coeffs)
+    eta = trig.phi + curve.omega + trig.series(curve.p_coeffs, zero_mean=True)
+    r_eta = _series_val(curve.r_coeffs, eta)
+    img = curve.y0 + r_eta[:, None] * np.stack([np.cos(eta), np.sin(eta)], axis=-1)
+    fwd = flow.apply_batch(pts, +1, tau + t_phi)
+    on_line = epsilon - flow.apply_batch(pts, -1, t_phi) @ c
+    return img + fwd, on_line
 
 
 def invariant_curve_residual(curve: FourierCurve, tau: float, alpha: float,
@@ -510,18 +560,10 @@ def invariant_curve_residual(curve: FourierCurve, tau: float, alpha: float,
     Accepted solutions are validated by the callers.
     """
 
-    flow = AffineOscillatorFlow(zeta)
-    c = np.array([math.cos(alpha), math.sin(alpha)])
-    phi = curve.nodes()
-    pts = curve.point(phi)
-    t_phi = curve.offset(phi)
-    eta = curve.eta(phi)
-    r_eta = _series_val(curve.r_coeffs, eta)
-    img = curve.y0 + r_eta[:, None] * np.stack([np.cos(eta), np.sin(eta)], axis=-1)
-    fwd = flow.apply_batch(pts, +1, tau + t_phi)
-    on_line = epsilon - flow.apply_batch(pts, -1, t_phi) @ c
+    defect, on_line = _invariance_defect(curve, _node_trig(curve.n_modes),
+                                         tau, alpha, epsilon, zeta)
     fp = fixed_point_residual(curve.y0, curve.t0, tau, alpha, epsilon, zeta)
-    return np.concatenate([(img + fwd).ravel(), on_line, fp])
+    return np.concatenate([defect.ravel(), on_line, fp])
 
 
 def collision_closure(curve: FourierCurve, phi_star: float,
@@ -534,9 +576,10 @@ def collision_closure(curve: FourierCurve, phi_star: float,
     t''(phi*) >= 0.
     """
 
-    if require_max and curve.offset(phi_star, deriv=2) >= 0.0:
+    trig = _TrigTable.at(phi_star, curve.n_modes)
+    if require_max and trig.series(curve.t_coeffs, deriv=2)[0] >= 0.0:
         raise NotAMaximum(f"offset stationary point at phi={phi_star:.4g} is not a maximum")
-    return np.array([curve.offset(phi_star), curve.offset(phi_star, deriv=1)])
+    return np.array([trig.series(curve.t_coeffs)[0], trig.series(curve.t_coeffs, deriv=1)[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +672,9 @@ def seed_colliding_curve(zeta: float, epsilon: float, nsc: tuple[float, float],
     r_coeffs = _fit_scattered(np.arctan2(ell[:, 1], ell[:, 0]),
                               np.hypot(ell[:, 0], ell[:, 1]), n_modes)
 
-    m = 2 * n_modes + 1
-    phi = 2.0 * math.pi * np.arange(m) / m
-    rel = _series_val(r_coeffs, phi)[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    trig = _node_trig(n_modes)
+    phi = trig.phi
+    rel = trig.series(r_coeffs)[:, None] * trig.unit
     pts = y0 + rel
     img = rel @ J.T
     d = _wrap_angle(np.arctan2(img[:, 1], img[:, 0]) - phi)
@@ -764,19 +807,8 @@ def fourier_error_estimate(curve: FourierCurve,
 
     if params is None:
         return tail
-    tau, alpha, epsilon, zeta = params
-    flow = AffineOscillatorFlow(zeta)
-    c = np.array([math.cos(alpha), math.sin(alpha)])
-    m = 2 * n + 1
-    phi = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-    pts = curve.point(phi)
-    t_phi = curve.offset(phi)
-    eta = curve.eta(phi)
-    r_eta = _series_val(curve.r_coeffs, eta)
-    img = curve.y0 + r_eta[:, None] * np.stack([np.cos(eta), np.sin(eta)], axis=-1)
-    fwd = flow.apply_batch(pts, +1, tau + t_phi)
-    res = max(float(np.max(np.abs(img + fwd))),
-              float(np.max(np.abs(epsilon - flow.apply_batch(pts, -1, t_phi) @ c))))
+    defect, on_line = _invariance_defect(curve, _node_trig(n, midpoint=True), *params)
+    res = max(float(np.max(np.abs(defect))), float(np.max(np.abs(on_line))))
     return max(tail, res)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaydyn.continuation import (FourierCurve, _fit_series, _series_val,
+from relaydyn.continuation import (FourierCurve, _fit_series, _node_trig, _series_val,
                                    collision_closure, continue_branch,
                                    continue_colliding_family, continue_ns_curve,
                                    fd_jacobian, fixed_point_residual,
@@ -17,6 +17,7 @@ from relaydyn.continuation import (FourierCurve, _fit_series, _series_val,
                                    solve_fixed_point)
 from relaydyn.errors import (InitialPointFailed, NoConvergence, NotAMaximum,
                              ParametrizationBreakdown, SingularJacobian)
+from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.oscillator import collision_point, find_nsc, surface_alpha
 from relaydyn.reduced import map_F_branch, oscillator_context
 
@@ -225,6 +226,107 @@ def test_curve_radial_mismatch():
     np.testing.assert_allclose(curve_radial_mismatch(curve, on), 0.0, atol=1e-12)
     off = on + np.array([0.0, 1e-3])
     assert np.max(curve_radial_mismatch(curve, off)) > 1e-4
+
+
+# -- cached node tables: bit-for-bit against the uncached evaluators -------
+# Exact equality on purpose: the cached path must perform the same
+# floating-point operations in the same order, so that continuation runs
+# (whose later points amplify last-bit noise in FD tangents) do not move.
+
+def node_angles(n_modes, midpoint=False):
+    m = 2 * n_modes + 1
+    if midpoint:
+        return 2.0 * math.pi * (np.arange(m) + 0.5) / m
+    return 2.0 * math.pi * np.arange(m) / m
+
+
+def random_curve(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    decay = np.repeat(0.5 ** np.arange(1, n_modes + 1), 2)
+    r = np.concatenate([[0.5], 0.05 * decay * rng.normal(size=2 * n_modes)])
+    t = np.concatenate([[-0.01], 0.004 * decay * rng.normal(size=2 * n_modes)])
+    p = 0.02 * decay * rng.normal(size=2 * n_modes)
+    return FourierCurve(n_modes=n_modes, r_coeffs=r, t_coeffs=t, p_coeffs=p,
+                        omega=-1.3, y0=collision_point(ZETA, NSC[0]), t0=-0.02)
+
+
+def reference_defect(curve, phi, tau, alpha):
+    flow = AffineOscillatorFlow(ZETA)
+    c = np.array([math.cos(alpha), math.sin(alpha)])
+    pts = curve.point(phi)
+    t_phi = curve.offset(phi)
+    eta = curve.eta(phi)
+    r_eta = _series_val(curve.r_coeffs, eta)
+    img = curve.y0 + r_eta[:, None] * np.stack([np.cos(eta), np.sin(eta)], axis=-1)
+    fwd = flow.apply_batch(pts, +1, tau + t_phi)
+    on_line = EPS - flow.apply_batch(pts, -1, t_phi) @ c
+    return img + fwd, on_line
+
+
+def series_reference(coeffs, phi, zero_mean=False, deriv=0):
+    """The evaluator as first written, rebuilding cos/sin(k phi) per call."""
+    a0, rest = (0.0, coeffs) if zero_mean else (coeffs[0], coeffs[1:])
+    k = np.arange(1, rest.size // 2 + 1)
+    ka = phi[:, None] * k
+    A, B = rest[0::2], rest[1::2]
+    if deriv == 0:
+        return a0 + np.cos(ka) @ A + np.sin(ka) @ B
+    if deriv == 1:
+        return -(np.sin(ka) * k) @ A + (np.cos(ka) * k) @ B
+    return -(np.cos(ka) * k * k) @ A - (np.sin(ka) * k * k) @ B
+
+
+@pytest.mark.parametrize("n_modes", [4, 16, 32])
+@pytest.mark.parametrize("midpoint", [False, True])
+def test_node_table_matches_series_val(n_modes, midpoint):
+    rng = np.random.default_rng(n_modes)
+    full = rng.normal(size=2 * n_modes + 1)
+    mean_free = rng.normal(size=2 * n_modes)
+    phi = node_angles(n_modes, midpoint)
+    trig = _node_trig(n_modes, midpoint=midpoint)
+    assert np.array_equal(trig.phi, phi)
+    assert np.array_equal(trig.unit, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    for coeffs, zero_mean in ((full, False), (mean_free, True)):
+        expected = series_reference(coeffs, phi, zero_mean)
+        assert np.array_equal(trig.series(coeffs, zero_mean=zero_mean), expected)
+        assert np.array_equal(_series_val(coeffs, phi, zero_mean=zero_mean), expected)
+    off_node = rng.uniform(-7.0, 7.0, size=9)
+    for deriv in (0, 1, 2):
+        assert np.array_equal(_series_val(full, off_node, deriv=deriv),
+                              series_reference(full, off_node, deriv=deriv))
+    assert _node_trig(n_modes, midpoint=midpoint) is trig
+
+
+@pytest.mark.parametrize("n_modes", [4, 16, 32])
+def test_residual_and_error_estimate_match_uncached_reference(n_modes):
+    curve = random_curve(n_modes, seed=n_modes)
+    tau, alpha = NSC[0] + 0.05, NSC[1]
+    defect, on_line = reference_defect(curve, node_angles(n_modes), tau, alpha)
+    fp = fixed_point_residual(curve.y0, curve.t0, tau, alpha, EPS, ZETA)
+    expected = np.concatenate([defect.ravel(), on_line, fp])
+    assert np.array_equal(invariant_curve_residual(curve, tau, alpha, EPS, ZETA), expected)
+
+    defect, on_line = reference_defect(curve, node_angles(n_modes, midpoint=True), tau, alpha)
+    expected = max(fourier_error_estimate(curve),
+                   max(float(np.max(np.abs(defect))), float(np.max(np.abs(on_line)))))
+    assert fourier_error_estimate(curve, params=(tau, alpha, EPS, ZETA)) == expected
+
+
+@pytest.mark.parametrize("phi_star", [0.0, 0.7, -2.9, 5.0])
+def test_collision_closure_matches_offset(phi_star):
+    curve = random_curve(16, seed=1)
+    expected = np.array([curve.offset(phi_star), curve.offset(phi_star, deriv=1)])
+    assert np.array_equal(collision_closure(curve, phi_star), expected)
+
+
+def test_cached_node_tables_are_read_only():
+    trig = _node_trig(8)
+    for arr in (trig.phi, trig.k, trig.cos, trig.sin, trig.unit):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    with pytest.raises(ValueError):
+        make_curve(n_modes=8).nodes()[0] = 1.0
+    assert np.array_equal(_node_trig(8).phi, node_angles(8))
 
 
 # -- grazing-curve seeding and continuation --------------------------------
