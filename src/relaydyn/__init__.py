@@ -34,8 +34,8 @@ from .reduced import (CollisionContext, DomainTag, branch_of, classify,
                       map_F_branch, oscillator_context, reconstruct_history,
                       theta)
 from .relay import (RelaySystem, SwitchBoundReport, check_weak_transversality,
-                    crossing_times, evolve, hysteron, oscillator_system,
-                    strict_transversality_q, switch_bound_report)
+                    evolve, hysteron, oscillator_system, strict_transversality_q,
+                    switch_bound_report)
 
 __version__ = "0.1.0"
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (CentroidOnCurve, InsufficientSamples, LeftNeighborhood,
                      NoRootInBracket)
+from .oscillator import collision_point
 from .reduced import CollisionContext, branch_of, map_F, oscillator_context
 
 __all__ = [
@@ -116,8 +117,6 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     retried once from the default seed and recorded with ``escaped`` set
     (NaN envelope) if it escapes again; the sweep itself never raises.
     """
-
-    from .oscillator import collision_point
 
     alphas = np.asarray(alphas, dtype=float)
     records: list[SweepRecord] = []
@@ -336,9 +335,8 @@ def on_plus_image_manifold(ctx: CollisionContext, w, tol: float = 1e-8) -> bool:
     """Does w lie on the image of the rank-one branch?
 
     That image is the delayed push-forward of the threshold line, so
-    pulling w back by tau under the propagation flow (sign included) must
-    land on the line.
+    pulling w back by tau under the propagation flow must land on the line.
     """
 
-    z = ctx.flow.apply(-np.asarray(w, dtype=float), ctx.sign, -ctx.tau)
-    return abs(ctx.h_eff(z) - ctx.epsilon) <= tol
+    z = ctx.flow.apply(-np.asarray(w, dtype=float), 1, -ctx.tau)
+    return abs(float(ctx.h(z)) - ctx.epsilon) <= tol

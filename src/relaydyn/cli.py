@@ -21,6 +21,7 @@ import numpy as np
 
 from . import attractor, continuation, oscillator, output, reduced, relay
 from .errors import NumericalError, RelayDynError, ValidationError
+from .flows import AffineOscillatorFlow
 from .history import HybridState, SampledHistory
 
 
@@ -148,16 +149,13 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> list[str]:
 def cmd_surface(config: dict, out_dir: Path, seed: int) -> list[str]:
     taus = np.linspace(*config["tau_range"], int(config["n_tau"]))
     alphas = np.linspace(*config["alpha_range"], int(config["n_alpha"]))
-    flow = None
+    flow = AffineOscillatorFlow(config["zeta"])
     rows = []
     for tau in taus:
         try:
             y = oscillator.collision_point(config["zeta"], float(tau))
         except RelayDynError:
             continue
-        if flow is None:
-            from .flows import AffineOscillatorFlow
-            flow = AffineOscillatorFlow(config["zeta"])
         resid = float(np.max(np.abs(y + flow.apply(y, 1, float(tau)))))
         for alpha in alphas:
             try:
@@ -204,12 +202,9 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     hint = None
     for tau in taus:
         try:
-            roots = oscillator.surface_alpha(zeta, float(tau), eps)
+            alpha = oscillator._slice_alpha_near(zeta, float(tau), eps, hint)
         except RelayDynError:
             continue
-        if not roots:
-            continue
-        alpha = roots[0] if hint is None else min(roots, key=lambda a: abs(a - hint))
         hint = alpha
         coll_rows.append((float(tau), alpha, eps))
     files = [
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current implementation is sequential)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized inputs")
     p = sub.add_parser("print-config")
@@ -340,8 +333,6 @@ def run(argv=None) -> int:
             print(json.dumps(load_config(args.name, args.config),
                              sort_keys=True, indent=2))
         return 0
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
     config = load_config(args.command, args.config)
     out_dir = _prepare_out(args.out)
     names = COMMANDS[args.command](config, out_dir, int(args.seed))

@@ -89,29 +89,20 @@ class AffineOscillatorFlow:
             a21 * y[0] + a22 * y[1] + u * v2,
         ])
 
-    def apply_path(self, y, u: int, ts) -> np.ndarray:
-        """Vectorised :meth:`apply`: one row per entry of ts."""
-        ts = np.asarray(ts, dtype=float)
-        z = self.zeta
-        e = np.exp(-z * ts)
-        c = np.cos(ts)
-        s = np.sin(ts)
-        x = e * ((c + z * s) * y[0] + s * y[1]) + u * (e * (-z * s - c) + 1.0)
-        xdot = e * (-self._omsq * s * y[0] + (c - z * s) * y[1]) + u * e * self._omsq * s
-        return np.stack([x, xdot], axis=-1)
-
     def apply_batch(self, ys, u: int, ts) -> np.ndarray:
-        """Row-paired :meth:`apply`: ys[i] advanced by ts[i]."""
+        """Row-paired :meth:`apply`: ys[i] advanced by ts[i]; one state broadcasts."""
         ys = np.asarray(ys, dtype=float)
         ts = np.asarray(ts, dtype=float)
         z = self.zeta
         e = np.exp(-z * ts)
         c = np.cos(ts)
         s = np.sin(ts)
-        x = e * ((c + z * s) * ys[:, 0] + s * ys[:, 1]) + u * (e * (-z * s - c) + 1.0)
-        xdot = e * (-self._omsq * s * ys[:, 0] + (c - z * s) * ys[:, 1]) \
+        x = e * ((c + z * s) * ys[..., 0] + s * ys[..., 1]) + u * (e * (-z * s - c) + 1.0)
+        xdot = e * (-self._omsq * s * ys[..., 0] + (c - z * s) * ys[..., 1]) \
             + u * e * self._omsq * s
         return np.stack([x, xdot], axis=-1)
+
+    apply_path = apply_batch  # one state, one row per entry of ts
 
     def velocity(self, y, u: int) -> np.ndarray:
         """Vector field f(y, u)."""
@@ -174,11 +165,6 @@ class NumericalFlow:
         if sol is None:
             return np.asarray(y, float).copy()
         return sol.y[:, -1]
-
-    def apply_dense(self, y, u: int, t: float):
-        """Advance and return an interpolant over the span (used for recording)."""
-        sol = self._solve(y, u, t, dense=True)
-        return sol
 
     def apply_path(self, y, u: int, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

@@ -36,7 +36,21 @@ __all__ = [
 _EDGE_TOL = 1e-9
 
 
-class BreakpointHistory:
+class _Window:
+    """Evaluation window [-horizon, 0] shared by both history kinds."""
+
+    horizon: float
+
+    def _check(self, s: float) -> float:
+        if s < -self.horizon - _EDGE_TOL or s > _EDGE_TOL:
+            raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
+        return min(max(s, -self.horizon), 0.0)
+
+    def head(self) -> np.ndarray:
+        return self(0.0)
+
+
+class BreakpointHistory(_Window):
     """Exact history: anchor value at -horizon plus switch times and labels.
 
     Parameters
@@ -81,11 +95,6 @@ class BreakpointHistory:
     def _segment(self, s: float) -> int:
         return bisect.bisect_right(self.times, s)
 
-    def _check(self, s: float) -> float:
-        if s < -self.horizon - _EDGE_TOL or s > _EDGE_TOL:
-            raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
-        return min(max(s, -self.horizon), 0.0)
-
     def __call__(self, s):
         if np.ndim(s) > 0:
             return np.stack([self(float(si)) for si in np.asarray(s).ravel()])
@@ -101,16 +110,13 @@ class BreakpointHistory:
     def label_at(self, s: float) -> int:
         return self.labels[self._segment(self._check(float(s)))]
 
-    def head(self) -> np.ndarray:
-        return self(0.0)
-
     def pieces(self, lo: float) -> list[tuple[float, float]]:
         """Smooth subintervals covering [lo, 0]."""
         cuts = [lo] + [t for t in self.times if lo < t < 0.0] + [0.0]
         return list(zip(cuts[:-1], cuts[1:]))
 
 
-class SampledHistory:
+class SampledHistory(_Window):
     """History on a uniform grid over [-horizon, 0] with cubic interpolation."""
 
     def __init__(self, horizon: float, values):
@@ -138,11 +144,6 @@ class SampledHistory:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def _check(self, s: float) -> float:
-        if s < -self.horizon - _EDGE_TOL or s > _EDGE_TOL:
-            raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
-        return min(max(s, -self.horizon), 0.0)
-
     def __call__(self, s):
         if np.ndim(s) > 0:
             return self._spline(np.clip(np.asarray(s, dtype=float), -self.horizon, 0.0))
@@ -150,9 +151,6 @@ class SampledHistory:
 
     def derivative(self, s: float) -> np.ndarray:
         return self._dspline(self._check(float(s)))
-
-    def head(self) -> np.ndarray:
-        return self(0.0)
 
     def pieces(self, lo: float) -> list[tuple[float, float]]:
         return [(lo, 0.0)]
@@ -201,7 +199,6 @@ class Segment:
     t0: float
     y0: np.ndarray
     u: int
-    dense: object = None   # generic backend keeps the solver interpolant
 
 
 class Trajectory:
@@ -236,8 +233,6 @@ class Trajectory:
         t = min(t, self.T)
         i = bisect.bisect_right(self._seg_times, t) - 1
         seg = self.segments[i]
-        if seg.dense is not None:
-            return seg.dense.sol(t - seg.t0)
         return self.flow.apply(seg.y0, seg.u, t - seg.t0)
 
     def u_at(self, t: float) -> int:
@@ -271,9 +266,7 @@ class Trajectory:
         lo = self.T - horizon
         if lo < -self.initial_history.horizon - _EDGE_TOL:
             raise ValueError("requested horizon reaches beyond the recorded past")
-        exact = all(s.dense is None for s in self.segments) and (
-            lo >= 0.0 or isinstance(self.initial_history, BreakpointHistory))
-        if exact:
+        if lo >= 0.0 or isinstance(self.initial_history, BreakpointHistory):
             times, labels = self._tail_events(lo)
             return BreakpointHistory(self.flow, horizon, self(lo), times, labels)
         n = max(129, getattr(self.initial_history, "values", np.empty((129, 0))).shape[0])

@@ -11,11 +11,11 @@ cycle whose switch points satisfy y = -Y_+^tau y, giving the closed form
 
     y*(tau) = -[I + A(tau)]^{-1} v(tau).
 
-The orbit collides with a switching threshold exactly when eps equals
-+h(y*) (tau > pi) or -h(y*) (tau < pi); sweeping (tau, alpha) maps out the
-collision surface, and the reduced-map linearisations along it organise
-the local bifurcation picture (folds, flips, Neimark-Sacker curve and its
-strong resonances) that this module extracts.
+For tau > pi the orbit collides with the +eps threshold exactly when eps
+equals h(y*); delays tau <= pi are refused.  Sweeping (tau, alpha) maps
+out the collision surface, and the reduced-map linearisations along it
+organise the local bifurcation picture (folds, flips, Neimark-Sacker curve
+and its strong resonances) that this module extracts.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class OscillatorParams:
         if self.epsilon <= 0:
             raise ValueError("hysteresis half-width must be positive")
 
-    @property
-    def switching_normal(self) -> np.ndarray:
-        return np.array([math.cos(self.alpha), math.sin(self.alpha)])
-
 
 @dataclass(frozen=True)
 class CollisionOrbit:
@@ -85,10 +81,6 @@ class CollisionOrbit:
     q: float
     g_plus: float
     g_minus: float
-
-    @property
-    def period(self) -> float:
-        return 2.0 * self.params.tau
 
 
 def collision_point(zeta: float, tau: float) -> np.ndarray:
@@ -110,35 +102,40 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     return np.linalg.solve(m, -flow.flow_offset(tau))
 
 
-def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
-    """Hysteresis half-width at which the symmetric orbit collides.
+def _surface_corner(zeta: float, tau: float) -> np.ndarray:
+    """Switch point y* for a delay the collision surface covers (tau > pi)."""
+    if tau < math.pi + 1e-9:
+        raise SingularSurface(
+            f"collision surface covers tau > pi only, got tau={tau:.6g}")
+    return collision_point(zeta, tau)
 
-    The corner sits on the +eps line for tau > pi and on the -eps line for
-    tau < pi, so eps = +h(y*) respectively -h(y*).  At tau = pi the sign
-    rule (and the surface itself) degenerates and the call is refused.
-    The tau < pi branch is exercised far less than the canonical
-    tau in (pi, 2*pi) window; treat its output as experimental.
 
-    Raises :class:`NegativeEpsilon` when the computed value is not a
-    physical half-width (the parameter point lies off the surface).
-    """
-
-    if abs(tau - math.pi) < 1e-9:
-        raise SingularSurface("collision surface is singular at tau = pi")
-    y = collision_point(zeta, tau)
+def _epsilon_at(y: np.ndarray, tau: float, alpha: float) -> float:
     eps = y[0] * math.cos(alpha) + y[1] * math.sin(alpha)
-    if tau < math.pi:
-        eps = -eps
     if eps <= 0:
         raise NegativeEpsilon(
             f"no colliding orbit at tau={tau:.6g}, alpha={alpha:.6g} (eps={eps:.3e})")
     return float(eps)
 
 
+def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
+    """Hysteresis half-width at which the symmetric orbit collides.
+
+    For tau > pi the corner sits on the +eps line, so eps = h(y*).  Delays
+    tau <= pi raise :class:`SingularSurface`: the surface degenerates at
+    pi, and below it the corner sits on the -eps line, which is not modelled.
+
+    Raises :class:`NegativeEpsilon` when the computed value is not a
+    physical half-width (the parameter point lies off the surface).
+    """
+
+    return _epsilon_at(_surface_corner(zeta, tau), tau, alpha)
+
+
 def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
     """Collision orbit data at a surface point, with transversality scalars."""
-    eps = collision_epsilon(zeta, tau, alpha)
-    y = collision_point(zeta, tau)
+    y = _surface_corner(zeta, tau)
+    eps = _epsilon_at(y, tau, alpha)
     flow = AffineOscillatorFlow(zeta)
     c = np.array([math.cos(alpha), math.sin(alpha)])
     g_plus = float(c @ flow.velocity(y, +1))
@@ -154,13 +151,7 @@ def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
 def collision_context(orbit: CollisionOrbit, delta: float | None = None) -> CollisionContext:
     """Reduced-map context anchored at the orbit's switch point."""
     p = orbit.params
-    # the corner sits on the -eps line for tau < pi: that is the mirrored cycle
-    ctx = oscillator_context(p.zeta, p.alpha, p.tau, p.epsilon, orbit.y_star, delta)
-    if p.tau < math.pi:
-        ctx = CollisionContext(flow=ctx.flow, h=ctx.h, dh=ctx.dh, tau=ctx.tau,
-                               epsilon=ctx.epsilon, y_ref=orbit.y_star,
-                               delta=ctx.delta, sign=-1)
-    return ctx
+    return oscillator_context(p.zeta, p.alpha, p.tau, p.epsilon, orbit.y_star, delta)
 
 
 @dataclass(frozen=True)
@@ -200,8 +191,7 @@ def _branch_jacobians(orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
             jacobian_F_branch(ctx, orbit.y_star, -1))
 
 
-def _test_values(orbit: CollisionOrbit) -> dict[str, float]:
-    j_plus, j_minus = _branch_jacobians(orbit)
+def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
     lam = float(np.trace(j_plus))
     eye = np.eye(2)
     return {
@@ -219,7 +209,7 @@ def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
     j_plus, j_minus = _branch_jacobians(orbit)
     lam = float(np.trace(j_plus))
     ev = np.linalg.eigvals(j_minus)
-    vals = _test_values(orbit)
+    vals = _test_values(j_plus, j_minus)
     tr = vals.pop("trace_minus")
     if abs(tr) >= 2.0:
         vals.pop("ns_minus")  # determinant can be 1 with real eigenvalues
@@ -239,16 +229,14 @@ def surface_alpha(zeta: float, tau: float, epsilon: float,
     Scans alpha over the bracket for sign changes of
     ``collision_epsilon - epsilon`` and refines each, returning all roots
     in increasing order (the fixed-eps slice of the surface may be crossed
-    more than once).
+    more than once).  Delays tau <= pi are refused as in
+    :func:`collision_epsilon`.
     """
 
-    if abs(tau - math.pi) < 1e-9:
-        raise SingularSurface("collision surface is singular at tau = pi")
-    y = collision_point(zeta, tau)
-    s = 1.0 if tau > math.pi else -1.0
+    y = _surface_corner(zeta, tau)
 
     def g(alpha: float) -> float:
-        return s * (y[0] * math.cos(alpha) + y[1] * math.sin(alpha)) - epsilon
+        return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
 
     grid = np.linspace(bracket[0], bracket[1], n_scan)
     vals = np.array([g(a) for a in grid])
@@ -350,20 +338,18 @@ def _grid_values(zeta, taus, alphas):
     """Test-function values over the grid; NaN where the surface is invalid."""
     vals = {k: np.full((taus.size, alphas.size), np.nan) for k in BIFURCATION_LABELS}
     vals["trace_minus"] = np.full((taus.size, alphas.size), np.nan)
-    eps = np.full((taus.size, alphas.size), np.nan)
     for i, tau in enumerate(taus):
         for j, alpha in enumerate(alphas):
             try:
                 orbit = collision_orbit(zeta, float(tau), float(alpha))
-                tv = _test_values(orbit)
+                tv = _test_values(*_branch_jacobians(orbit))
             except (RelayDynError, ValueError):
                 # invalid surface point or (near-)tangential corner
                 continue
             for k in BIFURCATION_LABELS:
                 vals[k][i, j] = tv[k]
             vals["trace_minus"][i, j] = tv["trace_minus"]
-            eps[i, j] = orbit.params.epsilon
-    return vals, eps
+    return vals
 
 
 def _refine_edge(fun, p0, p1, v0, v1, tol=1e-8, max_iter=80):
@@ -439,12 +425,13 @@ def bifurcation_map(zeta: float,
 
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
-    vals, _ = _grid_values(zeta, taus, alphas)
+    vals = _grid_values(zeta, taus, alphas)
 
     def make_fun(label):
         def fun(tau, alpha):
             try:
-                return _test_values(collision_orbit(zeta, tau, alpha))[label]
+                orbit = collision_orbit(zeta, tau, alpha)
+                return _test_values(*_branch_jacobians(orbit))[label]
             except (RelayDynError, ValueError):
                 return math.nan
         return fun
@@ -504,7 +491,7 @@ def _curve_point(zeta, point, label, residual, residual_tol) -> CurvePoint | Non
         return None
     try:
         orbit = collision_orbit(zeta, tau, alpha)
-        tv = _test_values(orbit)
+        tv = _test_values(*_branch_jacobians(orbit))
     except (RelayDynError, ValueError):
         return None
     tags = []

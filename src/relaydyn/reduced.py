@@ -23,22 +23,23 @@ smooth.  The map and its analytic Jacobians are exact up to the flow
 backend; :func:`reconstruct_history` lifts a map point back to a full
 hybrid state so the event-driven engine can serve as an oracle.
 
-A context with ``sign=-1`` describes the mirrored half-cycle (thresholds
-and inputs negated).  For odd fields and linear h the two are conjugate:
-``F_mirror(-y) = -F(y)``.
+The context watches the +eps line and propagates with input +1 after the
+switch.  For odd fields and linear h the opposite half-cycle is its
+reflection y -> -y, so one context covers the whole orbit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval)
+from .flows import AffineOscillatorFlow
 from .history import BreakpointHistory, HybridState
 
 __all__ = [
@@ -73,8 +74,7 @@ class CollisionContext:
     be small enough that the path through any admissible point meets the
     threshold exactly once in that window.  ``y_ref`` is the collision
     point itself (used to anchor the phase section of :func:`theta`).
-    ``sign`` selects the half-cycle: +1 watches ``h = +eps`` and
-    propagates with input +1, -1 watches ``h = -eps`` with input -1.
+    The context watches ``h = +eps`` and propagates with input +1.
     """
 
     flow: object
@@ -84,32 +84,17 @@ class CollisionContext:
     epsilon: float
     y_ref: np.ndarray
     delta: float
-    sign: int = 1
 
     def __post_init__(self):
         if self.tau <= 0 or self.epsilon <= 0:
             raise ValueError("delay and hysteresis half-width must be positive")
         if not 0 < self.delta < self.tau:
             raise ValueError("crossing bracket must satisfy 0 < delta < tau")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign selects the half-cycle, +1 or -1")
-
-    def h_eff(self, y) -> float:
-        return self.sign * float(self.h(y))
-
-    def dh_eff(self, y) -> np.ndarray:
-        return self.sign * np.asarray(self.dh(y), dtype=float)
-
-    def mirrored(self) -> "CollisionContext":
-        """Context of the opposite half-cycle (reflected collision point)."""
-        return replace(self, sign=-self.sign, y_ref=-np.asarray(self.y_ref))
 
 
 def oscillator_context(zeta: float, alpha: float, tau: float, epsilon: float,
                        y_ref, delta: float | None = None) -> CollisionContext:
     """Reduced-map context for the relay oscillator with switching angle alpha."""
-    from .flows import AffineOscillatorFlow
-
     c = np.array([math.cos(alpha), math.sin(alpha)])
     return CollisionContext(
         flow=AffineOscillatorFlow(zeta),
@@ -124,7 +109,7 @@ def oscillator_context(zeta: float, alpha: float, tau: float, epsilon: float,
 
 def classify(ctx: CollisionContext, y, tol: float = 0.0) -> DomainTag:
     """Domain of y relative to the watched threshold line."""
-    r = ctx.h_eff(y) - ctx.epsilon
+    r = float(ctx.h(y)) - ctx.epsilon
     if abs(r) <= tol:
         return DomainTag.BOUNDARY
     return DomainTag.MINUS if r > 0 else DomainTag.PLUS
@@ -132,11 +117,45 @@ def classify(ctx: CollisionContext, y, tol: float = 0.0) -> DomainTag:
 
 def branch_of(ctx: CollisionContext, y) -> int:
     """Branch applying at y; the threshold line counts as already crossed."""
-    return -1 if ctx.h_eff(y) >= ctx.epsilon else 1
+    return -1 if float(ctx.h(y)) >= ctx.epsilon else 1
+
+
+def _bracketed_newton(signal, start: float, box: tuple[float, float],
+                      bracket: tuple[float, float]) -> tuple[float, float] | None:
+    """Root of a scalar signal: Newton from ``start``, else bisection.
+
+    ``signal(t)`` returns the value and the slope from one flow evaluation.
+    Newton stops once an iterate leaves ``box`` and accepts a root only
+    inside ``bracket``; otherwise ``brentq`` searches the bracket.  Returns
+    the root and the slope there, or None when the bracket holds no sign
+    change.
+    """
+
+    t = start
+    for _ in range(30):
+        r, d = signal(t)
+        if abs(r) < 1e-13:
+            if bracket[0] <= t <= bracket[1]:
+                return t, d
+            break
+        if d == 0.0 or not box[0] <= t <= box[1]:
+            break
+        t -= r / d
+
+    a, b = bracket
+    (ga, da), (gb, db) = signal(a), signal(b)
+    if ga == 0.0:
+        return a, da
+    if gb == 0.0:
+        return b, db
+    if ga * gb > 0.0:
+        return None
+    t = float(brentq(lambda s: signal(s)[0], a, b, xtol=1e-15, rtol=8.9e-16))
+    return t, signal(t)[1]
 
 
 def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
-    """Offset t in (-delta, delta) with h = eps along the branch flow from y.
+    """Offset t in [-delta, delta] with h = eps along the branch flow from y.
 
     Newton from t = 0 with the analytic slope; falls back to bisection over
     the full bracket when Newton stalls or leaves it.  Raises
@@ -146,40 +165,17 @@ def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
 
     y = np.asarray(y, dtype=float)
     flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
-    u = branch * ctx.sign
 
-    def g(t: float) -> float:
-        return ctx.h_eff(flow.apply(y, u, t)) - eps
+    def signal(t: float) -> tuple[float, float]:
+        z = flow.apply(y, branch, t)
+        return float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, branch))
 
-    def dg(t: float) -> float:
-        z = flow.apply(y, u, t)
-        return float(ctx.dh_eff(z) @ flow.velocity(z, u))
-
-    t = 0.0
-    for _ in range(30):
-        r = g(t)
-        if abs(r) < 1e-13:
-            if -delta < t < delta:
-                if abs(dg(t)) < 1e-8:
-                    raise DegenerateDerivative(
-                        f"threshold met tangentially at offset {t:.6g}")
-                return t
-            break
-        d = dg(t)
-        if d == 0.0 or abs(t) > delta:
-            break
-        t -= r / d
-
-    ga, gb = g(-delta), g(delta)
-    if ga == 0.0:
-        return -delta
-    if gb == 0.0:
-        return delta
-    if ga * gb > 0.0:
+    root = _bracketed_newton(signal, 0.0, (-delta, delta), (-delta, delta))
+    if root is None:
         raise NoRootInBracket(
             f"no threshold crossing within {delta:.4g} of the switch point")
-    t = float(brentq(g, -delta, delta, xtol=1e-15, rtol=8.9e-16))
-    if abs(dg(t)) < 1e-8:
+    t, slope = root
+    if abs(slope) < 1e-8:
         raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
     return t
 
@@ -188,7 +184,7 @@ def map_F_branch(ctx: CollisionContext, y, branch: int) -> np.ndarray:
     """One smooth branch of the half-return map (no domain check)."""
     y = np.asarray(y, dtype=float)
     t = crossing_time(ctx, y, branch)
-    return -ctx.flow.apply(y, ctx.sign, ctx.tau + t)
+    return -ctx.flow.apply(y, 1, ctx.tau + t)
 
 
 def map_F(ctx: CollisionContext, y) -> np.ndarray:
@@ -213,18 +209,16 @@ def jacobian_F_branch(ctx: CollisionContext, y, branch: int) -> np.ndarray:
 
     y = np.asarray(y, dtype=float)
     flow, tau = ctx.flow, ctx.tau
-    p = ctx.sign
-    u = branch * ctx.sign
     t = crossing_time(ctx, y, branch)
-    z = flow.apply(y, u, t)
-    w = flow.apply(y, p, tau + t)
-    gz = ctx.dh_eff(z)
-    denom = float(gz @ flow.velocity(z, u))
+    z = flow.apply(y, branch, t)
+    w = flow.apply(y, 1, tau + t)
+    gz = ctx.dh(z)
+    denom = float(gz @ flow.velocity(z, branch))
     if abs(denom) < 1e-12:
         raise DegenerateDerivative("threshold crossing is tangent, no linearisation")
-    phi_t = flow.jacobian(y, u, t)
-    phi_w = flow.jacobian(y, p, tau + t)
-    return -phi_w + np.outer(flow.velocity(w, p), gz @ phi_t) / denom
+    phi_t = flow.jacobian(y, branch, t)
+    phi_w = flow.jacobian(y, 1, tau + t)
+    return -phi_w + np.outer(flow.velocity(w, 1), gz @ phi_t) / denom
 
 
 def jacobian_F(ctx: CollisionContext, y) -> np.ndarray:
@@ -244,37 +238,18 @@ def theta(ctx: CollisionContext, y) -> float:
 
     y = np.asarray(y, dtype=float)
     flow, delta = ctx.flow, ctx.delta
-    p = ctx.sign
-    f2 = flow.velocity(np.asarray(ctx.y_ref, dtype=float), p)
-    y_sec = flow.apply(np.asarray(ctx.y_ref, dtype=float), p, delta)
+    y_ref = np.asarray(ctx.y_ref, dtype=float)
+    f2 = flow.velocity(y_ref, 1)
+    y_sec = flow.apply(y_ref, 1, delta)
 
-    def q(th: float) -> float:
-        return float(f2 @ (flow.apply(y, p, th) - y_sec))
+    def signal(th: float) -> tuple[float, float]:
+        z = flow.apply(y, 1, th)
+        return float(f2 @ (z - y_sec)), float(f2 @ flow.velocity(z, 1))
 
-    def dq(th: float) -> float:
-        z = flow.apply(y, p, th)
-        return float(f2 @ flow.velocity(z, p))
-
-    th = delta
-    for _ in range(30):
-        r = q(th)
-        if abs(r) < 1e-13:
-            if 0.0 <= th <= 2.0 * delta:
-                return th
-            break
-        d = dq(th)
-        if d == 0.0 or not -delta <= th <= 3.0 * delta:
-            break
-        th -= r / d
-
-    qa, qb = q(0.0), q(2.0 * delta)
-    if qa == 0.0:
-        return 0.0
-    if qb == 0.0:
-        return 2.0 * delta
-    if qa * qb > 0.0:
+    root = _bracketed_newton(signal, delta, (-delta, 3.0 * delta), (0.0, 2.0 * delta))
+    if root is None:
         raise NoRootInInterval("path does not reach the phase section in [0, 2*delta]")
-    return float(brentq(q, 0.0, 2.0 * delta, xtol=1e-15, rtol=8.9e-16))
+    return root[0]
 
 
 def reconstruct_history(ctx: CollisionContext, y, horizon: float | None = None) -> HybridState:
@@ -294,7 +269,6 @@ def reconstruct_history(ctx: CollisionContext, y, horizon: float | None = None) 
         raise ValueError("history horizon must cover the delay")
     if th >= big:
         raise ValueError("phase offset exceeds the history horizon")
-    p = ctx.sign
-    anchor = ctx.flow.apply(y, -p, th - big)
-    hist = BreakpointHistory(ctx.flow, big, anchor, times=[-th], labels=[-p, p])
-    return HybridState(history=hist, u=p)
+    anchor = ctx.flow.apply(y, -1, th - big)
+    hist = BreakpointHistory(ctx.flow, big, anchor, times=[-th], labels=[-1, 1])
+    return HybridState(history=hist, u=1)

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateCrossing, WindowTooLarge
+from .flows import AffineOscillatorFlow
 from .history import (BreakpointHistory, CrossingRecord, HybridState,
                       Segment, SwitchRecord, Trajectory)
 
@@ -38,7 +39,6 @@ __all__ = [
     "hysteron",
     "RelayPath",
     "evolve",
-    "crossing_times",
     "check_weak_transversality",
     "strict_transversality_q",
     "switch_bound_report",
@@ -78,8 +78,6 @@ class RelaySystem:
 
 def oscillator_system(zeta: float, alpha: float, tau: float, epsilon: float) -> RelaySystem:
     """Relay oscillator with switching line x*cos(alpha) + x'*sin(alpha) = level."""
-    from .flows import AffineOscillatorFlow
-
     flow = AffineOscillatorFlow(zeta)
     c = np.array([math.cos(alpha), math.sin(alpha)])
     return RelaySystem(
@@ -341,11 +339,6 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
             break
         s_hit -= r / d
     return s_hit
-
-
-def crossing_times(traj: Trajectory, include_history: bool = False) -> np.ndarray:
-    """Times at which the switching signal armed a relay switch."""
-    return traj.crossing_times(include_history=include_history)
 
 
 def check_weak_transversality(system: RelaySystem, traj: Trajectory,

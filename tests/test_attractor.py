@@ -109,7 +109,7 @@ def test_polygon_arcs_rejects_point_attractor(fig_ctx):
 
 
 def test_on_plus_image_manifold(fig_ctx):
-    y = fig_ctx.y_ref - 5e-3 * fig_ctx.dh_eff(fig_ctx.y_ref)
+    y = fig_ctx.y_ref - 5e-3 * fig_ctx.dh(fig_ctx.y_ref)
     w = map_F_branch(fig_ctx, y, +1)
     assert on_plus_image_manifold(fig_ctx, w)
     assert not on_plus_image_manifold(fig_ctx, w + np.array([1e-3, 1e-3]))

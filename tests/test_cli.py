@@ -139,5 +139,20 @@ def test_polygon_command_summary(tmp_path):
     assert len(lines) > 300
 
 
-def test_threads_flag_validated(tmp_path):
-    assert run_cli(["sweep", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
+def test_collision_history_below_pi_is_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"history": "collision", "tau": 2.5, "alpha": 1.0}))
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "tau > pi" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_surface_below_pi_writes_header_only(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau_range": [2.0, 3.0]}))
+    out = tmp_path / "o"
+    assert run_cli(["surface", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "surface.csv").read_text().splitlines()
+    assert lines == ["tau,alpha,epsilon,q,lambda_plus,residual"]

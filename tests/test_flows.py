@@ -135,6 +135,19 @@ def test_apply_variants_agree():
         np.testing.assert_allclose(batch[i], flow.apply(ys[i], -1, t), atol=1e-14)
 
 
+def test_apply_batch_broadcasts_one_state_exactly():
+    flow = AffineOscillatorFlow(-0.1)
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=2)
+    ts = rng.uniform(-6, 6, size=200)
+    for u in (-1, 1):
+        one = flow.apply_batch(y, u, ts)
+        tiled = flow.apply_batch(np.tile(y, (ts.size, 1)), u, ts)
+        assert one.shape == (ts.size, 2)
+        assert np.array_equal(one, tiled)
+        assert np.array_equal(flow.apply_path(y, u, ts), one)
+
+
 def test_lipschitz_bounds_velocity_difference():
     flow = AffineOscillatorFlow(-0.1)
     L = flow.lipschitz()

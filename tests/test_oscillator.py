@@ -50,19 +50,32 @@ def test_collision_point_solves_fixed_point_equation():
 
 
 def test_collision_epsilon_sign_rule():
-    # corner on the +eps line beyond tau = pi, on the -eps line below
+    # corner on the +eps line beyond tau = pi; delays up to pi are refused
     y = collision_point(ZETA, 4.2)
     h = float(math.cos(-0.4) * y[0] + math.sin(-0.4) * y[1])
     assert collision_epsilon(ZETA, 4.2, -0.4) == pytest.approx(h, abs=1e-14)
     assert collision_epsilon(ZETA, 4.2, -0.4) == pytest.approx(
         0.22661141879455537, abs=1e-14)
-    y = collision_point(ZETA, 2.5)
-    h = float(math.cos(1.0) * y[0] + math.sin(1.0) * y[1])
-    assert collision_epsilon(ZETA, 2.5, 1.0) == pytest.approx(-h, abs=1e-14)
-    with pytest.raises(NegativeEpsilon):
+    with pytest.raises(SingularSurface):
+        collision_epsilon(ZETA, 2.5, 1.0)
+    with pytest.raises(SingularSurface):
         collision_epsilon(ZETA, 2.5, -0.3)
+    with pytest.raises(NegativeEpsilon):
+        collision_epsilon(ZETA, 4.2, -1.2)
     with pytest.raises(SingularSurface):
         collision_epsilon(ZETA, math.pi, 0.0)
+
+
+@pytest.mark.parametrize("tau", [2.0, 2.5, math.pi])
+def test_surface_refuses_tau_up_to_pi(tau):
+    # the old tau < pi path put the corner on the -eps line, and its map
+    # sent y* about 4 away from itself at tau = 2.0 and 2.5
+    with pytest.raises(SingularSurface):
+        collision_epsilon(ZETA, tau, 0.7)
+    with pytest.raises(SingularSurface):
+        collision_orbit(ZETA, tau, 0.7)
+    with pytest.raises(SingularSurface):
+        surface_alpha(ZETA, tau, EPS)
 
 
 def test_collision_orbit_transversality_scalars():

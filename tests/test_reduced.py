@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from relaydyn.errors import NoRootInBracket
+from relaydyn import reduced
+from relaydyn.errors import (DegenerateDerivative, NoRootInBracket,
+                             NoRootInInterval, RelayDynError)
 from relaydyn.oscillator import collision_orbit, collision_context, surface_alpha
 from relaydyn.reduced import (DomainTag, branch_of, classify, crossing_time,
                               jacobian_F, jacobian_F_branch, map_F,
@@ -24,10 +27,9 @@ def ctx():
 
 def scan_crossing_oracle(ctx, y, branch, n=20001):
     """Crossing offset by dense scan plus interval halving; no Newton."""
-    u = branch * ctx.sign
 
     def g(t):
-        return ctx.h_eff(ctx.flow.apply(y, u, t)) - ctx.epsilon
+        return ctx.h(ctx.flow.apply(y, branch, t)) - ctx.epsilon
 
     ts = np.linspace(-ctx.delta, ctx.delta, n)
     vals = np.array([g(t) for t in ts])
@@ -52,8 +54,8 @@ def test_crossing_time_matches_scan_oracle(ctx):
         t = crossing_time(ctx, y, b)
         assert abs(t - scan_crossing_oracle(ctx, y, b)) < 1e-10
         # the defining equation itself
-        z = ctx.flow.apply(y, b * ctx.sign, t)
-        assert abs(ctx.h_eff(z) - ctx.epsilon) < 1e-12
+        z = ctx.flow.apply(y, b, t)
+        assert abs(ctx.h(z) - ctx.epsilon) < 1e-12
 
 
 def test_crossing_time_fails_cleanly_far_from_threshold(ctx):
@@ -70,7 +72,7 @@ def test_corner_is_fixed_point(ctx):
 
 
 def test_branch_selection_rule(ctx):
-    c = np.array([ctx.dh_eff(ctx.y_ref)]).ravel()
+    c = np.array([ctx.dh(ctx.y_ref)]).ravel()
     inside = ctx.y_ref - 1e-4 * c
     outside = ctx.y_ref + 1e-4 * c
     assert branch_of(ctx, inside) == 1
@@ -80,7 +82,7 @@ def test_branch_selection_rule(ctx):
 
 
 def test_plus_branch_jacobian_is_rank_one(ctx):
-    y = ctx.y_ref - 1e-3 * ctx.dh_eff(ctx.y_ref)
+    y = ctx.y_ref - 1e-3 * ctx.dh(ctx.y_ref)
     J = jacobian_F_branch(ctx, y, +1)
     assert abs(np.linalg.det(J)) < 1e-10
     assert np.linalg.matrix_rank(J, tol=1e-8) == 1
@@ -133,24 +135,15 @@ def test_branches_coincide_across_line_for_vertical_threshold():
     assert gap > 1e-2  # a genuine corner away from alpha = 0
 
 
-def test_mirror_conjugacy(ctx):
-    rng = np.random.default_rng(17)
-    mir = ctx.mirrored()
-    for _ in range(10):
-        y = ctx.y_ref + rng.normal(scale=4e-3, size=2)
-        np.testing.assert_allclose(map_F(mir, -y), -map_F(ctx, y),
-                                   rtol=0, atol=1e-12)
-
-
 def test_theta_lands_on_phase_section(ctx):
     rng = np.random.default_rng(21)
-    y_sec = ctx.flow.apply(ctx.y_ref, ctx.sign, ctx.delta)
-    f_ref = ctx.flow.velocity(ctx.y_ref, ctx.sign)
+    y_sec = ctx.flow.apply(ctx.y_ref, 1, ctx.delta)
+    f_ref = ctx.flow.velocity(ctx.y_ref, 1)
     for _ in range(10):
         y = ctx.y_ref + rng.normal(scale=3e-3, size=2)
         th = theta(ctx, y)
         assert 0.0 <= th <= 2.0 * ctx.delta
-        z = ctx.flow.apply(y, ctx.sign, th)
+        z = ctx.flow.apply(y, 1, th)
         assert abs(f_ref @ (z - y_sec)) < 1e-11
     assert theta(ctx, ctx.y_ref) == pytest.approx(ctx.delta, abs=1e-12)
 
@@ -161,7 +154,7 @@ def test_reconstruct_history_lifts_map_points(ctx):
     system = oscillator_system(ZETA, alpha, TAU, ctx.epsilon)
     y0 = ctx.y_ref + np.array([-1.5e-3, 2e-3])
     state = reconstruct_history(ctx, y0)
-    assert state.u == ctx.sign
+    assert state.u == 1
     # the single label change sits exactly at the lifted switch point
     np.testing.assert_allclose(state.history(-theta(ctx, y0)), y0, atol=1e-12)
     _, traj = evolve(system, state, 3.2 * TAU)
@@ -179,3 +172,144 @@ def test_context_validation():
         oscillator_context(ZETA, 0.0, TAU, -0.1, np.zeros(2))
     with pytest.raises(ValueError):
         oscillator_context(ZETA, 0.0, TAU, EPS, np.zeros(2), delta=2.0 * TAU)
+
+
+# ---------------------------------------------------------------------------
+# the shared bracketed Newton against the two-evaluation solves it replaced
+
+
+def two_eval_crossing_time(ctx, y, branch):
+    """Crossing solve with separate value and slope flow evaluations."""
+    y = np.asarray(y, dtype=float)
+    flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
+
+    def g(t):
+        return float(ctx.h(flow.apply(y, branch, t))) - eps
+
+    def dg(t):
+        z = flow.apply(y, branch, t)
+        return float(ctx.dh(z) @ flow.velocity(z, branch))
+
+    t = 0.0
+    for _ in range(30):
+        r = g(t)
+        if abs(r) < 1e-13:
+            if -delta < t < delta:
+                if abs(dg(t)) < 1e-8:
+                    raise DegenerateDerivative("tangent")
+                return t
+            break
+        d = dg(t)
+        if d == 0.0 or abs(t) > delta:
+            break
+        t -= r / d
+    ga, gb = g(-delta), g(delta)
+    if ga == 0.0:
+        return -delta
+    if gb == 0.0:
+        return delta
+    if ga * gb > 0.0:
+        raise NoRootInBracket("no crossing")
+    t = float(brentq(g, -delta, delta, xtol=1e-15, rtol=8.9e-16))
+    if abs(dg(t)) < 1e-8:
+        raise DegenerateDerivative("tangent")
+    return t
+
+
+def two_eval_theta(ctx, y):
+    """Phase solve with separate value and slope flow evaluations."""
+    y = np.asarray(y, dtype=float)
+    flow, delta = ctx.flow, ctx.delta
+    f2 = flow.velocity(ctx.y_ref, 1)
+    y_sec = flow.apply(ctx.y_ref, 1, delta)
+
+    def q(th):
+        return float(f2 @ (flow.apply(y, 1, th) - y_sec))
+
+    def dq(th):
+        return float(f2 @ flow.velocity(flow.apply(y, 1, th), 1))
+
+    th = delta
+    for _ in range(30):
+        r = q(th)
+        if abs(r) < 1e-13:
+            if 0.0 <= th <= 2.0 * delta:
+                return th
+            break
+        d = dq(th)
+        if d == 0.0 or not -delta <= th <= 3.0 * delta:
+            break
+        th -= r / d
+    qa, qb = q(0.0), q(2.0 * delta)
+    if qa == 0.0:
+        return 0.0
+    if qb == 0.0:
+        return 2.0 * delta
+    if qa * qb > 0.0:
+        raise NoRootInInterval("no section crossing")
+    return float(brentq(q, 0.0, 2.0 * delta, xtol=1e-15, rtol=8.9e-16))
+
+
+def outcome(fn, *args):
+    """Return value, or the error type when the solve refuses."""
+    try:
+        return fn(*args)
+    except RelayDynError as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def brentq_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(reduced, "brentq", counting)
+    return calls
+
+
+def test_shared_newton_equals_two_eval_solves_near_corner(ctx, brentq_calls):
+    rng = np.random.default_rng(31)
+    for y in ctx.y_ref + rng.normal(scale=5e-3, size=(200, 2)):
+        for branch in (1, -1):
+            want = two_eval_crossing_time(ctx, y, branch)
+            assert crossing_time(ctx, y, branch) == want
+        assert theta(ctx, y) == two_eval_theta(ctx, y)
+    assert brentq_calls == []  # Newton converges on every point this close
+
+
+def test_shared_newton_equals_two_eval_solves_far_out(ctx, brentq_calls):
+    # at this spread some solves fall back to bisection and some find no root
+    rng = np.random.default_rng(32)
+    kinds = set()
+    for y in ctx.y_ref + rng.normal(scale=0.3, size=(100, 2)):
+        for branch in (1, -1):
+            got = outcome(crossing_time, ctx, y, branch)
+            assert got == outcome(two_eval_crossing_time, ctx, y, branch)
+            kinds.add(got if isinstance(got, type) else float)
+        assert outcome(theta, ctx, y) == outcome(two_eval_theta, ctx, y)
+    assert kinds == {float, NoRootInBracket}
+    assert len(brentq_calls) > 0
+
+
+def test_shared_newton_bisection_fallback(ctx, brentq_calls):
+    y = np.array([1.622538752405961, 0.9319829647795249])
+    t = crossing_time(ctx, y, -1)
+    assert brentq_calls == [(-ctx.delta, ctx.delta)]
+    assert t == two_eval_crossing_time(ctx, y, -1)
+    assert abs(ctx.h(ctx.flow.apply(y, -1, t)) - ctx.epsilon) < 1e-12
+
+
+def test_shared_newton_no_root(ctx, brentq_calls):
+    far = np.array([1.0, 0.0])
+    with pytest.raises(NoRootInBracket):
+        crossing_time(ctx, far, 1)
+    with pytest.raises(NoRootInBracket):
+        two_eval_crossing_time(ctx, far, 1)
+    with pytest.raises(NoRootInInterval):
+        theta(ctx, far)
+    with pytest.raises(NoRootInInterval):
+        two_eval_theta(ctx, far)
+    assert brentq_calls == []
