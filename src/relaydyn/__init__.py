@@ -17,7 +17,8 @@ from .errors import (BreakupDetected, CentroidOnCurve, DegenerateCrossing,
                      DegenerateDerivative, InitialPointFailed,
                      InsufficientSamples, IntegrationFailure,
                      LeftNeighborhood, NegativeEpsilon, NoConvergence,
-                     NoRootInBracket, NoRootInInterval, NotAMaximum,
+                     NonTransversalCorner, NoRootInBracket, NoRootInInterval,
+                     NotAMaximum,
                      NumericalError, ParametrizationBreakdown, RelayDynError,
                      SingularJacobian, SingularSurface, ValidationError,
                      WindowTooLarge)

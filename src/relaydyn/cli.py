@@ -6,7 +6,8 @@ recording the resolved configuration.  Runs are deterministic: the same
 config produces byte-identical files.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 validation failure (a precondition of the mathematics was violated).
+4 validation failure (a precondition of the mathematics was violated),
+1 any other exception.  Each failure is one line on stderr.
 """
 
 from __future__ import annotations
@@ -64,6 +65,47 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+POSITIVE = {"tau", "epsilon", "horizon", "scan_dt", "tau_max", "ds", "breakup_tol",
+            "residual_tol", "n_tau", "n_alpha", "n_collision", "n_modes", "max_points",
+            "snapshot_every", "n_total"}
+NON_NEGATIVE = {"amplitude", "n_transient"}
+
+
+def _finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_value(key: str, value, default) -> None:
+    """Raise ConfigError unless value has the type of its default (None
+    stands for an optional number) and a usable range."""
+    if default is None and value is None:
+        return
+    kind = float if default is None else type(default)
+    if kind is list:
+        ok = isinstance(value, list) and len(value) == len(default) \
+            and all(_finite(v) for v in value)
+        what = f"a list of {len(default)} finite numbers"
+    elif kind is float:
+        ok, what = _finite(value), "a finite number"
+    else:  # bool, int, str: exactly that type, so true is not a count
+        ok, what = type(value) is kind, f"of type {kind.__name__}"
+    if not ok:
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    if key.endswith("_range") and not value[0] < value[1]:
+        raise ConfigError(f"'{key}' must be increasing, got {value!r}")
+    if key == "u0" and value not in (-1, 1):
+        raise ConfigError(f"'u0' must be -1 or 1, got {value!r}")
+    if key in POSITIVE and value <= 0:
+        raise ConfigError(f"'{key}' must be positive, got {value!r}")
+    if key in NON_NEGATIVE and value < 0:
+        raise ConfigError(f"'{key}' must be non-negative, got {value!r}")
+
+
 def load_config(command: str, path: str | None) -> dict:
     config = dict(DEFAULTS[command])
     if path is not None:
@@ -80,6 +122,10 @@ def load_config(command: str, path: str | None) -> dict:
             raise ConfigError(
                 f"unknown keys for '{command}': {', '.join(sorted(unknown))}")
         config.update(user)
+    for key, default in DEFAULTS[command].items():
+        _check_value(key, config[key], default)
+    if "n_total" in config and not config["n_transient"] < config["n_total"]:
+        raise ConfigError("'n_transient' must be below 'n_total'")
     return config
 
 
@@ -352,12 +398,15 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         code = 4
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         code = 3
     except RelayDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
+    except Exception as exc:  # last resort: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 1
     return code
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,15 +65,48 @@ FD_STEP = 1e-7
 
 @dataclass(frozen=True)
 class ResidualProblem:
-    """A residual map G together with an optional analytic Jacobian."""
+    """A residual map G together with an optional Jacobian.
+
+    ``jacobian(z, f0)`` receives f0 = G(z) when the caller already has it,
+    otherwise None; without a ``jacobian`` the forward-difference
+    :func:`fd_jacobian` is used.
+    """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None = None
 
     def jac(self, z: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(z), dtype=float)
+            return np.asarray(self.jacobian(z, f0), dtype=float)
         return fd_jacobian(self.residual, z, f0)
+
+
+@dataclass(frozen=True)
+class _Bordered:
+    """``problem`` with the scalar equation ``extra(z) = 0`` appended."""
+
+    problem: ResidualProblem
+    extra: Callable[[np.ndarray], float]
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        return np.append(self.problem.residual(z), self.extra(z))
+
+    def jac(self, z: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
+        """``problem.jac`` over the forward-difference row of ``extra``.
+
+        Entry for entry this is what ``fd_jacobian(self.residual, z, f0)``
+        computes, while a problem with its own ``jacobian`` keeps using it.
+        """
+        z = np.asarray(z, dtype=float)
+        if f0 is None:
+            f0 = self.residual(z)
+        zp = z.copy()
+        row = np.empty(z.size)
+        for j in range(z.size):
+            zp[j] += FD_STEP
+            row[j] = (self.extra(zp) - f0[-1]) / FD_STEP
+            zp[j] = z[j]
+        return np.vstack([self.problem.jac(z, f0[:-1]), row])
 
 
 def fd_jacobian(fn: Callable, z: np.ndarray, f0: np.ndarray | None = None,
@@ -99,7 +132,7 @@ def newton(problem: ResidualProblem | Callable, z0, tol: float = 1e-10,
     solve fails.
     """
 
-    if not isinstance(problem, ResidualProblem):
+    if callable(problem):
         problem = ResidualProblem(problem)
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(max_iter):
@@ -158,7 +191,7 @@ def _tangent(J: np.ndarray) -> np.ndarray:
     return vt[-1]
 
 
-def continue_branch(residual: Callable, w0, *, ds: float = 1e-2,
+def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2,
                     ds_min: float = 1e-8, ds_max: float = 0.2,
                     max_points: int = 400, tol: float = 1e-10,
                     newton_max_iter: int = 12,
@@ -174,25 +207,28 @@ def continue_branch(residual: Callable, w0, *, ds: float = 1e-2,
     orthogonal to it; Newton failures halve the step (stopping at the
     floor), easy steps double it up to the cap.  ``stop`` inspects every
     accepted point and may end the run by returning a reason string or
-    raising a :class:`RelayDynError` (recorded, not propagated).
+    raising a :class:`RelayDynError` (recorded, not propagated).  Every
+    Jacobian, of the bordered corrector systems and for the tangent, comes
+    from ``problem.jac``; a plain callable is wrapped in a
+    :class:`ResidualProblem`.
     """
 
+    if callable(problem):
+        problem = ResidualProblem(problem)
     w0 = np.asarray(w0, dtype=float).copy()
     n = w0.size
     k = n - 1 if fix_index is None else fix_index
 
-    def seed_residual(w):
-        return np.append(residual(w), w[k] - w0[k])
-
     try:
-        w = newton(seed_residual, w0, tol=tol, max_iter=newton_max_iter)
+        w = newton(_Bordered(problem, lambda w: w[k] - w0[k]), w0, tol=tol,
+                   max_iter=newton_max_iter)
     except RelayDynError as exc:
         raise InitialPointFailed(f"seed correction failed: {exc}") from exc
 
     branch = Branch()
 
     def accept(wp, step):
-        rn = float(np.max(np.abs(residual(wp))))
+        rn = float(np.max(np.abs(problem.residual(wp))))
         point = BranchPoint(w=wp, residual_norm=rn, step=step,
                             data=point_data(wp) if point_data else {})
         branch.points.append(point)
@@ -206,19 +242,16 @@ def continue_branch(residual: Callable, w0, *, ds: float = 1e-2,
     if not accept(w, 0.0):
         return branch
 
-    t = _tangent(fd_jacobian(residual, w))
+    t = _tangent(problem.jac(w))
     if direction is not None:
         if float(np.dot(t, direction)) < 0:
             t = -t
     step = ds
     while len(branch.points) < max_points:
         pred = w + step * t
-
-        def corrector(z):
-            return np.append(residual(z), t @ (z - pred))
-
         try:
-            w_new = newton(corrector, pred, tol=tol, max_iter=newton_max_iter)
+            w_new = newton(_Bordered(problem, lambda z: t @ (z - pred)), pred,
+                           tol=tol, max_iter=newton_max_iter)
         except (RelayDynError, np.linalg.LinAlgError) as exc:
             step *= 0.5
             if step < ds_min:
@@ -235,7 +268,7 @@ def continue_branch(residual: Callable, w0, *, ds: float = 1e-2,
             branch.message = str(exc)
             return branch
         try:
-            t_new = _tangent(fd_jacobian(residual, w))
+            t_new = _tangent(problem.jac(w))
         except (RelayDynError, np.linalg.LinAlgError) as exc:
             branch.termination = "tangent-failure"
             branch.message = str(exc)
@@ -361,35 +394,52 @@ def continue_ns_curve(zeta: float, epsilon: float, *, seed=None,
 
 @dataclass(frozen=True)
 class _TrigTable:
-    """cos(k phi) and sin(k phi), k = 1..n, at a fixed set of angles phi."""
+    """cos(k phi) and sin(k phi), k = 1..n, at a fixed array of angles phi.
+
+    ``phi`` may carry leading batch axes; ``cos``/``sin`` have shape
+    phi.shape + (n,) and ``unit`` the rows (cos phi, sin phi).
+    """
 
     phi: np.ndarray
     k: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-    unit: np.ndarray | None = None  # (cos phi, sin phi) rows, node tables only
+    unit: np.ndarray
 
     @classmethod
     def at(cls, phi, n: int) -> "_TrigTable":
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         k = np.arange(1, n + 1)
-        ka = phi[:, None] * k
-        return cls(phi, k, np.cos(ka), np.sin(ka))
+        ka = phi[..., None] * k
+        cos = np.cos(ka)
+        # sin overwrites k*phi: one temporary fewer in the batched angle tables
+        return cls(phi, k, cos, np.sin(ka, out=ka),
+                   np.stack([np.cos(phi), np.sin(phi)], axis=-1))
 
     def series(self, coeffs: np.ndarray, zero_mean: bool = False, deriv: int = 0) -> np.ndarray:
-        """Evaluate a trigonometric polynomial [a0, a1, b1, ...] at phi."""
+        """Evaluate trigonometric polynomials [a0, a1, b1, ...] at phi.
+
+        Leading axes of ``coeffs`` and of the table broadcast.  Every
+        (m, n) @ (n, 1) slice of the stacked matmul is one gemv, the same
+        call the one-polynomial case makes, so a batch row equals its
+        unbatched evaluation bit for bit (a single gemm would not).
+        """
         if zero_mean:
             a0, rest = 0.0, coeffs
         else:
-            a0, rest = coeffs[0], coeffs[1:]
-        k, A, B = self.k, rest[0::2], rest[1::2]
+            a0, rest = coeffs[..., :1], coeffs[..., 1:]
+        k, A, B = self.k, rest[..., 0::2, None], rest[..., 1::2, None]
         if deriv == 0:
-            return a0 + self.cos @ A + self.sin @ B
+            return a0 + (self.cos @ A)[..., 0] + (self.sin @ B)[..., 0]
         if deriv == 1:
-            return -(self.sin * k) @ A + (self.cos * k) @ B
+            return -((self.sin * k) @ A)[..., 0] + ((self.cos * k) @ B)[..., 0]
         if deriv == 2:
-            return -(self.cos * k * k) @ A - (self.sin * k * k) @ B
+            return -((self.cos * k * k) @ A)[..., 0] - ((self.sin * k * k) @ B)[..., 0]
         raise ValueError("deriv must be 0, 1 or 2")
+
+    def points(self, y0: np.ndarray, r_coeffs: np.ndarray) -> np.ndarray:
+        """Curve points y0 + r(phi) (cos phi, sin phi)."""
+        return y0 + self.series(r_coeffs)[..., None] * self.unit
 
 
 @functools.lru_cache(maxsize=16)
@@ -401,8 +451,7 @@ def _node_trig(n_modes: int, midpoint: bool = False) -> _TrigTable:
     """
     m = 2 * n_modes + 1
     phi = 2.0 * math.pi * ((np.arange(m) + 0.5) if midpoint else np.arange(m)) / m
-    table = replace(_TrigTable.at(phi, n_modes),
-                    unit=np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    table = _TrigTable.at(phi, n_modes)
     for arr in vars(table).values():
         arr.flags.writeable = False
     return table
@@ -473,10 +522,21 @@ class FourierCurve:
         return 1.0 + _series_val(self.p_coeffs, phi, zero_mean=True, deriv=1)
 
     def point(self, phi) -> np.ndarray:
-        phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-        r = _series_val(self.r_coeffs, phi_arr)
-        pts = self.y0 + r[:, None] * np.stack([np.cos(phi_arr), np.sin(phi_arr)], axis=-1)
+        pts = _TrigTable.at(phi, self.n_modes).points(self.y0, self.r_coeffs)
         return pts if np.ndim(phi) else pts[0]
+
+    def tabulate(self, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(r, eta, t, point) at each angle of a 1-D array, from one table.
+
+        Each angle is its own (1, n) slice of the table, so every value
+        equals the scalar ``radius``/``eta``/``offset``/``point`` at that
+        angle bit for bit.
+        """
+        phi = np.asarray(phi, dtype=float)
+        trig = _TrigTable.at(phi[:, None], self.n_modes)
+        eta = phi + self.omega + trig.series(self.p_coeffs, zero_mean=True)[:, 0]
+        return (trig.series(self.r_coeffs)[:, 0], eta, trig.series(self.t_coeffs)[:, 0],
+                trig.points(self.y0, self.r_coeffs)[:, 0])
 
     def mean_radius(self) -> float:
         return float(self.r_coeffs[0])
@@ -529,19 +589,29 @@ class FourierCurve:
         )
 
 
+def _angle_table(trig: _TrigTable, p_coeffs: np.ndarray, omega) -> _TrigTable:
+    """Table at the angle images eta = phi + omega + p(phi) of a node table."""
+    return _TrigTable.at(trig.phi + omega + trig.series(p_coeffs, zero_mean=True),
+                         trig.k.size)
+
+
+def _advance(pts: np.ndarray, t_phi: np.ndarray, tau: float, alpha: float,
+             epsilon: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curve points advanced for tau + t(phi) under input +1 (fwd), and the
+    threshold defect after t(phi) under input -1 (on_line)."""
+    flow = AffineOscillatorFlow(zeta)
+    c = np.array([math.cos(alpha), math.sin(alpha)])
+    fwd = flow.apply_batch(pts, +1, tau + t_phi)
+    return fwd, epsilon - flow.apply_batch(pts, -1, t_phi) @ c
+
+
 def _invariance_defect(curve: FourierCurve, trig: _TrigTable, tau: float, alpha: float,
                        epsilon: float, zeta: float) -> tuple[np.ndarray, np.ndarray]:
     """Invariance defect (img + fwd) and threshold defect at the angles of a
     node table; see :func:`invariant_curve_residual`."""
-    flow = AffineOscillatorFlow(zeta)
-    c = np.array([math.cos(alpha), math.sin(alpha)])
-    pts = curve.y0 + trig.series(curve.r_coeffs)[:, None] * trig.unit
-    t_phi = trig.series(curve.t_coeffs)
-    eta = trig.phi + curve.omega + trig.series(curve.p_coeffs, zero_mean=True)
-    r_eta = _series_val(curve.r_coeffs, eta)
-    img = curve.y0 + r_eta[:, None] * np.stack([np.cos(eta), np.sin(eta)], axis=-1)
-    fwd = flow.apply_batch(pts, +1, tau + t_phi)
-    on_line = epsilon - flow.apply_batch(pts, -1, t_phi) @ c
+    img = _angle_table(trig, curve.p_coeffs, curve.omega).points(curve.y0, curve.r_coeffs)
+    fwd, on_line = _advance(trig.points(curve.y0, curve.r_coeffs),
+                            trig.series(curve.t_coeffs), tau, alpha, epsilon, zeta)
     return img + fwd, on_line
 
 
@@ -566,6 +636,11 @@ def invariant_curve_residual(curve: FourierCurve, tau: float, alpha: float,
     return np.concatenate([defect.ravel(), on_line, fp])
 
 
+def _closure(trig: _TrigTable, t_coeffs: np.ndarray) -> np.ndarray:
+    """(t, t') at the single angle of ``trig``; leading axes of t_coeffs batch."""
+    return np.concatenate([trig.series(t_coeffs), trig.series(t_coeffs, deriv=1)], axis=-1)
+
+
 def collision_closure(curve: FourierCurve, phi_star: float,
                       require_max: bool = False) -> np.ndarray:
     """Residual (t(phi*), t'(phi*)) of the grazing condition max t = 0.
@@ -579,7 +654,7 @@ def collision_closure(curve: FourierCurve, phi_star: float,
     trig = _TrigTable.at(phi_star, curve.n_modes)
     if require_max and trig.series(curve.t_coeffs, deriv=2)[0] >= 0.0:
         raise NotAMaximum(f"offset stationary point at phi={phi_star:.4g} is not a maximum")
-    return np.array([trig.series(curve.t_coeffs)[0], trig.series(curve.t_coeffs, deriv=1)[0]])
+    return _closure(trig, curve.t_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +670,74 @@ def _family_residual(w: np.ndarray, n_modes: int, epsilon: float, zeta: float) -
         invariant_curve_residual(curve, tau, alpha, epsilon, zeta),
         collision_closure(curve, phi_star),
     ])
+
+
+def _perturbed(v: np.ndarray) -> np.ndarray:
+    """Row j is v + FD_STEP e_j, formed as fd_jacobian forms it."""
+    out = np.tile(v, (v.size, 1))
+    j = np.arange(v.size)
+    out[j, j] += FD_STEP
+    return out
+
+
+def _family_fd_jacobian(w: np.ndarray, f0: np.ndarray | None, n_modes: int,
+                        epsilon: float, zeta: float) -> np.ndarray:
+    """``fd_jacobian`` of :func:`_family_residual`, bit for bit, by blocks.
+
+    Every column is (G(w + h e_j) - f0) / h with the same perturbed vector
+    and the same floating-point operations per entry as the column loop.
+    Two things differ: an intermediate that column j cannot change (the
+    angle table while a radius coefficient moves, say) is computed once,
+    and the columns of a block are evaluated as one stacked batch.  The
+    radius, offset and angle blocks each recompute only what they touch;
+    the six scalar unknowns (y0, t0, phi*, tau, alpha) take full residuals.
+    """
+    w = np.asarray(w, dtype=float)
+    if f0 is None:
+        f0 = _family_residual(w, n_modes, epsilon, zeta)
+    nz = FourierCurve.dim(n_modes)
+    m = 2 * n_modes + 1
+    curve = FourierCurve.unpack(n_modes, w[:nz])
+    y0, r, t = curve.y0, curve.r_coeffs, curve.t_coeffs
+    phi_star, tau, alpha = w[nz], w[nz + 1], w[nz + 2]
+    trig = _node_trig(n_modes)
+    star = _TrigTable.at(phi_star, n_modes)
+    params = (tau, alpha, epsilon, zeta)
+
+    pts = trig.points(y0, r)
+    t_phi = trig.series(t)
+    angles = _angle_table(trig, curve.p_coeffs, curve.omega)
+    img = angles.points(y0, r)
+    fwd, on_line = _advance(pts, t_phi, *params)
+    fp = fixed_point_residual(y0, curve.t0, *params)
+    closure = _closure(star, t)
+
+    J = np.empty((f0.size, w.size))
+
+    def put(cols, defect, on_line, closure):
+        """Columns from one batch of perturbed rows; unbatched parts broadcast."""
+        b = defect.shape[0]
+        rows = np.concatenate([defect.reshape(b, -1)] + [
+            np.broadcast_to(x, (b, x.shape[-1])) for x in (on_line, fp, closure)], axis=1)
+        J[:, cols] = ((rows - f0) / FD_STEP).T
+
+    R = _perturbed(r)
+    fwd_r, on_line_r = _advance(trig.points(y0, R), t_phi, *params)
+    put(slice(0, m), angles.points(y0, R) + fwd_r, on_line_r, closure)
+
+    T = _perturbed(t)
+    fwd_t, on_line_t = _advance(pts, trig.series(T), *params)
+    put(slice(m, 2 * m), img + fwd_t, on_line_t, _closure(star, T))
+
+    P = _perturbed(np.append(curve.p_coeffs, curve.omega))  # [p, omega] columns
+    img_p = _angle_table(trig, P[:, :-1], P[:, -1:]).points(y0, r)
+    put(slice(2 * m, nz - 3), img_p + fwd, on_line, closure)
+
+    for j in range(nz - 3, w.size):
+        wp = w.copy()
+        wp[j] += FD_STEP
+        J[:, j] = (_family_residual(wp, n_modes, epsilon, zeta) - f0) / FD_STEP
+    return J
 
 
 def _wrap_angle(x):
@@ -702,7 +845,11 @@ def solve_colliding_curve(w_guess: np.ndarray, n_modes: int, epsilon: float,
         w = np.insert(v, nz + 1, tau)
         return _family_residual(w, n_modes, epsilon, zeta)
 
-    v = newton(fn, v0, tol=tol)
+    def jacobian(v, f0):
+        J = _family_fd_jacobian(np.insert(v, nz + 1, tau), f0, n_modes, epsilon, zeta)
+        return np.delete(J, nz + 1, axis=1)
+
+    v = newton(ResidualProblem(fn, jacobian), v0, tol=tol)
     w = np.insert(v, nz + 1, tau)
     FourierCurve.unpack(n_modes, w[:nz]).check_parametrization()
     return w
@@ -737,6 +884,9 @@ def continue_colliding_family(zeta: float, epsilon: float, *, n_modes: int = 32,
     def residual(w):
         return _family_residual(w, n_modes, epsilon, zeta)
 
+    def jacobian(w, f0):
+        return _family_fd_jacobian(w, f0, n_modes, epsilon, zeta)
+
     def point_data(w):
         curve = FourierCurve.unpack(n_modes, w[:nz])
         err = fourier_error_estimate(curve, params=(w[nz + 1], w[nz + 2], epsilon, zeta))
@@ -765,8 +915,8 @@ def continue_colliding_family(zeta: float, epsilon: float, *, n_modes: int = 32,
 
     direction = np.zeros(w0.size)
     direction[nz + 1] = 1.0
-    return continue_branch(residual, w0, ds=ds, ds_min=ds_min, ds_max=ds_max,
-                           max_points=max_points, direction=direction,
+    return continue_branch(ResidualProblem(residual, jacobian), w0, ds=ds, ds_min=ds_min,
+                           ds_max=ds_max, max_points=max_points, direction=direction,
                            fix_index=nz + 1, point_data=point_data, stop=stop)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "WindowTooLarge",
     "SingularSurface",
     "NegativeEpsilon",
+    "NonTransversalCorner",
     "NoRootInInterval",
     "ParametrizationBreakdown",
     "NotAMaximum",
@@ -86,6 +87,10 @@ class SingularSurface(ValidationError):
 
 class NegativeEpsilon(ValidationError):
     """Parameter point maps to a non-positive switching threshold."""
+
+
+class NonTransversalCorner(ValidationError):
+    """The two vector fields do not both cross the threshold at the corner (q <= 0)."""
 
 
 class NoRootInInterval(ValidationError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NegativeEpsilon, RelayDynError, SingularSurface
+from .errors import NegativeEpsilon, NonTransversalCorner, RelayDynError, SingularSurface
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, jacobian_F_branch, oscillator_context
 
@@ -142,7 +142,7 @@ def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
     g_minus = float(c @ flow.velocity(y, -1))
     q = g_plus * g_minus
     if q <= 0:
-        raise ValueError(
+        raise NonTransversalCorner(
             f"corner not strictly transversal at tau={tau:.6g}, alpha={alpha:.6g} (q={q:.3e})")
     return CollisionOrbit(y_star=y, params=OscillatorParams(zeta, tau, eps, alpha),
                           q=q, g_plus=g_plus, g_minus=g_minus)

@@ -120,11 +120,8 @@ def write_curve_points_csv(path, points) -> Path:
 
 def write_curve_snapshot_csv(path, curve, n: int = 360) -> Path:
     phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    rows = []
-    for phi in phis:
-        y = curve.point(phi)
-        rows.append((phi, curve.radius(phi), curve.eta(phi),
-                     curve.offset(phi), y[0], y[1]))
+    r, eta, t, y = curve.tabulate(phis)
+    rows = zip(phis, r, eta, t, y[:, 0], y[:, 1])
     return write_csv(path, ["phi", "r", "eta", "t", "x", "xdot"], rows)
 
 

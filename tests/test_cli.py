@@ -1,8 +1,14 @@
 """Command line driver: configs, exit codes, deterministic outputs."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydyn import cli
 from relaydyn.errors import NoConvergence
@@ -149,6 +155,15 @@ def test_collision_history_below_pi_is_exit_4(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_non_transversal_collision_history_is_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"history": "collision", "alpha": 1.0}))
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: corner not strictly transversal")
+
+
 def test_surface_below_pi_writes_header_only(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"tau_range": [2.0, 3.0]}))
@@ -156,3 +171,112 @@ def test_surface_below_pi_writes_header_only(tmp_path):
     assert run_cli(["surface", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "surface.csv").read_text().splitlines()
     assert lines == ["tau,alpha,epsilon,q,lambda_plus,residual"]
+
+
+# -- config validation ------------------------------------------------------
+
+@pytest.mark.parametrize("command,bad,message", [
+    ("sweep", {"tau": "abc"}, "'tau' must be a finite number"),
+    ("sweep", {"n_alpha": -3}, "'n_alpha' must be positive"),
+    ("sweep", {"tau": math.nan}, "'tau' must be a finite number"),
+    ("sweep", {"epsilon": 0.0}, "'epsilon' must be positive"),
+    ("sweep", {"alpha_range": [-0.4, -0.5]}, "'alpha_range' must be increasing"),
+    ("sweep", {"alpha_range": [-0.4]}, "'alpha_range' must be a list of 2"),
+    ("sweep", {"warm_start": 1}, "'warm_start' must be of type bool"),
+    ("sweep", {"n_alpha": True}, "'n_alpha' must be of type int"),
+    ("sweep", {"n_transient": 400}, "'n_transient' must be below 'n_total'"),
+    ("simulate", {"u0": 0}, "'u0' must be -1 or 1"),
+    ("simulate", {"y0": [0.1, math.inf]}, "'y0' must be a list of 2 finite numbers"),
+    ("simulate", {"amplitude": -0.1}, "'amplitude' must be non-negative"),
+    ("family", {"tau_stop": "late"}, "'tau_stop' must be a finite number"),
+    ("surface", {"n_tau": 2.0}, "'n_tau' must be of type int"),
+])
+def test_bad_config_values_are_exit_2(tmp_path, capsys, command, bad, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(bad))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()  # refused before any output
+
+
+def test_valid_overrides_keep_their_json_types(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau_stop": 4.2, "n_modes": 16, "zeta": 0}))
+    assert run_cli(["print-config", "family", "--config", str(cfg)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["tau_stop"] == 4.2 and data["n_modes"] == 16
+    assert data["zeta"] == 0 and isinstance(data["zeta"], int)  # an int is a number
+
+
+def test_stray_exception_is_one_line(tmp_path, monkeypatch, capsys):
+    def boom(config, out_dir, seed):
+        raise KeyError("forced")
+
+    monkeypatch.setitem(cli.COMMANDS, "sweep", boom)
+    assert run_cli(["sweep", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'forced'\n"
+
+
+GARBAGE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, -7.5, -1, 0, 0.5, 2, 10]))
+
+
+def _numbers(lo, hi):
+    return st.floats(lo, hi)
+
+
+# in-range values, small enough that every run takes well under a second
+PLAUSIBLE = {
+    "simulate": {
+        "zeta": _numbers(-0.3, 0.3), "tau": _numbers(0.5, 6.0),
+        "alpha": _numbers(-1.6, 1.6), "epsilon": _numbers(0.01, 0.4),
+        "u0": st.sampled_from([-1, 1]), "horizon": _numbers(0.5, 15.0),
+        "history": st.sampled_from(["constant", "random", "collision"]),
+        "y0": st.lists(_numbers(-2.0, 2.0), min_size=2, max_size=2),
+        "amplitude": _numbers(0.0, 1.0), "scan_dt": _numbers(0.005, 0.1),
+    },
+    "polygon": {
+        "zeta": _numbers(-0.3, 0.3), "tau": _numbers(2.0, 6.0),
+        "alpha": _numbers(-1.2, 1.2), "epsilon": _numbers(0.01, 0.4),
+        "n_transient": st.integers(0, 40), "n_total": st.integers(41, 120),
+    },
+    "surface": {
+        "zeta": _numbers(-0.3, 0.3),
+        "tau_range": st.tuples(_numbers(1.0, 4.0), _numbers(4.5, 7.0)).map(list),
+        "n_tau": st.integers(1, 3),
+        "alpha_range": st.tuples(_numbers(-1.5, 0.0), _numbers(0.1, 1.5)).map(list),
+        "n_alpha": st.integers(1, 3),
+    },
+}
+
+
+@st.composite
+def command_configs(draw):
+    """Plausible or default values, and at most one garbage value, so that
+    most examples get past validation and run."""
+    command = draw(st.sampled_from(sorted(PLAUSIBLE)))
+    keys = PLAUSIBLE[command]
+    config = {key: draw(plausible) for key, plausible in keys.items() if draw(st.booleans())}
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(sorted(keys)))] = draw(GARBAGE)
+    return command, config
+
+
+@settings(max_examples=60)
+@given(command_configs(), st.integers(0, 3))
+def test_random_configs_never_raise(command_config, seed):
+    command, config = command_config
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli([command, "--config", str(cfg), "--seed", str(seed),
+                            "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaydyn.continuation import (FourierCurve, _fit_series, _node_trig, _series_val,
+from relaydyn import continuation
+from relaydyn.continuation import (FourierCurve, ResidualProblem, _Bordered,
+                                   _family_fd_jacobian, _family_residual, _fit_series,
+                                   _node_trig, _series_val, _TrigTable,
                                    collision_closure, continue_branch,
                                    continue_colliding_family, continue_ns_curve,
                                    fd_jacobian, fixed_point_residual,
@@ -19,6 +22,7 @@ from relaydyn.errors import (InitialPointFailed, NoConvergence, NotAMaximum,
                              ParametrizationBreakdown, SingularJacobian)
 from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.oscillator import collision_point, find_nsc, surface_alpha
+from relaydyn.output import write_csv, write_curve_snapshot_csv
 from relaydyn.reduced import map_F_branch, oscillator_context
 
 ZETA, EPS = -0.1, 0.1
@@ -377,3 +381,112 @@ def test_family_continuation_first_steps():
     assert np.all(branch.values("error") < 1e-4)
     alphas = branch.values("alpha")
     assert np.max(np.abs(alphas - NSC[1])) < 0.05  # family hugs the NS locus
+
+
+# -- blocked and bordered Jacobians: bit-for-bit against fd_jacobian --------
+# fd_jacobian stays the oracle.  Exact equality, because the continuation
+# amplifies last-bit differences in its Jacobians into visible moves of
+# later branch points.
+
+def family_fd_oracle(w, n_modes):
+    return fd_jacobian(lambda z: _family_residual(z, n_modes, EPS, ZETA), w)
+
+
+@pytest.fixture(scope="module", params=[4, 8, 32])
+def family_points(request):
+    n_modes = request.param
+    guess = seed_colliding_curve(ZETA, EPS, NSC, dtau=1e-2, n_modes=n_modes)
+    # the square solve at frozen tau, with the column-loop Jacobian and without
+    # the parametrization check (4 modes converge to the zero-radius curve)
+    nz = FourierCurve.dim(n_modes)
+
+    def at_tau(v):
+        return np.insert(v, nz + 1, guess[nz + 1])
+
+    solved = at_tau(newton(lambda v: _family_residual(at_tau(v), n_modes, EPS, ZETA),
+                           np.delete(guess, nz + 1)))
+    nudge = 1e-4 * np.sin(np.arange(solved.size) + 1.0)
+    return n_modes, {"guess": guess, "solved": solved, "perturbed": solved + nudge}
+
+
+@pytest.mark.parametrize("where", ["guess", "solved", "perturbed"])
+def test_blocked_family_jacobian_equals_fd_jacobian(family_points, where):
+    n_modes, points = family_points
+    w = points[where]
+    expected = family_fd_oracle(w, n_modes)
+    assert np.array_equal(_family_fd_jacobian(w, None, n_modes, EPS, ZETA), expected)
+    f0 = _family_residual(w, n_modes, EPS, ZETA)
+    assert np.array_equal(_family_fd_jacobian(w, f0, n_modes, EPS, ZETA), expected)
+
+
+def test_batched_series_rows_equal_single_evaluations():
+    rng = np.random.default_rng(7)
+    n = 12
+    coeffs = rng.normal(size=(5, 2 * n + 1))
+    trig = _node_trig(n)
+    eta = _TrigTable.at(rng.uniform(-7.0, 7.0, size=(5, 2 * n + 1)), n)
+    for deriv in (0, 1, 2):
+        batch = trig.series(coeffs, deriv=deriv)
+        mean_free = trig.series(coeffs[:, 1:], zero_mean=True, deriv=deriv)
+        at_eta = eta.series(coeffs[0], deriv=deriv)
+        for i in range(5):
+            assert np.array_equal(batch[i], trig.series(coeffs[i], deriv=deriv))
+            assert np.array_equal(mean_free[i], trig.series(coeffs[i, 1:], zero_mean=True,
+                                                            deriv=deriv))
+            assert np.array_equal(at_eta[i], _TrigTable.at(eta.phi[i], n).series(
+                coeffs[0], deriv=deriv))
+
+
+def corrector_problems():
+    ns_seed = np.array([*collision_point(ZETA, NSC[0]), 0.0, NSC[0], NSC[1]])
+
+    def ns(w):
+        return ns_residual(w[:2], w[2], w[3], w[4], EPS, ZETA)[0]
+
+    yield ResidualProblem(circle_residual), np.array([0.6, 0.8]), np.array([0.8, -0.6])
+    yield ResidualProblem(ns), ns_seed, np.array([0.1, -0.2, 0.3, 0.9, 0.2])
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["circle", "ns"])
+def test_bordered_jacobian_equals_fd_jacobian(case):
+    problem, w, t = list(corrector_problems())[case]
+    pred = w + 1e-2 * t
+    z = pred + 1e-3 * np.cos(np.arange(w.size))
+    for extra in (lambda z: t @ (z - pred), lambda z: z[-1] - w[-1]):
+        bordered = _Bordered(problem, extra)
+
+        def corrector(z):
+            return np.append(problem.residual(z), extra(z))
+
+        f0 = corrector(z)
+        assert np.array_equal(bordered.residual(z), f0)
+        assert np.array_equal(bordered.jac(z, f0), fd_jacobian(corrector, z, f0))
+        assert np.array_equal(bordered.jac(z), fd_jacobian(corrector, z))
+
+
+def test_family_steps_unchanged_by_blocked_jacobian(monkeypatch):
+    def run():
+        return continue_colliding_family(ZETA, EPS, n_modes=16, max_points=4, ds=2e-3)
+
+    blocked = run()
+
+    def column_loop(w, f0, n_modes, epsilon, zeta):
+        return fd_jacobian(lambda z: _family_residual(z, n_modes, epsilon, zeta), w, f0)
+
+    monkeypatch.setattr(continuation, "_family_fd_jacobian", column_loop)
+    plain = run()
+    assert len(blocked) == len(plain) == 4
+    for a, b in zip(blocked.points, plain.points):
+        assert np.array_equal(a.w, b.w)
+        assert a.step == b.step and a.residual_norm == b.residual_norm
+
+
+def test_curve_snapshot_bytes_match_per_angle_loop(tmp_path):
+    curve = random_curve(32, seed=3)
+    rows = []
+    for phi in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False):
+        y = curve.point(phi)
+        rows.append((phi, curve.radius(phi), curve.eta(phi), curve.offset(phi), y[0], y[1]))
+    write_csv(tmp_path / "loop.csv", ["phi", "r", "eta", "t", "x", "xdot"], rows)
+    write_curve_snapshot_csv(tmp_path / "one_pass.csv", curve)
+    assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
