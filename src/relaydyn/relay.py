@@ -21,7 +21,7 @@ crossings as it goes.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +50,8 @@ __all__ = [
 RESID_TOL = 1e-12
 DEGEN_TOL = 1e-8
 DEFAULT_SCAN_DT = 0.02
+# nodes in the first chunk of the head-crossing scan; each later chunk doubles
+_SCAN_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,9 @@ class RelayPath:
     values: tuple[int, ...]
 
     def __call__(self, s: float) -> int:
-        if s < self.start or s > self.end:
+        if not self.start <= s <= self.end:
             raise ValueError("outside the relay path domain")
-        i = 0
-        for t in self.switch_times:
-            if s >= t:
-                i += 1
-            else:
-                break
-        return self.values[i]
+        return self.values[bisect_right(self.switch_times, s)]
 
     @property
     def final(self) -> int:
@@ -305,19 +301,33 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
 
 def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
                         t_stop: float, scan_dt: float) -> float | None:
-    """Earliest time in (t, t_stop] where the watched threshold is reached."""
+    """Earliest time in (t, t_stop] where the watched threshold is reached.
+
+    The scan grid spans [t, t_stop], but it is evaluated lazily: chunks of
+    ``_SCAN_CHUNK`` nodes, doubling, up to the first chunk that holds a hit.
+    The cost is linear in the distance to the next hit rather than to
+    ``t_stop``, and the bracket and the root are those of the full grid.
+    """
     if t_stop <= t:
         return None
     flow = system.flow
     eps = system.epsilon
     n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
     ts = np.linspace(t, t_stop, n)
-    path = flow.apply_path(y, u, ts - t)
-    ws = rho * np.array([system.h(p) for p in path]) - eps
-    hit = np.flatnonzero(ws[1:] >= 0.0)
-    if hit.size == 0:
-        return None
-    i = 1 + int(hit[0])
+    dts = ts - t
+    ws = np.empty(n)
+    a, b = 0, min(n, _SCAN_CHUNK)
+    while True:
+        path = flow.apply_path(y, u, dts[a:b])
+        ws[a:b] = rho * np.array([system.h(p) for p in path]) - eps
+        first = max(a, 1)  # node 0 is the state at t itself, never a hit
+        hit = np.flatnonzero(ws[first:b] >= 0.0)
+        if hit.size:
+            i = first + int(hit[0])
+            break
+        if b == n:
+            return None
+        a, b = b, min(n, b + 2 * (b - a))
 
     def w(s: float) -> float:
         return rho * system.h(flow.apply(y, u, s - t)) - eps

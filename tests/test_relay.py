@@ -1,17 +1,20 @@
 """Relay automaton and event-driven evolution of the delayed loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from relaydyn import relay
 from relaydyn.errors import DegenerateCrossing, WindowTooLarge
-from relaydyn.flows import AffineOscillatorFlow
+from relaydyn.flows import AffineOscillatorFlow, NumericalFlow
 from relaydyn.history import HybridState, SampledHistory
 from relaydyn.oscillator import collision_orbit, collision_context, surface_alpha
 from relaydyn.reduced import map_F, reconstruct_history
-from relaydyn.relay import (check_weak_transversality, evolve, hysteron,
-                            oscillator_system, strict_transversality_q,
+from relaydyn.relay import (RelaySystem, check_weak_transversality, evolve,
+                            hysteron, oscillator_system, strict_transversality_q,
                             switch_bound_report)
 
 ZETA, TAU, EPS = -0.1, 4.2, 0.1
@@ -83,6 +86,37 @@ def test_hysteron_two_switches_in_one_scan_cell():
     times, values = relay_oracle(sig, 0.0, 1.0, 1, 0.5)
     assert path.values == tuple(values)
     np.testing.assert_allclose(path.switch_times, times, rtol=0, atol=1e-9)
+
+
+def relay_path_by_loop(path, s):
+    """Value of a relay path at s by a linear walk over its switch times."""
+    i = 0
+    for t in path.switch_times:
+        if s >= t:
+            i += 1
+        else:
+            break
+    return path.values[i]
+
+
+def test_relay_path_lookup_matches_linear_walk():
+    def sig(s):
+        return 1.4 * math.sin(1.9 * s) + 0.3 * math.sin(5.3 * s + 1.0)
+
+    rng = np.random.default_rng(7)
+    for path in (hysteron(sig, (0.0, 20.0), 1, 0.5),
+                 hysteron(lambda s: 2.0 * math.sin(40.0 * s), (0.0, 1.0), 1, 0.5,
+                          samples=101),
+                 hysteron(lambda s: 0.2, (0.0, 1.0), -1, 0.5)):
+        # right-continuity: the switch times themselves and their neighbours
+        probes = [path.start, path.end, *path.switch_times,
+                  *np.nextafter(path.switch_times, -np.inf),
+                  *rng.uniform(path.start, path.end, 200)]
+        for s in probes:
+            assert path(s) == relay_path_by_loop(path, s)
+        for s in (path.start - 1e-9, path.end + 1e-9, math.nan):
+            with pytest.raises(ValueError):
+                path(s)
 
 
 def test_hysteron_rejects_bad_arguments():
@@ -207,3 +241,172 @@ def test_switch_bound_holds_on_random_runs():
         assert report.min_gap >= report.gap_bound
     with pytest.raises(ValueError):
         switch_bound_report(system, traj, t0=0.5 * TAU)
+
+
+# ---------------------------------------------------------------------------
+# the lazily scanned head-crossing search against the full-grid scan
+
+
+def full_grid_head_crossing(system, y, t, u, rho, t_stop, scan_dt):
+    """The head-crossing search as a single full-grid scan up to t_stop."""
+    if t_stop <= t:
+        return None
+    flow = system.flow
+    eps = system.epsilon
+    n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
+    ts = np.linspace(t, t_stop, n)
+    path = flow.apply_path(y, u, ts - t)
+    ws = rho * np.array([system.h(p) for p in path]) - eps
+    hit = np.flatnonzero(ws[1:] >= 0.0)
+    if hit.size == 0:
+        return None
+    i = 1 + int(hit[0])
+
+    def w(s):
+        return rho * system.h(flow.apply(y, u, s - t)) - eps
+
+    lo = ts[i - 1] if ws[i - 1] < 0.0 else ts[0]
+    s_hit = float(brentq(w, lo, ts[i], xtol=1e-14, rtol=8.9e-16))
+
+    def dw(s):
+        z = flow.apply(y, u, s - t)
+        return rho * float(system.dh(z) @ flow.velocity(z, u))
+
+    for _ in range(3):
+        r = w(s_hit)
+        if abs(r) <= relay.RESID_TOL:
+            break
+        d = dw(s_hit)
+        if d == 0.0:
+            break
+        s_hit -= r / d
+    return s_hit
+
+
+class ClockFlow:
+    """One-dimensional flow y' = 1: the state is the elapsed time plus y0."""
+
+    dim = 1
+
+    def apply(self, y, u, t):
+        return np.asarray(y, float) + t
+
+    def apply_path(self, y, u, ts):
+        return np.asarray(y, float) + np.asarray(ts, float)[:, None]
+
+    def velocity(self, y, u):
+        return np.ones(1)
+
+
+def clock_signal(p):
+    # strictly increasing and not affine, so a bracket that moves also
+    # moves the bits of the refined root
+    return float(p[0] + 0.3 * math.sin(p[0]))
+
+
+def clock_system(eps):
+    return RelaySystem(flow=ClockFlow(), h=clock_signal,
+                       dh=lambda p: np.array([1.0 + 0.3 * math.cos(p[0])]),
+                       tau=1.0, epsilon=eps)
+
+
+def test_head_crossing_scan_matches_full_grid_at_chunk_edges():
+    # the watched signal crosses eps between nodes k - 1 and k
+    t, t_stop, scan_dt = 0.0, 20.0, 0.02
+    n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
+    ts = np.linspace(t, t_stop, n)
+    c = relay._SCAN_CHUNK
+    assert n > 7 * c + 1
+    cases = {
+        "first chunk": 5,
+        "last node of the first chunk": c - 1,
+        "first node of the second chunk": c,
+        "first node of the third chunk": 3 * c,
+        "second node of the third chunk": 3 * c + 1,
+        "last node": n - 1,
+    }
+    y = np.array([t])
+    for name, k in cases.items():
+        eps = clock_signal([0.5 * (ts[k - 1] + ts[k])])
+        system = clock_system(eps)
+        got = relay._next_head_crossing(system, y, t, 1, 1, t_stop, scan_dt)
+        assert got == full_grid_head_crossing(system, y, t, 1, 1, t_stop, scan_dt), name
+        assert ts[k - 1] < got < ts[k], name
+    # no hit up to t_stop
+    system = clock_system(clock_signal([t_stop]) + 1e-3)
+    assert relay._next_head_crossing(system, y, t, 1, 1, t_stop, scan_dt) is None
+    assert full_grid_head_crossing(system, y, t, 1, 1, t_stop, scan_dt) is None
+
+
+def test_head_crossing_scan_matches_full_grid_from_the_threshold():
+    # ws[0] >= 0: the bracket falls back to ts[0]
+    t, t_stop, scan_dt = 1.0, 3.0, 0.02
+    y = np.array([t])
+    system = clock_system(clock_signal(y))
+    got = relay._next_head_crossing(system, y, t, 1, 1, t_stop, scan_dt)
+    assert got == full_grid_head_crossing(system, y, t, 1, 1, t_stop, scan_dt) == t
+    # strictly beyond the line at ts[0] neither version finds a bracket
+    system = clock_system(clock_signal(y) - 0.1)
+    for search in (relay._next_head_crossing, full_grid_head_crossing):
+        with pytest.raises(ValueError):
+            search(system, y, t, 1, 1, t_stop, scan_dt)
+    # node 0 is never a hit: beyond the line there, back inside from node 1 on
+    t = -2.0
+    y = np.array([t])
+    system = clock_system(-clock_signal(y) - 0.01)
+    for search in (relay._next_head_crossing, full_grid_head_crossing):
+        assert search(system, y, t, 1, -1, t + 3.0, scan_dt) is None
+
+
+def test_head_crossing_scan_matches_full_grid_on_the_oscillator():
+    rng = np.random.default_rng(11)
+    system = oscillator_system(ZETA, -0.5, TAU, EPS)
+    scan_dt = relay.DEFAULT_SCAN_DT
+    late = hits = misses = 0
+    for _ in range(60):
+        y = rng.normal(scale=0.6, size=2)
+        u, rho = rng.choice([-1, 1], size=2)
+        t = rng.uniform(0.0, 5.0)
+        t_stop = t + 10.0 ** rng.uniform(-1.5, 1.6)
+        if rho * system.h(y) - EPS >= 0.0:
+            continue
+        got = relay._next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
+        assert got == full_grid_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
+        if got is None:
+            misses += 1
+        else:
+            hits += 1
+            late += got - t > relay._SCAN_CHUNK * scan_dt
+    assert misses and hits and late
+
+
+def test_evolve_scan_work_is_linear_in_the_horizon():
+    # the simulate command's default system and constant history
+    base = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
+    calls, crossings = [], []
+    for horizon in (100.0, 200.0):
+        count = [0]
+
+        def h(y, count=count):
+            count[0] += 1
+            return base.h(y)
+
+        _, traj = evolve(dataclasses.replace(base, h=h), state, horizon)
+        calls.append(count[0])
+        crossings.append(len(traj.crossings))
+    # the full-grid scan costs about 4x here, its work per crossing grows
+    assert calls[1] / calls[0] < 2.5
+    assert max(c / k for c, k in zip(calls, crossings)) < 400
+
+
+def test_evolve_on_rk_flow_matches_closed_form():
+    # the simulate command's default system, integrated by RK45 instead
+    closed = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    rk = dataclasses.replace(closed, flow=NumericalFlow(closed.flow.velocity, dim=2))
+    state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
+    _, ref = evolve(closed, state, 5.0 * 4.2)
+    _, got = evolve(rk, state, 5.0 * 4.2)
+    assert len(ref.switches) >= 3
+    assert len(got.switches) == len(ref.switches)
+    np.testing.assert_allclose(got.switch_times(), ref.switch_times(), rtol=0, atol=1e-7)
