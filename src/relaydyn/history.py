@@ -146,7 +146,11 @@ class SampledHistory(_Window):
 
     def __call__(self, s):
         if np.ndim(s) > 0:
-            return self._spline(np.clip(np.asarray(s, dtype=float), -self.horizon, 0.0))
+            s = np.asarray(s, dtype=float)
+            if s.size:
+                self._check(float(s.min()))
+                self._check(float(s.max()))
+            return self._spline(np.clip(s, -self.horizon, 0.0))
         return self._spline(self._check(float(s)))
 
     def derivative(self, s: float) -> np.ndarray:
@@ -269,7 +273,7 @@ class Trajectory:
         if lo >= 0.0 or isinstance(self.initial_history, BreakpointHistory):
             times, labels = self._tail_events(lo)
             return BreakpointHistory(self.flow, horizon, self(lo), times, labels)
-        n = max(129, getattr(self.initial_history, "values", np.empty((129, 0))).shape[0])
+        n = max(129, self.initial_history.values.shape[0])
         grid = np.linspace(lo, self.T, n)
         return SampledHistory(horizon, np.stack([self(t) for t in grid]))
 

@@ -334,41 +334,49 @@ class BifurcationMap:
 _RESONANCES = ((math.pi, "1:2"), (2.0 * math.pi / 3.0, "1:3"), (math.pi / 2.0, "1:4"))
 
 
+def _surface_tests(zeta: float, tau: float, alpha: float):
+    """(orbit, test values) at one surface point; None where it is invalid."""
+    try:
+        orbit = collision_orbit(zeta, float(tau), float(alpha))
+        return orbit, _test_values(*_branch_jacobians(orbit))
+    except (RelayDynError, ValueError):
+        # invalid surface point or (near-)tangential corner
+        return None
+
+
 def _grid_values(zeta, taus, alphas):
     """Test-function values over the grid; NaN where the surface is invalid."""
-    vals = {k: np.full((taus.size, alphas.size), np.nan) for k in BIFURCATION_LABELS}
-    vals["trace_minus"] = np.full((taus.size, alphas.size), np.nan)
+    vals = {k: np.full((taus.size, alphas.size), np.nan)
+            for k in (*BIFURCATION_LABELS, "trace_minus")}
     for i, tau in enumerate(taus):
         for j, alpha in enumerate(alphas):
-            try:
-                orbit = collision_orbit(zeta, float(tau), float(alpha))
-                tv = _test_values(*_branch_jacobians(orbit))
-            except (RelayDynError, ValueError):
-                # invalid surface point or (near-)tangential corner
-                continue
-            for k in BIFURCATION_LABELS:
-                vals[k][i, j] = tv[k]
-            vals["trace_minus"][i, j] = tv["trace_minus"]
+            tests = _surface_tests(zeta, tau, alpha)
+            if tests is not None:
+                for k, v in tests[1].items():
+                    vals[k][i, j] = v
     return vals
 
 
-def _refine_edge(fun, p0, p1, v0, v1, tol=1e-8, max_iter=80):
-    """Bisection along the segment p0-p1 until |fun| < tol at the midpoint."""
+def _refine_edge(zeta, label, p0, p1, v0, tol, max_iter=80):
+    """Bisect ``label`` along the segment p0-p1 until it is below tol.
+
+    Returns the last midpoint, the test value there (NaN off the surface)
+    and its :func:`_surface_tests` result.
+    """
     a, b = 0.0, 1.0
     fa = v0
-    point = None
-    fm = v0
     for _ in range(max_iter):
         m = 0.5 * (a + b)
         point = (p0[0] + m * (p1[0] - p0[0]), p0[1] + m * (p1[1] - p0[1]))
-        fm = fun(*point)
+        tests = _surface_tests(zeta, *point)
+        fm = math.nan if tests is None else tests[1][label]
         if abs(fm) < tol:
-            return point, fm
+            break
         if (fa < 0) != (fm < 0):
             b = m
         else:
             a, fa = m, fm
-    return point, fm
+    return point, fm, tests
 
 
 def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.ndarray]:
@@ -427,73 +435,51 @@ def bifurcation_map(zeta: float,
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     vals = _grid_values(zeta, taus, alphas)
 
-    def make_fun(label):
-        def fun(tau, alpha):
-            try:
-                orbit = collision_orbit(zeta, tau, alpha)
-                return _test_values(*_branch_jacobians(orbit))[label]
-            except (RelayDynError, ValueError):
-                return math.nan
-        return fun
-
     result = BifurcationMap(zeta=zeta, tau_grid=taus, alpha_grid=alphas)
     for label in BIFURCATION_LABELS:
-        fun = make_fun(label)
         grid = vals[label]
-        # refined crossing per grid edge, shared between the two adjacent cells
-        edge_pts: dict[tuple, tuple] = {}
+        # validated crossing per grid edge (or None), shared between the two
+        # adjacent cells
+        edge_pts: dict[tuple, CurvePoint | None] = {}
 
-        def crossing(i0, j0, i1, j1, eid):
-            if eid in edge_pts:
-                return edge_pts[eid]
+        def crossing(i0, j0, i1, j1):
             v0, v1 = grid[i0, j0], grid[i1, j1]
-            pt = None
-            if np.isfinite(v0) and np.isfinite(v1) and np.sign(v0) * np.sign(v1) < 0:
-                p0 = (taus[i0], alphas[j0])
-                p1 = (taus[i1], alphas[j1])
-                pt = _refine_edge(fun, p0, p1, v0, v1, tol=residual_tol)
-            edge_pts[eid] = pt
-            return pt
+            if not (np.isfinite(v0) and np.isfinite(v1) and np.sign(v0) * np.sign(v1) < 0):
+                return None
+            refined = _refine_edge(zeta, label, (taus[i0], alphas[j0]),
+                                   (taus[i1], alphas[j1]), v0, residual_tol)
+            return _curve_point(label, *refined, residual_tol)
 
         segments = []
-        accepted: dict[tuple, CurvePoint] = {}
         for i in range(taus.size - 1):
             for j in range(alphas.size - 1):
-                hits = []
+                kept = []
                 for (i0, j0, i1, j1, eid) in (
                         (i, j, i + 1, j, ("h", i, j)),
                         (i, j + 1, i + 1, j + 1, ("h", i, j + 1)),
                         (i, j, i, j + 1, ("v", i, j)),
                         (i + 1, j, i + 1, j + 1, ("v", i + 1, j))):
-                    pt = crossing(i0, j0, i1, j1, eid)
-                    if pt is not None:
-                        hits.append((eid, pt))
-                kept = []
-                for eid, (point, res) in hits:
-                    cp = _curve_point(zeta, point, label, res, residual_tol)
+                    if eid not in edge_pts:
+                        edge_pts[eid] = crossing(i0, j0, i1, j1)
+                    cp = edge_pts[eid]
                     if cp is not None:
-                        accepted[eid] = cp
-                        kept.append(point)
+                        kept.append((cp.tau, cp.alpha))
                 if len(kept) >= 2:
                     # ambiguous 4-crossing cells: pair in hit order
                     for a, b in zip(kept[0::2], kept[1::2]):
                         segments.append((a, b))
-        result.points[label] = list(accepted.values())
+        # edges enter edge_pts in the order the cells first meet them
+        result.points[label] = [cp for cp in edge_pts.values() if cp is not None]
         tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6
         result.polylines[label] = _chain_segments(segments, tol)
     return result
 
 
-def _curve_point(zeta, point, label, residual, residual_tol) -> CurvePoint | None:
+def _curve_point(label, point, residual, tests, residual_tol) -> CurvePoint | None:
     """Validate and tag one refined crossing; None drops it."""
-    tau, alpha = point
-    if abs(residual) >= residual_tol * 10:
+    if abs(residual) >= residual_tol * 10 or tests is None:
         return None
-    try:
-        orbit = collision_orbit(zeta, tau, alpha)
-        tv = _test_values(*_branch_jacobians(orbit))
-    except (RelayDynError, ValueError):
-        return None
+    orbit, tv = tests
     tags = []
     if label == "ns_minus":
         tr = tv["trace_minus"]
@@ -506,6 +492,6 @@ def _curve_point(zeta, point, label, residual, residual_tol) -> CurvePoint | Non
     if label in ("fold_minus", "flip_minus") and abs(tv["fold_minus"]) < 1e-4 \
             and abs(tv["flip_minus"]) < 1e-4:
         tags.append("pd-sn")
-    return CurvePoint(tau=float(tau), alpha=float(alpha),
+    return CurvePoint(tau=float(point[0]), alpha=float(point[1]),
                       epsilon=orbit.params.epsilon, label=label,
                       residual=float(residual), tags=tuple(tags))

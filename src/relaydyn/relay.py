@@ -332,8 +332,7 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     def w(s: float) -> float:
         return rho * system.h(flow.apply(y, u, s - t)) - eps
 
-    lo = ts[i - 1] if ws[i - 1] < 0.0 else ts[0]
-    s_hit = float(brentq(w, lo, ts[i], xtol=1e-14, rtol=8.9e-16))
+    s_hit = float(brentq(w, ts[i - 1], ts[i], xtol=1e-14, rtol=8.9e-16))
 
     # polish until the signal residual itself is tiny
     def dw(s: float) -> float:

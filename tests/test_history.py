@@ -69,6 +69,23 @@ def test_sampled_history_constant():
     assert hist.dim == 2
 
 
+def test_sampled_history_refuses_arrays_outside_the_window():
+    # arrays obey the scalar rule: out-of-window times raise, never clamp
+    hist = SampledHistory.constant([0.3, -0.7], 4.2)
+    for bad, s in (([1.0, -10.0], 1.0), ([-2.0, 1e-6], 1e-6),
+                   ([-4.2 - 1e-6, -1.0], -4.2 - 1e-6)):
+        with pytest.raises(ValueError):
+            hist(np.array(bad))
+        with pytest.raises(ValueError):
+            hist(s)
+    # within the edge tolerance both paths still clamp onto the window
+    edge = np.array([-4.2 - 1e-10, -1.0, 1e-10])
+    got = hist(edge)
+    assert got.shape == (3, 2)
+    for row, s in zip(got, edge):
+        np.testing.assert_array_equal(row, hist(float(s)))
+
+
 def test_sampled_history_interpolates_smooth_function():
     def fn(s):
         return np.array([np.sin(s), np.cos(s)])

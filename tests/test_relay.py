@@ -339,7 +339,8 @@ def test_head_crossing_scan_matches_full_grid_at_chunk_edges():
 
 
 def test_head_crossing_scan_matches_full_grid_from_the_threshold():
-    # ws[0] >= 0: the bracket falls back to ts[0]
+    # ws[0] >= 0 on a rising signal: node 1 is the first hit, so the bracket
+    # [ts[0], ts[1]] starts on the line (the full-grid copy's ts[0] fallback)
     t, t_stop, scan_dt = 1.0, 3.0, 0.02
     y = np.array([t])
     system = clock_system(clock_signal(y))
