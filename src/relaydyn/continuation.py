@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import (BreakupDetected, InitialPointFailed, NoConvergence,
                      NotAMaximum, ParametrizationBreakdown, RelayDynError,
                      SingularJacobian)

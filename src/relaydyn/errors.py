@@ -52,7 +52,7 @@ class IntegrationFailure(NumericalError):
 
 
 class NoRootInBracket(NumericalError):
-    """Crossing-time solve found no root inside the admissible bracket."""
+    """A root solve found no sign change across its admissible bracket."""
 
 
 class DegenerateDerivative(NumericalError):
@@ -60,7 +60,7 @@ class DegenerateDerivative(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Newton iteration exceeded its iteration budget."""
+    """A Newton or Brent iteration exceeded its budget (or met a NaN value)."""
 
 
 class SingularJacobian(NumericalError):

@@ -9,7 +9,7 @@ implementations are provided:
   constant forcing, advanced in closed form.  Valid for positive *and*
   negative times, which the return-map construction relies on.
 * :class:`NumericalFlow` - an adaptive Runge-Kutta 5(4) wrapper for vector
-  fields without a usable closed form.
+  fields without a usable closed form (needs scipy).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure
 
@@ -130,6 +129,9 @@ class AffineOscillatorFlow:
 class NumericalFlow:
     """Adaptive RK45 flow for a vector-field pair without closed form.
 
+    Integrates with ``scipy.integrate.solve_ivp``, imported on first use, so
+    this backend (the tests' Runge-Kutta oracle) needs scipy installed.
+
     Parameters
     ----------
     field : callable(y, u) -> array
@@ -150,6 +152,8 @@ class NumericalFlow:
         self.atol = float(atol)
 
     def _solve(self, y, u, t, dense=False):
+        from scipy.integrate import solve_ivp
+
         if t == 0.0:
             # solve_ivp rejects empty spans
             return None
@@ -199,6 +203,8 @@ class NumericalFlow:
         z0 = np.concatenate([np.asarray(y, float), np.eye(n).ravel()])
         if t == 0.0:
             return np.eye(n)
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=self.rtol, atol=self.atol)
         if not sol.success:
             raise IntegrationFailure(f"variational RK45 failed: {sol.message}")

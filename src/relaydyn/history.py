@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "BreakpointHistory",
@@ -116,8 +115,49 @@ class BreakpointHistory(_Window):
         return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _not_a_knot(values: np.ndarray, h: float) -> np.ndarray:
+    """Coefficients (y, c1, c2, c3) of the not-a-knot cubic through ``values``.
+
+    ``values`` holds one row per node of a uniform grid of step ``h``.  On
+    interval i the spline is ``y[i] + dx*(c1[i] + dx*(c2[i] + dx*c3[i]))``
+    with dx measured from node i, so constant data has c1 = c2 = c3 = 0 and
+    is reproduced exactly.  The node slopes s solve, with d the interval
+    slopes and every row divided by h, the tridiagonal system
+
+        s[0] + 2 s[1]            = (5 d[0] + d[1]) / 2
+        s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])
+        2 s[-2] + s[-1]          = (d[-2] + 5 d[-1]) / 2
+
+    (scipy's ``CubicSpline`` rows on a uniform grid), by elimination without
+    pivoting: every pivot stays at or above 3/7.
+    """
+    n = values.shape[0]
+    d = np.diff(values, axis=0) / h
+    lower = [0.0] + [1.0] * (n - 2) + [2.0]
+    diag = [1.0] + [4.0] * (n - 2) + [1.0]
+    upper = [2.0] + [1.0] * (n - 2) + [0.0]
+    rhs = np.concatenate([(5.0 * d[:1] + d[1:2]) / 2.0, 3.0 * (d[:-1] + d[1:]),
+                          (d[-2:-1] + 5.0 * d[-1:]) / 2.0])
+    cols = rhs.T.tolist()  # plain floats: the sweeps are sequential
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        for c in cols:
+            c[i] -= w * c[i - 1]
+    for c in cols:
+        c[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            c[i] = (c[i] - upper[i] * c[i + 1]) / diag[i]
+    slopes = np.array(cols).T
+    t = (slopes[:-1] + slopes[1:] - 2.0 * d) / h
+    return np.stack([values[:-1], slopes[:-1], (d - slopes[:-1]) / h - t, t / h])
+
+
 class SampledHistory(_Window):
-    """History on a uniform grid over [-horizon, 0] with cubic interpolation."""
+    """History on a uniform grid over [-horizon, 0] with cubic interpolation.
+
+    The interpolant is the not-a-knot cubic spline through the samples.
+    """
 
     def __init__(self, horizon: float, values):
         self.horizon = float(horizon)
@@ -126,8 +166,16 @@ class SampledHistory(_Window):
             raise ValueError("need at least 4 samples, shape (m, dim)")
         self.values = values
         self.grid = np.linspace(-self.horizon, 0.0, values.shape[0])
-        self._spline = CubicSpline(self.grid, values, axis=0)
-        self._dspline = self._spline.derivative()
+        self._coef = _not_a_knot(values, self.horizon / (values.shape[0] - 1))
+        self._nodes = self.grid.tolist()  # plain floats keep scalar lookups cheap
+
+    def _piece(self, s: float):
+        """Coefficients of the interval holding s, and the offset into it.
+
+        Interval i is [grid[i], grid[i+1]), the last one closed, as in scipy.
+        """
+        i = bisect.bisect_right(self._nodes, s, 1, len(self._nodes) - 1) - 1
+        return self._coef[:, i], s - self._nodes[i]
 
     @classmethod
     def constant(cls, y0, horizon: float, n: int = 9) -> "SampledHistory":
@@ -150,11 +198,16 @@ class SampledHistory(_Window):
             if s.size:
                 self._check(float(s.min()))
                 self._check(float(s.max()))
-            return self._spline(np.clip(s, -self.horizon, 0.0))
-        return self._spline(self._check(float(s)))
+            s = np.clip(s, -self.horizon, 0.0)
+            i = np.searchsorted(self.grid[1:-1], s, side="right")
+            (y, c1, c2, c3), dx = self._coef[:, i], (s - self.grid[i])[..., None]
+        else:
+            (y, c1, c2, c3), dx = self._piece(self._check(float(s)))
+        return y + dx * (c1 + dx * (c2 + dx * c3))
 
     def derivative(self, s: float) -> np.ndarray:
-        return self._dspline(self._check(float(s)))
+        (_, c1, c2, c3), dx = self._piece(self._check(float(s)))
+        return c1 + dx * (2.0 * c2 + dx * (3.0 * c3))
 
     def pieces(self, lo: float) -> list[tuple[float, float]]:
         return [(lo, 0.0)]

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import NegativeEpsilon, NonTransversalCorner, RelayDynError, SingularSurface
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, jacobian_F_branch, oscillator_context
@@ -361,7 +361,8 @@ def _refine_edge(zeta, label, p0, p1, v0, tol, max_iter=80):
     """Bisect ``label`` along the segment p0-p1 until it is below tol.
 
     Returns the last midpoint, the test value there (NaN off the surface)
-    and its :func:`_surface_tests` result.
+    and its :func:`_surface_tests` result.  A NaN midpoint ends the search,
+    because the sign test brackets nothing past it.
     """
     a, b = 0.0, 1.0
     fa = v0
@@ -370,7 +371,7 @@ def _refine_edge(zeta, label, p0, p1, v0, tol, max_iter=80):
         point = (p0[0] + m * (p1[0] - p0[0]), p0[1] + m * (p1[1] - p0[1]))
         tests = _surface_tests(zeta, *point)
         fm = math.nan if tests is None else tests[1][label]
-        if abs(fm) < tol:
+        if math.isnan(fm) or abs(fm) < tol:
             break
         if (fa < 0) != (fm < 0):
             b = m
@@ -476,8 +477,8 @@ def bifurcation_map(zeta: float,
 
 
 def _curve_point(label, point, residual, tests, residual_tol) -> CurvePoint | None:
-    """Validate and tag one refined crossing; None drops it."""
-    if abs(residual) >= residual_tol * 10 or tests is None:
+    """Validate and tag one refined crossing; None drops it (NaN included)."""
+    if not abs(residual) < residual_tol * 10 or tests is None:
         return None
     orbit, tv = tests
     tags = []

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval)
 from .flows import AffineOscillatorFlow
 from .history import BreakpointHistory, HybridState

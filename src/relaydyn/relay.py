@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import DegenerateCrossing, WindowTooLarge
 from .flows import AffineOscillatorFlow
 from .history import (BreakpointHistory, CrossingRecord, HybridState,

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,19 @@ from relaydyn.errors import NoConvergence
 
 def run_cli(args):
     return cli.main(args)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test and RK-oracle dependency; importing it costs every
+    # command about 0.7 s of CPU
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import relaydyn.cli, sys; "
+         "print([m for m in sys.modules if m.startswith('scipy')])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_print_config_lists_all_defaults(capsys):

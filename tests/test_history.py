@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import BreakpointHistory, HybridState, SampledHistory
@@ -98,6 +99,42 @@ def test_sampled_history_interpolates_smooth_function():
                                    - np.array([np.cos(s), -np.sin(s)]))))
                for s in ss)
     assert derr < 1e-4
+
+
+def test_sampled_history_constant_is_exact():
+    # the simulate default: a constant history must not pick up rounding
+    for n in (4, 9, 129):
+        hist = SampledHistory.constant([0.3, -0.7], 4.2, n=n)
+        ss = np.linspace(-4.2, 0.0, 1001)
+        assert np.all(hist(ss) == [0.3, -0.7])
+        for s in ss:
+            assert np.all(hist(float(s)) == [0.3, -0.7])
+            d = hist.derivative(float(s))
+            assert np.all(d == 0.0) and not np.signbit(d).any()
+
+
+@pytest.mark.parametrize("n", [4, 9, 129])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("data", ["random", "smooth"])
+def test_sampled_history_equals_scipy_cubic_spline(n, dim, data):
+    # scipy's not-a-knot CubicSpline, to 1e-13 of the largest value compared
+    horizon = 3.7
+    grid = np.linspace(-horizon, 0.0, n)
+    if data == "random":
+        values = np.random.default_rng(10 * n + dim).normal(size=(n, dim))
+    else:
+        values = np.stack([np.sin(1.3 * grid) + 0.5, 2.0 * np.cos(0.7 * grid)], axis=1)[:, :dim]
+    hist = SampledHistory(horizon, values)
+    ref = CubicSpline(grid, values, axis=0)
+    ss = np.concatenate([np.linspace(-horizon, 0.0, 1001), grid])
+    got, want = hist(ss), ref(ss)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    dgot = np.stack([hist.derivative(float(s)) for s in ss])
+    dwant = ref.derivative()(ss)
+    assert np.max(np.abs(dgot - dwant)) <= 1e-13 * np.max(np.abs(dwant))
+    # scalar calls take the same arithmetic as the array call
+    np.testing.assert_array_equal(np.stack([hist(float(s)) for s in ss]), got)
 
 
 def test_sampled_history_needs_enough_samples():

@@ -261,10 +261,11 @@ def outcome(fn, *args):
 @pytest.fixture
 def brentq_calls(monkeypatch):
     calls = []
+    solve = reduced.brentq
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
-        return brentq(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(reduced, "brentq", counting)
     return calls

@@ -1,0 +1,145 @@
+"""The package's Brent solver against scipy's, compared with ``==``."""
+
+import math
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq as scipy_brentq
+
+from relaydyn import continuation, oscillator, reduced, relay
+from relaydyn._roots import brentq
+from relaydyn.errors import NoConvergence, NoRootInBracket, NoRootInInterval
+from relaydyn.history import HybridState, SampledHistory
+
+ZETA, TAU, EPS = -0.1, 4.2, 0.1
+
+# the package's error for each scipy failure
+SCIPY_ERROR = {NoRootInBracket: ValueError, NoConvergence: (RuntimeError, ValueError)}
+
+
+def solve_both(f, a, b, **kw):
+    """The package's root, checked against scipy's: equal, or both failing."""
+    try:
+        expected = scipy_brentq(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        expected = exc
+    try:
+        got = brentq(f, a, b, **kw)
+    except (NoRootInBracket, NoConvergence) as exc:
+        assert isinstance(expected, SCIPY_ERROR[type(exc)]), (exc, expected)
+        raise
+    assert got == expected
+    return got
+
+
+def test_every_call_site_equals_scipy(monkeypatch):
+    sites = Counter()
+
+    def checked(f, a, b, **kw):
+        caller = sys._getframe(1).f_code
+        sites[caller.co_name] += 1
+        return solve_both(f, a, b, **kw)
+
+    for module in (reduced, relay, oscillator, continuation):
+        monkeypatch.setattr(module, "brentq", checked)
+
+    alpha = oscillator.surface_alpha(ZETA, TAU, EPS)[0]  # surface_alpha
+    ctx = oscillator.collision_context(oscillator.collision_orbit(ZETA, TAU, alpha))
+    rng = np.random.default_rng(32)
+    for y in ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)):  # _bracketed_newton
+        for solve in (lambda: reduced.crossing_time(ctx, y, 1),
+                      lambda: reduced.crossing_time(ctx, y, -1),
+                      lambda: reduced.theta(ctx, y)):
+            try:
+                solve()
+            except (NoRootInBracket, NoRootInInterval):
+                pass
+    relay.hysteron(lambda s: math.sin(s) + 0.2 * math.sin(3.1 * s), (0.0, 30.0), 1, 0.4)
+    system = relay.oscillator_system(ZETA, -0.5, TAU, EPS)
+    state = HybridState(SampledHistory.constant([0.5, 0.0], TAU), 1)
+    relay.evolve(system, state, 20.0 * TAU)  # _march_relay, _next_head_crossing
+    nsc = oscillator.find_nsc(ZETA, EPS)
+    continuation._ns_alpha_at(ZETA, EPS, nsc[0] + 1e-3, nsc[1])
+    assert set(sites) == {"surface_alpha", "_bracketed_newton", "_march_relay",
+                          "_next_head_crossing", "_ns_alpha_at"}
+    assert sites["_bracketed_newton"] >= 5 and sites["_next_head_crossing"] >= 10
+
+
+def cubic(x):
+    return x ** 3 - 2.0 * x - 5.0
+
+
+FUNCTIONS = [
+    (cubic, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e-3, -20.0, 5.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+    (lambda x: x * math.exp(-x) - 0.1, 3.0, 0.0),  # reversed bracket
+    (lambda x: math.atan(x - 1e-9) - 1e-12, -1e6, 1e6),
+    (lambda x: math.sin(x) - 1e-300, 3.0, 4.0),
+    # a jump: mostly bisection, so the stopping rule shows in the last bits
+    (lambda x: -1.0 if x < 1.0 / 3.0 else 2.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("f, a, b", FUNCTIONS)
+@pytest.mark.parametrize("xtol, rtol", [(2e-12, 4 * sys.float_info.epsilon),
+                                        (1e-13, 4 * sys.float_info.epsilon),
+                                        (1e-14, 8.9e-16), (1e-15, 8.9e-16),
+                                        (1e-6, 1e-10)])
+def test_brentq_equals_scipy(f, a, b, xtol, rtol):
+    solve_both(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def test_brentq_defaults_equal_scipy():
+    for f, a, b in FUNCTIONS:
+        assert brentq(f, a, b) == scipy_brentq(f, a, b)
+
+
+def test_endpoint_zero_returns_the_endpoint():
+    for a, b in ((1.0, 2.0), (0.0, 1.0), (-1.0, 1.0), (-2.0, -1.0)):
+        f = lambda x: (x - a) * (x + 7.0)  # noqa: E731
+        assert solve_both(f, a, b) == a
+        g = lambda x: (x - b) * (x + 7.0)  # noqa: E731
+        assert solve_both(g, a, b) == b
+    # a zero at both ends: the left one wins, as in scipy
+    assert solve_both(lambda x: x * (x - 1.0), 0.0, 1.0) == 0.0
+    # -0.0 is a zero, not a negative value
+    assert solve_both(lambda x: -0.0 if x == 2.0 else x - 1.5, 1.0, 2.0) == 2.0
+
+
+def test_narrow_brackets():
+    root = math.sqrt(2.0)
+    lo = math.nextafter(root, 0.0)
+    hi = math.nextafter(root, 3.0)
+    f = lambda x: x * x - 2.0  # noqa: E731
+    for a, b in ((lo, hi), (lo, math.nextafter(hi, 3.0)), (root - 1e-14, root + 1e-14),
+                 (root - 1e-9, root + 3e-10)):
+        for xtol in (2e-12, 1e-15, 1e-300):
+            got = solve_both(f, a, b, xtol=xtol)
+            assert min(a, b) <= got <= max(a, b)
+
+
+def test_same_sign_raises_no_root_in_bracket():
+    for f, a, b in ((cubic, 3.0, 4.0), (lambda x: x * x + 1.0, -1.0, 1.0),
+                    (lambda x: -1.0 - x * x, -1.0, 1.0)):
+        with pytest.raises(NoRootInBracket):
+            solve_both(f, a, b)
+
+
+def test_iteration_cap_raises_no_convergence():
+    hard = lambda x: math.tanh(50.0 * (x - 0.3))  # noqa: E731
+    with pytest.raises(NoConvergence):
+        solve_both(hard, 0.0, 1.0, maxiter=2)
+    # the same call converges with the default budget
+    assert solve_both(hard, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+    # a triple root exhausts the default budget in both, through the same iterates
+    with pytest.raises(NoConvergence):
+        solve_both(lambda x: (x - 1.0) ** 3, 0.0, 3.0)
+
+
+def test_nan_value_raises_no_convergence():
+    with pytest.raises(NoConvergence):
+        solve_both(lambda x: math.nan if x > 0.4 else x - 0.6, 0.0, 1.0)
