@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CentroidOnCurve, InsufficientSamples, LeftNeighborhood,
-                     NoRootInBracket)
+from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
+                     LeftNeighborhood, NoConvergence, NoRootInBracket)
 from .oscillator import collision_point
 from .reduced import CollisionContext, branch_of, map_F, oscillator_context
 
@@ -88,7 +88,7 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     for k in range(n_total):
         try:
             y = map_F(ctx, y)
-        except NoRootInBracket as exc:
+        except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
         if np.linalg.norm(y - ctx.y_ref) > radius:

@@ -198,15 +198,17 @@ def cmd_surface(config: dict, out_dir: Path, seed: int) -> list[str]:
     flow = AffineOscillatorFlow(config["zeta"])
     rows = []
     for tau in taus:
+        # one corner per row; delays without one (tau <= pi) give no row
         try:
-            y = oscillator.collision_point(config["zeta"], float(tau))
+            corner = oscillator._corner(config["zeta"], float(tau))
         except RelayDynError:
             continue
+        y = corner.y_star
         resid = float(np.max(np.abs(y + flow.apply(y, 1, float(tau)))))
         for alpha in alphas:
             try:
-                orbit = oscillator.collision_orbit(config["zeta"], float(tau), float(alpha))
-                stab = oscillator.stability_at_collision(orbit)
+                orbit = oscillator._orbit(corner, float(alpha))
+                stab = oscillator._stability(corner, orbit)
             except (RelayDynError, ValueError):
                 continue
             rows.append((float(tau), float(alpha), orbit.params.epsilon,
@@ -248,7 +250,8 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     hint = None
     for tau in taus:
         try:
-            alpha = oscillator._slice_alpha_near(zeta, float(tau), eps, hint)
+            alpha = oscillator._slice_alpha_near(oscillator._corner(zeta, float(tau)),
+                                                 eps, hint)
         except RelayDynError:
             continue
         hint = alpha

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._roots import brentq
-from .errors import NegativeEpsilon, NonTransversalCorner, RelayDynError, SingularSurface
+from .errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
+                     RelayDynError, SingularSurface)
 from .flows import AffineOscillatorFlow
-from .reduced import CollisionContext, jacobian_F_branch, oscillator_context
+from .reduced import CollisionContext, oscillator_context
 
 __all__ = [
     "OscillatorParams",
@@ -110,6 +111,54 @@ def _surface_corner(zeta: float, tau: float) -> np.ndarray:
     return collision_point(zeta, tau)
 
 
+class _Corner:
+    """The pieces of the collision orbit that depend on tau only.
+
+    Every alpha at one delay shares them: the switch point y*, the two
+    vector fields there, the flow matrix A(tau) and the vector field
+    f(w, +1) at the image w = Y_+^tau y*.  Callers solve one per delay and
+    pass it on.  The pieces are rows of one array, so a map run can hold
+    thousands of corners in little memory.
+    """
+
+    __slots__ = ("zeta", "tau", "_rows")
+
+    def __init__(self, zeta: float, tau: float, y: np.ndarray):
+        flow = AffineOscillatorFlow(zeta)
+        self.zeta, self.tau = zeta, tau
+        self._rows = np.empty((6, 2))
+        self._rows[0] = y
+        self._rows[1] = flow.velocity(y, +1)
+        self._rows[2] = flow.velocity(y, -1)
+        self._rows[3:5] = flow.flow_matrix(tau)
+        self._rows[5] = flow.velocity(flow.apply(y, 1, tau), 1)
+
+    @property
+    def y_star(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def f_plus(self) -> np.ndarray:
+        return self._rows[1]
+
+    @property
+    def f_minus(self) -> np.ndarray:
+        return self._rows[2]
+
+    @property
+    def a_tau(self) -> np.ndarray:
+        return self._rows[3:5]
+
+    @property
+    def f_image(self) -> np.ndarray:
+        return self._rows[5]
+
+
+def _corner(zeta: float, tau: float) -> _Corner:
+    """Solve the corner of one delay; raises as :func:`collision_orbit` does."""
+    return _Corner(zeta, tau, _surface_corner(zeta, tau))
+
+
 def _epsilon_at(y: np.ndarray, tau: float, alpha: float) -> float:
     eps = y[0] * math.cos(alpha) + y[1] * math.sin(alpha)
     if eps <= 0:
@@ -134,12 +183,15 @@ def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
 
 def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
     """Collision orbit data at a surface point, with transversality scalars."""
-    y = _surface_corner(zeta, tau)
+    return _orbit(_corner(zeta, tau), alpha)
+
+
+def _orbit(corner: _Corner, alpha: float) -> CollisionOrbit:
+    zeta, tau, y = corner.zeta, corner.tau, corner.y_star
     eps = _epsilon_at(y, tau, alpha)
-    flow = AffineOscillatorFlow(zeta)
     c = np.array([math.cos(alpha), math.sin(alpha)])
-    g_plus = float(c @ flow.velocity(y, +1))
-    g_minus = float(c @ flow.velocity(y, -1))
+    g_plus = float(c @ corner.f_plus)
+    g_minus = float(c @ corner.f_minus)
     q = g_plus * g_minus
     if q <= 0:
         raise NonTransversalCorner(
@@ -185,10 +237,24 @@ class CollisionStability:
 BIFURCATION_LABELS = ("fold_plus", "flip_plus", "fold_minus", "flip_minus", "ns_minus")
 
 
-def _branch_jacobians(orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
-    ctx = collision_context(orbit)
-    return (jacobian_F_branch(ctx, orbit.y_star, +1),
-            jacobian_F_branch(ctx, orbit.y_star, -1))
+def _branch_jacobians(corner: _Corner, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
+    """Both branch Jacobians at the corner, in closed form.
+
+    The crossing offset is 0 at y* because eps = h(y*), so
+    :func:`~relaydyn.reduced.jacobian_F_branch` reduces to
+    DF_b = -A(tau) + f(w, +1) c^T / g_b with g_b = c . f(y*, b), and no
+    crossing-time solve is needed.
+    """
+    alpha = orbit.params.alpha
+    c = np.array([math.cos(alpha), math.sin(alpha)])
+    minus_a, f_image = -corner.a_tau, corner.f_image
+    jacobians = []
+    for g in (orbit.g_plus, orbit.g_minus):
+        if abs(g) < 1e-8:
+            raise DegenerateDerivative(f"threshold met tangentially at tau={corner.tau:.6g}, "
+                                       f"alpha={alpha:.6g}")
+        jacobians.append(minus_a + np.outer(f_image, c) / g)
+    return jacobians[0], jacobians[1]
 
 
 def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
@@ -206,7 +272,12 @@ def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
 
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
     """Classify the corner: branch spectra plus bifurcation residuals."""
-    j_plus, j_minus = _branch_jacobians(orbit)
+    p = orbit.params
+    return _stability(_Corner(p.zeta, p.tau, orbit.y_star), orbit)
+
+
+def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:
+    j_plus, j_minus = _branch_jacobians(corner, orbit)
     lam = float(np.trace(j_plus))
     ev = np.linalg.eigvals(j_minus)
     vals = _test_values(j_plus, j_minus)
@@ -233,7 +304,13 @@ def surface_alpha(zeta: float, tau: float, epsilon: float,
     :func:`collision_epsilon`.
     """
 
-    y = _surface_corner(zeta, tau)
+    return _slice_roots(_surface_corner(zeta, tau), epsilon, bracket, n_scan)
+
+
+def _slice_roots(y: np.ndarray, epsilon: float,
+                 bracket: tuple[float, float] = (-math.pi / 2, math.pi / 2),
+                 n_scan: int = 361) -> list[float]:
+    """:func:`surface_alpha` for a switch point y* already solved."""
 
     def g(alpha: float) -> float:
         return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
@@ -248,11 +325,12 @@ def surface_alpha(zeta: float, tau: float, epsilon: float,
     return sorted(roots)
 
 
-def _slice_alpha_near(zeta: float, tau: float, epsilon: float, hint: float | None) -> float:
-    roots = surface_alpha(zeta, tau, epsilon)
+def _slice_alpha_near(corner: _Corner, epsilon: float, hint: float | None) -> float:
+    """The alpha root of the eps slice at the corner's delay nearest to hint."""
+    roots = _slice_roots(corner.y_star, epsilon)
     if not roots:
         raise NegativeEpsilon(
-            f"eps={epsilon:.4g} slice does not meet the surface at tau={tau:.6g}")
+            f"eps={epsilon:.4g} slice does not meet the surface at tau={corner.tau:.6g}")
     if hint is None:
         return roots[0]
     return min(roots, key=lambda a: abs(a - hint))
@@ -266,13 +344,15 @@ def find_nsc(zeta: float, epsilon: float,
 
     Walks tau along the slice (following the alpha root continuously),
     finds a sign change of det(DF_minus) - 1 and bisects it down to a tau
-    interval of 1e-12.  Returns (tau, alpha).
+    interval of 1e-12.  Scan points off the surface or at a tangential
+    corner are skipped.  Returns (tau, alpha).
     """
 
     def ns_value(tau: float, hint: float | None) -> tuple[float, float]:
-        alpha = _slice_alpha_near(zeta, tau, epsilon, hint)
-        orbit = collision_orbit(zeta, tau, alpha)
-        _, j_minus = _branch_jacobians(orbit)
+        corner = _corner(zeta, tau)
+        alpha = _slice_alpha_near(corner, epsilon, hint)
+        orbit = _orbit(corner, alpha)
+        _, j_minus = _branch_jacobians(corner, orbit)
         return float(np.linalg.det(j_minus)) - 1.0, alpha
 
     taus = np.linspace(tau_bracket[0], tau_bracket[1], n_scan)
@@ -281,7 +361,8 @@ def find_nsc(zeta: float, epsilon: float,
     for tau in taus:
         try:
             val, hint = ns_value(float(tau), hint)
-        except (NegativeEpsilon, SingularSurface, ValueError):
+        except (NegativeEpsilon, SingularSurface, NonTransversalCorner,
+                DegenerateDerivative, ValueError):
             prev = None
             continue
         if prev is not None and prev[1] * val < 0:
@@ -334,30 +415,51 @@ class BifurcationMap:
 _RESONANCES = ((math.pi, "1:2"), (2.0 * math.pi / 3.0, "1:3"), (math.pi / 2.0, "1:4"))
 
 
-def _surface_tests(zeta: float, tau: float, alpha: float):
+def _surface_tests(corner: _Corner, alpha: float):
     """(orbit, test values) at one surface point; None where it is invalid."""
     try:
-        orbit = collision_orbit(zeta, float(tau), float(alpha))
-        return orbit, _test_values(*_branch_jacobians(orbit))
+        orbit = _orbit(corner, float(alpha))
+        return orbit, _test_values(*_branch_jacobians(corner, orbit))
     except (RelayDynError, ValueError):
         # invalid surface point or (near-)tangential corner
         return None
 
 
-def _grid_values(zeta, taus, alphas):
+def _surface_evaluator(zeta: float):
+    """:func:`_surface_tests` by (tau, alpha), solving each distinct tau once.
+
+    The corners live as long as the returned function, so one map run
+    shares them between grid rows, constant-tau edges and midpoints.
+    """
+    corners: dict[float, _Corner | None] = {}
+
+    def tests(tau, alpha):
+        tau = float(tau)
+        if tau not in corners:
+            try:
+                corners[tau] = _corner(zeta, tau)
+            except (RelayDynError, ValueError):
+                corners[tau] = None  # no corner at this delay
+        corner = corners[tau]
+        return None if corner is None else _surface_tests(corner, alpha)
+
+    return tests
+
+
+def _grid_values(tests_at, taus, alphas):
     """Test-function values over the grid; NaN where the surface is invalid."""
     vals = {k: np.full((taus.size, alphas.size), np.nan)
             for k in (*BIFURCATION_LABELS, "trace_minus")}
     for i, tau in enumerate(taus):
         for j, alpha in enumerate(alphas):
-            tests = _surface_tests(zeta, tau, alpha)
+            tests = tests_at(tau, alpha)
             if tests is not None:
                 for k, v in tests[1].items():
                     vals[k][i, j] = v
     return vals
 
 
-def _refine_edge(zeta, label, p0, p1, v0, tol, max_iter=80):
+def _refine_edge(tests_at, label, p0, p1, v0, tol, max_iter=80):
     """Bisect ``label`` along the segment p0-p1 until it is below tol.
 
     Returns the last midpoint, the test value there (NaN off the surface)
@@ -369,7 +471,7 @@ def _refine_edge(zeta, label, p0, p1, v0, tol, max_iter=80):
     for _ in range(max_iter):
         m = 0.5 * (a + b)
         point = (p0[0] + m * (p1[0] - p0[0]), p0[1] + m * (p1[1] - p0[1]))
-        tests = _surface_tests(zeta, *point)
+        tests = tests_at(*point)
         fm = math.nan if tests is None else tests[1][label]
         if math.isnan(fm) or abs(fm) < tol:
             break
@@ -434,7 +536,8 @@ def bifurcation_map(zeta: float,
 
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
-    vals = _grid_values(zeta, taus, alphas)
+    tests_at = _surface_evaluator(zeta)
+    vals = _grid_values(tests_at, taus, alphas)
 
     result = BifurcationMap(zeta=zeta, tau_grid=taus, alpha_grid=alphas)
     for label in BIFURCATION_LABELS:
@@ -447,7 +550,7 @@ def bifurcation_map(zeta: float,
             v0, v1 = grid[i0, j0], grid[i1, j1]
             if not (np.isfinite(v0) and np.isfinite(v1) and np.sign(v0) * np.sign(v1) < 0):
                 return None
-            refined = _refine_edge(zeta, label, (taus[i0], alphas[j0]),
+            refined = _refine_edge(tests_at, label, (taus[i0], alphas[j0]),
                                    (taus[i1], alphas[j1]), v0, residual_tol)
             return _curve_point(label, *refined, residual_tol)
 

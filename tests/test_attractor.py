@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from relaydyn import attractor
 from relaydyn.attractor import (extract_circle_map, iterate_attractor,
                                 on_plus_image_manifold, polygon_arcs, sweep,
                                 visit_window)
-from relaydyn.errors import (CentroidOnCurve, InsufficientSamples,
-                             LeftNeighborhood)
+from relaydyn.errors import (CentroidOnCurve, DegenerateDerivative,
+                             InsufficientSamples, LeftNeighborhood, NoConvergence,
+                             NoRootInBracket)
 from relaydyn.oscillator import collision_point, surface_alpha
 from relaydyn.reduced import map_F_branch, oscillator_context
 
@@ -155,3 +157,25 @@ def test_sweep_records_escape_without_raising():
     assert records[0].escaped
     assert np.isnan(records[0].env_min).all()
     assert visit_window(records) is None
+
+
+@pytest.mark.parametrize("error", [NoRootInBracket, DegenerateDerivative, NoConvergence])
+def test_crossing_failures_count_as_leaving(monkeypatch, fig_ctx, error):
+    # every crossing-time failure of map_F ends the run as an escape, so a
+    # sweep records it instead of raising
+    real, calls = attractor.map_F, []
+
+    def failing(ctx, y):
+        calls.append(y)
+        if len(calls) > 5:
+            raise error("crossing-time failure")
+        return real(ctx, y)
+
+    monkeypatch.setattr(attractor, "map_F", failing)
+    with pytest.raises(LeftNeighborhood) as info:
+        iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]))
+    assert isinstance(info.value.__cause__, error)
+    calls.clear()
+    records = sweep(ZETA, 4.25, EPS, [-0.45, -0.44])
+    assert [r.escaped for r in records] == [True, True]
+    assert np.isnan(records[1].env_max).all()

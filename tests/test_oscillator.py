@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from relaydyn.errors import NegativeEpsilon, SingularSurface
+from relaydyn.errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
+                             RelayDynError, SingularSurface)
 from relaydyn.oscillator import (bifurcation_map, collision_epsilon,
                                  collision_orbit, collision_point, find_nsc,
                                  stability_at_collision, surface_alpha)
@@ -110,6 +111,40 @@ def test_find_nsc_location_and_residual():
         assert abs(NS_ANGLE - target) > 1e-2
 
 
+@pytest.mark.parametrize("zeta, epsilon", [(-0.2, 0.1), (-0.3, 0.1), (-0.1, 0.5)])
+def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
+    # each slice crosses a non-transversal corner (q < 0) inside the scan;
+    # skipped, it shows the slice has no NS sign change at all
+    from relaydyn import oscillator as osc
+    real, tangential = osc._orbit, []
+
+    def recorded(corner, alpha):
+        try:
+            return real(corner, alpha)
+        except NonTransversalCorner:
+            tangential.append(corner.tau)
+            raise
+
+    monkeypatch.setattr(osc, "_orbit", recorded)
+    with pytest.raises(NegativeEpsilon, match="no Neimark-Sacker point on this slice"):
+        find_nsc(zeta, epsilon)
+    assert tangential
+
+
+def test_find_nsc_skips_degenerate_scan_points(monkeypatch):
+    # a tangential crossing at the first scan point leaves the NS point as is
+    from relaydyn import oscillator as osc
+    real, first = osc._branch_jacobians, math.pi + 0.2
+
+    def degenerate_at_first(corner, orbit):
+        if corner.tau == first:
+            raise DegenerateDerivative("tangential crossing")
+        return real(corner, orbit)
+
+    monkeypatch.setattr(osc, "_branch_jacobians", degenerate_at_first)
+    assert find_nsc(ZETA, EPS) == NSC
+
+
 def test_stability_at_nsc():
     stab = stability_at_collision(collision_orbit(ZETA, *NSC))
     assert stab.lambda_plus == pytest.approx(LAMBDA_PLUS_NSC, abs=1e-12)
@@ -159,12 +194,22 @@ def test_bifurcation_map_small_grid():
 
 # -- the bifurcation map against its three-evaluation predecessor ------------
 
+def generic_branch_jacobians(orbit):
+    """Both branch Jacobians through the reduced map's crossing-time solve."""
+    from relaydyn.oscillator import collision_context
+    from relaydyn.reduced import jacobian_F_branch
+    ctx = collision_context(orbit)
+    return (jacobian_F_branch(ctx, orbit.y_star, +1),
+            jacobian_F_branch(ctx, orbit.y_star, -1))
+
+
 def reference_bifurcation_map(zeta, tau_range, alpha_range, n_tau, n_alpha,
                               residual_tol=1e-8, counts=None):
     """The map as it was written before one evaluator served every stage.
 
     The grid, each bisection midpoint and each accepted crossing (once per
-    adjacent cell) evaluate the surface separately.  ``counts`` collects
+    adjacent cell) evaluate the surface separately, each with its own
+    corner solve and the generic branch Jacobians.  ``counts`` collects
     the midpoints in evaluation order and the number of re-evaluations.
     """
     from relaydyn import oscillator as osc
@@ -174,7 +219,7 @@ def reference_bifurcation_map(zeta, tau_range, alpha_range, n_tau, n_alpha,
 
     def tests_at(tau, alpha):
         orbit = osc.collision_orbit(zeta, tau, alpha)
-        return orbit, osc._test_values(*osc._branch_jacobians(orbit))
+        return orbit, osc._test_values(*generic_branch_jacobians(orbit))
 
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
@@ -301,13 +346,13 @@ def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
     counts = {}
     reference_bifurcation_map(ZETA, **grid, counts=counts)
     calls = []
-    real = osc.collision_orbit
+    real = osc._surface_tests
 
-    def counted(zeta, tau, alpha):
-        calls.append((tau, alpha))
-        return real(zeta, tau, alpha)
+    def counted(corner, alpha):
+        calls.append((corner.tau, alpha))
+        return real(corner, alpha)
 
-    monkeypatch.setattr(osc, "collision_orbit", counted)
+    monkeypatch.setattr(osc, "_surface_tests", counted)
     bmap = bifurcation_map(ZETA, **grid)
     n_cells = grid["n_tau"] * grid["n_alpha"]
     taus = np.linspace(*grid["tau_range"], grid["n_tau"])
@@ -317,3 +362,163 @@ def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
     # evaluated every accepted crossing again once per adjacent cell on top
     assert calls[n_cells:] == counts["midpoints"]
     assert counts["reevaluations"] >= len(bmap.all_points()) > 0
+
+
+def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_path):
+    from relaydyn import cli
+    from relaydyn import oscillator as osc
+    grid = REFERENCE_GRIDS[1]
+    counts = {}
+    reference_bifurcation_map(ZETA, **grid, counts=counts)
+    taus = np.linspace(*grid["tau_range"], grid["n_tau"])
+    distinct = sorted({float(t) for t in taus} | {float(p[0]) for p in counts["midpoints"]})
+    assert len(distinct) < grid["n_tau"] * grid["n_alpha"] + len(counts["midpoints"])
+    calls = []
+    real = osc.collision_point
+
+    def counted(zeta, tau):
+        calls.append(tau)
+        return real(zeta, tau)
+
+    monkeypatch.setattr(osc, "collision_point", counted)
+    # back-to-back runs each solve every corner: nothing is kept across calls
+    for _ in range(2):
+        calls.clear()
+        bifurcation_map(ZETA, **grid)
+        assert sorted(calls) == distinct
+    config = dict(cli.DEFAULTS["surface"], tau_range=[2.9, 5.5], n_tau=7, n_alpha=6)
+    rows = np.linspace(2.9, 5.5, 7)
+    for _ in range(2):
+        calls.clear()
+        cli.cmd_surface(config, tmp_path, 0)
+        assert calls == [t for t in rows if t > math.pi]  # none below the surface
+
+
+# -- closed-form corner Jacobians against the crossing-time solve -----------
+
+def closed_and_generic(points):
+    """Both Jacobian routes at each (zeta, tau, alpha) with a colliding orbit.
+
+    Yields (closed form, generic, h(y*) - eps); each route gives its
+    Jacobian pair or the class of the exception it raised.  The generic
+    route solves the crossing time by Newton from t = 0, so it steps off
+    the corner only where h(y*) misses eps, which is 1e-13 or more only
+    for large |y*|.
+    """
+    from relaydyn import oscillator as osc
+    for zeta, tau, alpha in points:
+        try:
+            corner = osc._corner(zeta, tau)
+            orbit = osc._orbit(corner, alpha)
+        except (RelayDynError, ValueError):
+            continue
+        sides = []
+        for jacobians in (lambda: osc._branch_jacobians(corner, orbit),
+                          lambda: generic_branch_jacobians(orbit)):
+            try:
+                sides.append(jacobians())
+            except RelayDynError as exc:
+                sides.append(type(exc))
+        ctx = osc.collision_context(orbit)
+        yield sides[0], sides[1], ctx.h(orbit.y_star) - orbit.params.epsilon
+
+
+def assert_closed_form_matches(points, rtol=1e-12):
+    """The closed form equals the generic route, or both raise one class.
+
+    Equality is exact where h(y*) meets eps to 1e-13; elsewhere the two
+    agree to ``rtol`` of the largest entry.  Returns the number of orbit
+    points, of raising points and of points off by 1e-13 or more.
+    """
+    n_orbits = n_raised = n_off = 0
+    for closed, generic, miss in closed_and_generic(points):
+        n_orbits += 1
+        if isinstance(closed, type) or isinstance(generic, type):
+            assert closed is generic, (closed, generic)
+            n_raised += 1
+        elif abs(miss) < 1e-13:
+            for got, ref in zip(closed, generic):
+                assert np.array_equal(got, ref)
+        else:
+            n_off += 1
+            for got, ref in zip(closed, generic):
+                assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+    return n_orbits, n_raised, n_off
+
+
+def test_closed_form_jacobians_on_the_default_bifmap_grid():
+    from relaydyn.cli import DEFAULTS
+    cfg = DEFAULTS["bifmap"]
+    taus = np.linspace(*cfg["tau_range"], cfg["n_tau"])
+    alphas = np.linspace(*cfg["alpha_range"], cfg["n_alpha"])
+    assert assert_closed_form_matches(
+        (cfg["zeta"], float(t), float(a)) for t in taus for a in alphas) == (1125, 0, 0)
+
+
+def test_closed_form_jacobians_on_find_nsc_slices(monkeypatch):
+    # every point find_nsc evaluates, its bisection included, on the default
+    # slice and on three slices that cross a tangential corner
+    from relaydyn import oscillator as osc
+    real, points = osc._orbit, []
+
+    def recorded(corner, alpha):
+        points.append((corner.zeta, corner.tau, alpha))
+        return real(corner, alpha)
+
+    monkeypatch.setattr(osc, "_orbit", recorded)
+    assert find_nsc(ZETA, EPS) == NSC
+    for zeta, epsilon in [(-0.2, 0.1), (-0.3, 0.1), (-0.1, 0.5)]:
+        with pytest.raises(NegativeEpsilon):
+            find_nsc(zeta, epsilon)
+    monkeypatch.undo()
+    n_orbits, n_raised, n_off = assert_closed_form_matches(points)
+    assert n_orbits > 150 and (n_raised, n_off) == (0, 0)
+
+
+def test_closed_form_jacobians_at_random_surface_points():
+    rng = np.random.default_rng(8)
+    taus = rng.uniform(math.pi, 2.0 * math.pi, 6000)
+    alphas = rng.uniform(-math.pi / 2, math.pi / 2, 6000)
+    n_orbits, n_raised, n_off = assert_closed_form_matches(
+        (ZETA, float(t), float(a)) for t, a in zip(taus, alphas))
+    assert n_orbits >= 2000 and (n_raised, n_off) == (0, 0)
+
+
+def test_closed_form_jacobians_at_near_tangential_corners():
+    # alpha within 1e-7 of c . f(y*, b) = 0: both routes raise
+    # DegenerateDerivative below |g_b| = 1e-8 and agree exactly above it
+    from relaydyn import oscillator as osc
+    points = []
+    for tau in np.linspace(3.3, 6.2, 15):
+        corner = osc._corner(ZETA, float(tau))
+        for f in (corner.f_plus, corner.f_minus):
+            for offset in (-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8, 1e-7):
+                points.append((ZETA, float(tau), math.atan(-f[0] / f[1]) + offset))
+    n_orbits, n_raised, n_off = assert_closed_form_matches(points)
+    assert n_raised > 20 and n_orbits - n_raised > 20 and n_off == 0
+
+
+def test_closed_form_jacobians_near_the_singular_corner():
+    # zeta -> 0 with tau -> pi drives |y*| up to about 1e6.  Where h(y*)
+    # misses eps by 1e-13 or more the generic route's Newton steps off
+    # t = 0 and lands up to 4.1e-13 (relative) away in this sample, 1.9e-12
+    # in one twice its size, hence 1e-11.  At 5 of these 1665 points its
+    # crossing bracket holds no sign change, while the closed form, exact
+    # at the corner, still returns.
+    from relaydyn.errors import NoRootInBracket
+    rng = np.random.default_rng(1)
+    points = [(-10 ** rng.uniform(-7, -2), math.pi + 10 ** rng.uniform(-8, -2),
+               rng.uniform(-math.pi / 2, math.pi / 2)) for _ in range(2000)]
+    n_exact = n_off = n_generic_fails = 0
+    for closed, generic, miss in closed_and_generic(points):
+        assert not isinstance(closed, type)
+        if generic is NoRootInBracket:
+            n_generic_fails += 1
+        elif abs(miss) < 1e-13:
+            n_exact += 1
+            assert all(np.array_equal(got, ref) for got, ref in zip(closed, generic))
+        else:
+            n_off += 1
+            for got, ref in zip(closed, generic):
+                assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert n_exact > 1000 and n_off > 50 and n_generic_fails < 10

@@ -45,7 +45,7 @@ def test_every_call_site_equals_scipy(monkeypatch):
     for module in (reduced, relay, oscillator, continuation):
         monkeypatch.setattr(module, "brentq", checked)
 
-    alpha = oscillator.surface_alpha(ZETA, TAU, EPS)[0]  # surface_alpha
+    alpha = oscillator.surface_alpha(ZETA, TAU, EPS)[0]  # _slice_roots
     ctx = oscillator.collision_context(oscillator.collision_orbit(ZETA, TAU, alpha))
     rng = np.random.default_rng(32)
     for y in ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)):  # _bracketed_newton
@@ -62,7 +62,7 @@ def test_every_call_site_equals_scipy(monkeypatch):
     relay.evolve(system, state, 20.0 * TAU)  # _march_relay, _next_head_crossing
     nsc = oscillator.find_nsc(ZETA, EPS)
     continuation._ns_alpha_at(ZETA, EPS, nsc[0] + 1e-3, nsc[1])
-    assert set(sites) == {"surface_alpha", "_bracketed_newton", "_march_relay",
+    assert set(sites) == {"_slice_roots", "_bracketed_newton", "_march_relay",
                           "_next_head_crossing", "_ns_alpha_at"}
     assert sites["_bracketed_newton"] >= 5 and sites["_next_head_crossing"] >= 10
 
