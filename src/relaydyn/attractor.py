@@ -65,6 +65,7 @@ class SweepRecord:
     visited_minus: bool
     sample: np.ndarray          # last few attractor points
     escaped: bool = False
+    retried: bool = False       # the warm start left, the default seed ran
 
     @property
     def width(self) -> np.ndarray:
@@ -113,9 +114,10 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
 
     With ``warm_start`` each parameter value starts from the previous
     attractor's last iterate, following the hysteresis-free protocol of
-    numerical bifurcation diagrams.  A run that leaves the neighborhood is
-    retried once from the default seed and recorded with ``escaped`` set
-    (NaN envelope) if it escapes again; the sweep itself never raises.
+    numerical bifurcation diagrams.  A warm start that leaves the
+    neighborhood is retried once from the default seed (``retried``); a
+    run that escapes from the default seed is recorded with ``escaped``
+    set (NaN envelope).  The sweep itself never raises.
     """
 
     alphas = np.asarray(alphas, dtype=float)
@@ -127,24 +129,28 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     y = np.asarray(y0, dtype=float) if y0 is not None else default_seed
     for alpha in alphas:
         ctx = oscillator_context(zeta, float(alpha), tau, epsilon, y_ref)
+        # the iteration is deterministic: rerunning the default seed cannot help
+        seeds = (y,) if np.array_equal(y, default_seed) else (y, default_seed)
         run = None
-        for seed in (y, default_seed):
+        for k, seed in enumerate(seeds):
             try:
                 run = iterate_attractor(ctx, seed, n_transient, n_total, radius)
                 break
             except LeftNeighborhood:
                 continue
+        retried = k > 0
         if run is None:
             nan2 = np.full(2, np.nan)
             records.append(SweepRecord(alpha=float(alpha), env_min=nan2, env_max=nan2,
                                        visited_plus=False, visited_minus=False,
-                                       sample=np.empty((0, 2)), escaped=True))
+                                       sample=np.empty((0, 2)), escaped=True,
+                                       retried=retried))
             y = default_seed
             continue
         records.append(SweepRecord(alpha=float(alpha), env_min=run.env_min,
                                    env_max=run.env_max, visited_plus=run.visited_plus,
                                    visited_minus=run.visited_minus,
-                                   sample=run.points[-keep:]))
+                                   sample=run.points[-keep:], retried=retried))
         if warm_start:
             y = run.final
     return records

@@ -69,10 +69,8 @@ class AffineOscillatorFlow:
         s = math.sin(t)
         return np.array([e * (-z * s - c) + 1.0, e * self._omsq * s])
 
-    # -- backend interface -------------------------------------------------
-
-    def apply(self, y, u: int, t: float) -> np.ndarray:
-        """Advance y by time t (any sign) under frozen input u."""
+    def _advance(self, x: float, xdot: float, u: int, t: float) -> tuple[float, float]:
+        """:meth:`apply` on a state given as two floats; returns two floats."""
         z = self.zeta
         e = math.exp(-z * t)
         c = math.cos(t)
@@ -83,10 +81,18 @@ class AffineOscillatorFlow:
         a22 = e * (c - z * s)
         v1 = e * (-z * s - c) + 1.0
         v2 = e * self._omsq * s
-        return np.array([
-            a11 * y[0] + a12 * y[1] + u * v1,
-            a21 * y[0] + a22 * y[1] + u * v2,
-        ])
+        return (a11 * x + a12 * xdot + u * v1,
+                a21 * x + a22 * xdot + u * v2)
+
+    def _accel(self, x: float, xdot: float, u: int) -> float:
+        """Second component of :meth:`velocity` on a state given as two floats."""
+        return -2.0 * self.zeta * xdot - self._omsq * (x - u)
+
+    # -- backend interface -------------------------------------------------
+
+    def apply(self, y, u: int, t: float) -> np.ndarray:
+        """Advance y by time t (any sign) under frozen input u."""
+        return np.array(self._advance(y[0], y[1], u, t))
 
     def apply_batch(self, ys, u: int, ts) -> np.ndarray:
         """Row-paired :meth:`apply`: ys[i] advanced by ts[i]; one state broadcasts."""
@@ -105,10 +111,7 @@ class AffineOscillatorFlow:
 
     def velocity(self, y, u: int) -> np.ndarray:
         """Vector field f(y, u)."""
-        return np.array([
-            y[1],
-            -2.0 * self.zeta * y[1] - self._omsq * (y[0] - u),
-        ])
+        return np.array([y[1], self._accel(y[0], y[1], u)])
 
     def jacobian(self, y, u: int, t: float) -> np.ndarray:
         """d(flow)/d(initial state); state-independent for an affine system."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -70,6 +69,8 @@ class DomainTag(enum.Enum):
 class CollisionContext:
     """Everything the reduced map needs around one corner collision.
 
+    The watched threshold is linear, h(y) = c . y, with unit normal
+    ``c = (cos alpha, sin alpha)``; :meth:`h` and :meth:`dh` read it.
     ``delta`` bounds the crossing-time search to (-delta, delta); it must
     be small enough that the path through any admissible point meets the
     threshold exactly once in that window.  ``y_ref`` is the collision
@@ -77,9 +78,8 @@ class CollisionContext:
     The context watches ``h = +eps`` and propagates with input +1.
     """
 
-    flow: object
-    h: Callable[[np.ndarray], float]
-    dh: Callable[[np.ndarray], np.ndarray]
+    flow: AffineOscillatorFlow
+    c: np.ndarray
     tau: float
     epsilon: float
     y_ref: np.ndarray
@@ -91,15 +91,21 @@ class CollisionContext:
         if not 0 < self.delta < self.tau:
             raise ValueError("crossing bracket must satisfy 0 < delta < tau")
 
+    def h(self, y) -> float:
+        """Threshold function c . y."""
+        return float(self.c @ y)
+
+    def dh(self, y) -> np.ndarray:
+        """Gradient of :meth:`h`: the normal c, the same at every y."""
+        return self.c
+
 
 def oscillator_context(zeta: float, alpha: float, tau: float, epsilon: float,
                        y_ref, delta: float | None = None) -> CollisionContext:
     """Reduced-map context for the relay oscillator with switching angle alpha."""
-    c = np.array([math.cos(alpha), math.sin(alpha)])
     return CollisionContext(
         flow=AffineOscillatorFlow(zeta),
-        h=lambda y: float(c @ y),
-        dh=lambda y: c,
+        c=np.array([math.cos(alpha), math.sin(alpha)]),
         tau=tau,
         epsilon=epsilon,
         y_ref=np.asarray(y_ref, dtype=float),
@@ -154,23 +160,49 @@ def _bracketed_newton(signal, start: float, box: tuple[float, float],
     return t, signal(t)[1]
 
 
+def _crossing_signal(ctx: CollisionContext, y, branch: int):
+    """Crossing signal of y on a branch: t -> (c . z - eps, c . f(z, branch)).
+
+    z is the branch flow from y at offset t and c the context's threshold
+    normal.  Each call is one scalar flow evaluation and builds no array:
+    both dot products share one 2-element buffer.
+    """
+
+    c, eps = ctx.c, ctx.epsilon
+    advance, accel = ctx.flow._advance, ctx.flow._accel
+    x0, xdot0 = float(y[0]), float(y[1])
+    buf = np.empty(2)
+
+    def signal(t: float) -> tuple[float, float]:
+        x, xdot = advance(x0, xdot0, branch, t)
+        # ndarray.dot, not c[0]*x + c[1]*xdot: the BLAS ddot fuses the
+        # multiply-add, so the plain float sum differs in the last bit
+        # (about one pair in four) and would move crossing times.
+        buf[0] = x
+        buf[1] = xdot
+        r = float(c.dot(buf)) - eps
+        buf[0] = xdot
+        buf[1] = accel(x, xdot, branch)
+        return r, float(c.dot(buf))
+
+    return signal
+
+
 def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
     """Offset t in [-delta, delta] with h = eps along the branch flow from y.
 
-    Newton from t = 0 with the analytic slope; falls back to bisection over
-    the full bracket when Newton stalls or leaves it.  Raises
-    :class:`NoRootInBracket` when the bracket holds no sign change and
-    :class:`DegenerateDerivative` when the signal is tangent at the root.
+    The signal is c . z(t) - eps with c the context's threshold normal and
+    z(t) the branch flow from y; its slope c . f(z(t), branch) comes from
+    the same flow evaluation.  Newton from t = 0 with that slope; falls
+    back to bisection over the full bracket when Newton stalls or leaves
+    it.  Raises :class:`NoRootInBracket` when the bracket holds no sign
+    change and :class:`DegenerateDerivative` when the signal is tangent at
+    the root.
     """
 
-    y = np.asarray(y, dtype=float)
-    flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
-
-    def signal(t: float) -> tuple[float, float]:
-        z = flow.apply(y, branch, t)
-        return float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, branch))
-
-    root = _bracketed_newton(signal, 0.0, (-delta, delta), (-delta, delta))
+    delta = ctx.delta
+    root = _bracketed_newton(_crossing_signal(ctx, y, branch), 0.0,
+                             (-delta, delta), (-delta, delta))
     if root is None:
         raise NoRootInBracket(
             f"no threshold crossing within {delta:.4g} of the switch point")

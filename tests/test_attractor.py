@@ -179,3 +179,86 @@ def test_crossing_failures_count_as_leaving(monkeypatch, fig_ctx, error):
     records = sweep(ZETA, 4.25, EPS, [-0.45, -0.44])
     assert [r.escaped for r in records] == [True, True]
     assert np.isnan(records[1].env_max).all()
+
+
+def generic_sweep(zeta, tau, epsilon, alphas, n_transient, n_total, keep=32,
+                  radius=attractor.DEFAULT_RADIUS):
+    """Warm-started sweep over the generic map -Y_p^(tau + t(y)) y.
+
+    The crossing time comes from the two-evaluation solve built on
+    ``flow.apply`` and ``flow.velocity``; no escape happens on the grids
+    this is used with.
+    """
+    from test_reduced import two_eval_crossing_time
+
+    y_ref = collision_point(zeta, tau)
+    y = y_ref + np.array([1e-3, 0.0])
+    out = []
+    for alpha in alphas:
+        ctx = oscillator_context(zeta, float(alpha), tau, epsilon, y_ref)
+        kept, flags = [], set()
+        for k in range(n_total):
+            b = -1 if ctx.h(y) >= epsilon else 1
+            y = -ctx.flow.apply(y, 1, tau + two_eval_crossing_time(ctx, y, b))
+            assert np.linalg.norm(y - y_ref) <= radius
+            if k >= n_transient:
+                kept.append(y)
+                flags.add(-1 if ctx.h(y) >= epsilon else 1)
+        pts = np.asarray(kept)
+        out.append((pts.min(axis=0), pts.max(axis=0), 1 in flags, -1 in flags,
+                    pts[-keep:]))
+    return out
+
+
+def test_sweep_equals_generic_map_loop():
+    # from the point attractor through the collision into the polygon regime
+    alphas = np.linspace(-0.47, -0.43, 5)
+    records = sweep(ZETA, 4.2, EPS, alphas, n_transient=20, n_total=60)
+    want = generic_sweep(ZETA, 4.2, EPS, alphas, n_transient=20, n_total=60)
+    assert any(r.visited_plus for r in records)
+    for r, (lo, hi, plus, minus, sample) in zip(records, want, strict=True):
+        assert not r.escaped and not r.retried
+        assert np.array_equal(r.env_min, lo)
+        assert np.array_equal(r.env_max, hi)
+        assert (r.visited_plus, r.visited_minus) == (plus, minus)
+        assert np.array_equal(r.sample, sample)
+
+
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    calls = []
+    real = attractor.iterate_attractor
+
+    def counting(ctx, y0, *args):
+        calls.append(np.array(y0))
+        return real(ctx, y0, *args)
+
+    monkeypatch.setattr(attractor, "iterate_attractor", counting)
+    return calls
+
+
+def test_sweep_does_not_rerun_the_default_seed(iterate_calls):
+    # the iteration is deterministic, so the default seed escapes again
+    records = sweep(ZETA, 4.2, EPS, [-0.1], radius=0.05)
+    assert len(iterate_calls) == 1
+    assert records[0].escaped and not records[0].retried
+    iterate_calls.clear()
+    records = sweep(ZETA, 4.2, EPS, [-0.1, -0.1], radius=0.05, warm_start=False)
+    assert len(iterate_calls) == 2
+    assert [(r.escaped, r.retried) for r in records] == [(True, False)] * 2
+
+
+def test_sweep_marks_retried_warm_starts(iterate_calls):
+    y_ref = collision_point(ZETA, 4.2)
+    far = y_ref + np.array([1.0, 0.0])
+    records = sweep(ZETA, 4.2, EPS, [-0.45, -0.44], y0=far)
+    # the far start leaves, the default seed holds, and its attractor warm
+    # starts the next value
+    assert len(iterate_calls) == 3
+    np.testing.assert_array_equal(iterate_calls[1], y_ref + np.array([1e-3, 0.0]))
+    assert [(r.escaped, r.retried) for r in records] == [(False, True), (False, False)]
+    iterate_calls.clear()
+    records = sweep(ZETA, 4.2, EPS, [-0.1], y0=far, radius=0.05)
+    assert len(iterate_calls) == 2
+    np.testing.assert_array_equal(iterate_calls[0], far)
+    assert records[0].escaped and records[0].retried

@@ -107,6 +107,21 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     assert sorted(manifest["outputs"]) == manifest["outputs"]
 
 
+@pytest.mark.parametrize("command, files", [
+    ("sweep", ("sweep.csv", "marks.json", "manifest.json")),
+    ("polygon", ("polygon.csv", "circle_map.csv", "summary.json", "manifest.json")),
+])
+def test_sweep_and_polygon_outputs_are_byte_identical(tmp_path, command, files):
+    outs = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        assert run_cli([command, "--out", str(out)]) == 0
+        outs.append(out)
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(files)
+    for fname in files:
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
 def test_simulate_different_seed_changes_random_history(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"horizon": 8.0, "history": "random"}))

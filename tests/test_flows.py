@@ -173,3 +173,33 @@ def test_numerical_flow_agrees_with_closed_form():
     ts = np.array([-1.0, -0.2, 0.0, 0.4, 2.0])
     np.testing.assert_allclose(num.apply_path(y, -1, ts),
                                closed.apply_path(y, -1, ts), rtol=0, atol=1e-8)
+
+
+def array_apply(flow, y, u, t):
+    """The array formula of ``apply`` before it delegated to the scalar form."""
+    z = flow.zeta
+    e = math.exp(-z * t)
+    c = math.cos(t)
+    s = math.sin(t)
+    omsq = 1.0 + z * z
+    a11, a12 = e * (c + z * s), e * s
+    a21, a22 = -e * omsq * s, e * (c - z * s)
+    v1, v2 = e * (-z * s - c) + 1.0, e * omsq * s
+    return np.array([a11 * y[0] + a12 * y[1] + u * v1,
+                     a21 * y[0] + a22 * y[1] + u * v2])
+
+
+def array_velocity(flow, y, u):
+    return np.array([y[1], -2.0 * flow.zeta * y[1] - (1.0 + flow.zeta ** 2) * (y[0] - u)])
+
+
+def test_apply_and_velocity_equal_the_array_formulas_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for zeta in (-0.1, -0.3, 0.05):
+        flow = AffineOscillatorFlow(zeta)
+        for y, t in zip(rng.normal(scale=2.0, size=(300, 2)), rng.uniform(-6, 6, size=300)):
+            for u in (-1, 1):
+                assert np.array_equal(flow.apply(y, u, t), array_apply(flow, y, u, t))
+                assert np.array_equal(flow.velocity(y, u), array_velocity(flow, y, u))
+                assert flow._advance(float(y[0]), float(y[1]), u, t) == \
+                    tuple(array_apply(flow, y, u, t))

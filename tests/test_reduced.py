@@ -314,3 +314,61 @@ def test_shared_newton_no_root(ctx, brentq_calls):
     with pytest.raises(NoRootInInterval):
         two_eval_theta(ctx, far)
     assert brentq_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the scalar crossing signal against the array route it replaced
+
+
+def test_crossing_signal_equals_array_route(ctx):
+    # value and slope of the buffer kernel equal h(z) - eps and
+    # dh(z) . f(z, b) built from flow.apply and flow.velocity, bit for bit
+    flow, eps = ctx.flow, ctx.epsilon
+    rng = np.random.default_rng(43)
+    ts = np.linspace(-ctx.delta, ctx.delta, 41)
+    points = np.vstack([ctx.y_ref + rng.normal(scale=5e-3, size=(30, 2)),
+                        ctx.y_ref + rng.normal(scale=0.3, size=(30, 2))])
+    for y in points:
+        for b in (1, -1):
+            signal = reduced._crossing_signal(ctx, y, b)
+            for t in ts:
+                z = flow.apply(y, b, t)
+                want = (float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, b)))
+                assert signal(t) == want
+
+
+def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
+    # the crossing solve runs on the scalar closed form; only the image is
+    # an array evaluation, on both branches and through iterate_attractor
+    from relaydyn import attractor
+    from relaydyn.flows import AffineOscillatorFlow
+
+    applies = []
+    real_apply = AffineOscillatorFlow.apply
+
+    def counting_apply(self, y, u, t):
+        applies.append(u)
+        return real_apply(self, y, u, t)
+
+    monkeypatch.setattr(AffineOscillatorFlow, "apply", counting_apply)
+    rng = np.random.default_rng(44)
+    branches = set()
+    for y in ctx.y_ref + rng.normal(scale=5e-3, size=(40, 2)):
+        branches.add(branch_of(ctx, y))
+        applies.clear()
+        map_F(ctx, y)
+        assert applies == [1]
+    assert branches == {1, -1}
+
+    maps = []
+    real_map = attractor.map_F
+
+    def counting_map(c, y):
+        maps.append(y)
+        return real_map(c, y)
+
+    monkeypatch.setattr(attractor, "map_F", counting_map)
+    applies.clear()
+    attractor.iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 10, 60)
+    assert len(maps) == 60
+    assert len(applies) == len(maps)
