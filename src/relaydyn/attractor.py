@@ -92,7 +92,8 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
-        if np.linalg.norm(y - ctx.y_ref) > radius:
+        d = y - ctx.y_ref
+        if math.sqrt(d.dot(d)) > radius:  # np.linalg.norm(d) bit for bit, minus its dispatch
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
         if k >= n_transient:
             kept.append(y)

@@ -193,26 +193,21 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> list[str]:
 
 
 def cmd_surface(config: dict, out_dir: Path, seed: int) -> list[str]:
+    zeta = config["zeta"]
     taus = np.linspace(*config["tau_range"], int(config["n_tau"]))
     alphas = np.linspace(*config["alpha_range"], int(config["n_alpha"]))
-    flow = AffineOscillatorFlow(config["zeta"])
-    rows = []
-    for tau in taus:
-        # one corner per row; delays without one (tau <= pi) give no row
-        try:
-            corner = oscillator._corner(config["zeta"], float(tau))
-        except RelayDynError:
-            continue
-        y = corner.y_star
-        resid = float(np.max(np.abs(y + flow.apply(y, 1, float(tau)))))
-        for alpha in alphas:
-            try:
-                orbit = oscillator._orbit(corner, float(alpha))
-                stab = oscillator._stability(corner, orbit)
-            except (RelayDynError, ValueError):
-                continue
-            rows.append((float(tau), float(alpha), orbit.params.epsilon,
-                         orbit.q, stab.lambda_plus, resid))
+    # one corner per row; delays without one (tau <= pi) give no row
+    corners = oscillator._corner_rows(zeta, taus)
+    has = ~np.isnan(corners[:, 0, 0])
+    taus, corners = taus[has], corners[has]
+    tau_col, alpha_col = np.repeat(taus, alphas.size), np.tile(alphas, taus.size)
+    eps, q, tests, valid = oscillator._surface_batch(
+        np.repeat(corners, alphas.size, axis=0), alpha_col)
+    flow = AffineOscillatorFlow(zeta)
+    resid = [float(np.max(np.abs(y + flow.apply(y, 1, tau))))
+             for tau, y in zip(taus.tolist(), corners[:, 0])]
+    rows = np.column_stack((tau_col, alpha_col, eps, q, tests["trace_plus"],
+                            np.repeat(resid, alphas.size)))[valid].tolist()
     f = output.write_csv(out_dir / "surface.csv",
                          ["tau", "alpha", "epsilon", "q", "lambda_plus", "residual"],
                          rows)

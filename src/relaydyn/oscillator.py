@@ -27,7 +27,7 @@ import numpy as np
 
 from ._roots import brentq
 from .errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
-                     RelayDynError, SingularSurface)
+                     SingularSurface)
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, oscillator_context
 
@@ -50,6 +50,8 @@ __all__ = [
 
 # relative smallest singular value below which I + A(tau) counts as singular
 _SINGULAR_RTOL = 1e-12
+# |c . f(y*, b)| below which the threshold is met tangentially
+_G_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,36 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     tau value.
     """
 
-    flow = AffineOscillatorFlow(zeta)
-    m = np.eye(2) + flow.flow_matrix(tau)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= sv[0] * _SINGULAR_RTOL:
+    a, v = _flow_rows(zeta, [tau])
+    y, sv = _switch_points(a, v)
+    if np.isnan(y[0, 0]):
         raise SingularSurface(
-            f"I + A(tau) singular at tau={tau:.6g} (cond {sv[0] / max(sv[-1], 1e-300):.2e})")
-    return np.linalg.solve(m, -flow.flow_offset(tau))
+            f"I + A(tau) singular at tau={tau:.6g} "
+            f"(cond {sv[0, 0] / max(sv[0, -1], 1e-300):.2e})")
+    return y[0]
+
+
+def _flow_rows(zeta: float, taus) -> tuple[np.ndarray, np.ndarray]:
+    """A(tau) and v(tau) for each delay, stacked (closed forms on math.exp)."""
+    flow = AffineOscillatorFlow(zeta)
+    a = np.array([flow.flow_matrix(t) for t in taus]).reshape(-1, 2, 2)
+    v = np.array([flow.flow_offset(t) for t in taus]).reshape(-1, 2)
+    return a, v
+
+
+def _switch_points(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve [I + A] y = -v for a stack of delays by one svd and one solve.
+
+    Returns y* and the singular values; rows of y* are NaN where I + A is
+    singular.  The stacked LAPACK calls equal the per-matrix ones bit for
+    bit.
+    """
+    m = np.eye(2) + a
+    sv = np.linalg.svd(m, compute_uv=False)
+    ok = sv[:, -1] > sv[:, 0] * _SINGULAR_RTOL
+    y = np.full(v.shape, np.nan)
+    y[ok] = np.linalg.solve(m[ok], -v[ok][..., None])[..., 0]
+    return y, sv
 
 
 def _surface_corner(zeta: float, tau: float) -> np.ndarray:
@@ -111,47 +136,57 @@ def _surface_corner(zeta: float, tau: float) -> np.ndarray:
     return collision_point(zeta, tau)
 
 
-class _Corner:
-    """The pieces of the collision orbit that depend on tau only.
+def _corner_rows(zeta: float, taus, y: np.ndarray | None = None) -> np.ndarray:
+    """The pieces of the collision orbit that depend on tau only, per delay.
 
-    Every alpha at one delay shares them: the switch point y*, the two
-    vector fields there, the flow matrix A(tau) and the vector field
-    f(w, +1) at the image w = Y_+^tau y*.  Callers solve one per delay and
-    pass it on.  The pieces are rows of one array, so a map run can hold
-    thousands of corners in little memory.
+    Every alpha at one delay shares them.  Row block k holds y*, the vector
+    fields f(y*, +1) and f(y*, -1), the flow matrix A(tau) (two rows) and
+    f(w, +1) at the image w = Y_+^tau y*, so a (k, 6, 2) array holds
+    thousands of corners in little memory.  The switch points are solved by
+    one stacked solve unless given; delays without a corner (tau < pi, or
+    I + A singular) get NaN rows, which every surface point there inherits.
     """
+    taus = np.asarray(taus, dtype=float)
+    a, v = _flow_rows(zeta, taus.tolist())
+    if y is None:
+        y, _ = _switch_points(a, v)
+        y[taus < math.pi + 1e-9] = np.nan
+    flow = AffineOscillatorFlow(zeta)
+    x, xdot = y[:, 0], y[:, 1]
+    # w = A y + v, summed in the order of flow.apply
+    w0 = a[:, 0, 0] * x + a[:, 0, 1] * xdot + v[:, 0]
+    w1 = a[:, 1, 0] * x + a[:, 1, 1] * xdot + v[:, 1]
+    rows = np.empty((taus.size, 6, 2))
+    rows[:, 0] = y
+    rows[:, 1, 0] = rows[:, 2, 0] = xdot
+    rows[:, 1, 1] = flow._accel(x, xdot, +1)
+    rows[:, 2, 1] = flow._accel(x, xdot, -1)
+    rows[:, 3:5] = a
+    rows[:, 5, 0] = w1
+    rows[:, 5, 1] = flow._accel(w0, w1, +1)
+    return rows
 
-    __slots__ = ("zeta", "tau", "_rows")
+
+class _Corner:
+    """The corner rows of one delay (see :func:`_corner_rows`)."""
+
+    __slots__ = ("zeta", "tau", "rows")
 
     def __init__(self, zeta: float, tau: float, y: np.ndarray):
-        flow = AffineOscillatorFlow(zeta)
         self.zeta, self.tau = zeta, tau
-        self._rows = np.empty((6, 2))
-        self._rows[0] = y
-        self._rows[1] = flow.velocity(y, +1)
-        self._rows[2] = flow.velocity(y, -1)
-        self._rows[3:5] = flow.flow_matrix(tau)
-        self._rows[5] = flow.velocity(flow.apply(y, 1, tau), 1)
+        self.rows = _corner_rows(zeta, [tau], np.asarray(y, dtype=float)[None])[0]
 
     @property
     def y_star(self) -> np.ndarray:
-        return self._rows[0]
+        return self.rows[0]
 
     @property
     def f_plus(self) -> np.ndarray:
-        return self._rows[1]
+        return self.rows[1]
 
     @property
     def f_minus(self) -> np.ndarray:
-        return self._rows[2]
-
-    @property
-    def a_tau(self) -> np.ndarray:
-        return self._rows[3:5]
-
-    @property
-    def f_image(self) -> np.ndarray:
-        return self._rows[5]
+        return self.rows[2]
 
 
 def _corner(zeta: float, tau: float) -> _Corner:
@@ -159,12 +194,9 @@ def _corner(zeta: float, tau: float) -> _Corner:
     return _Corner(zeta, tau, _surface_corner(zeta, tau))
 
 
-def _epsilon_at(y: np.ndarray, tau: float, alpha: float) -> float:
-    eps = y[0] * math.cos(alpha) + y[1] * math.sin(alpha)
-    if eps <= 0:
-        raise NegativeEpsilon(
-            f"no colliding orbit at tau={tau:.6g}, alpha={alpha:.6g} (eps={eps:.3e})")
-    return float(eps)
+def _epsilon(y: np.ndarray, alphas) -> np.ndarray:
+    """h(y*) = y*_1 cos(alpha) + y*_2 sin(alpha), row by row."""
+    return y[..., 0] * np.cos(alphas) + y[..., 1] * np.sin(alphas)
 
 
 def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
@@ -178,7 +210,14 @@ def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
     physical half-width (the parameter point lies off the surface).
     """
 
-    return _epsilon_at(_surface_corner(zeta, tau), tau, alpha)
+    return _positive_epsilon(float(_epsilon(_surface_corner(zeta, tau), alpha)), tau, alpha)
+
+
+def _positive_epsilon(eps: float, tau: float, alpha: float) -> float:
+    if eps <= 0:
+        raise NegativeEpsilon(
+            f"no colliding orbit at tau={tau:.6g}, alpha={alpha:.6g} (eps={eps:.3e})")
+    return eps
 
 
 def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
@@ -187,16 +226,15 @@ def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
 
 
 def _orbit(corner: _Corner, alpha: float) -> CollisionOrbit:
-    zeta, tau, y = corner.zeta, corner.tau, corner.y_star
-    eps = _epsilon_at(y, tau, alpha)
-    c = np.array([math.cos(alpha), math.sin(alpha)])
-    g_plus = float(c @ corner.f_plus)
-    g_minus = float(c @ corner.f_minus)
+    zeta, tau, alpha = corner.zeta, corner.tau, float(alpha)
+    eps, _, g = _orbit_scalars(corner.rows[None], np.array([alpha]))
+    eps = _positive_epsilon(float(eps[0]), tau, alpha)
+    g_plus, g_minus = float(g[0, 0]), float(g[0, 1])
     q = g_plus * g_minus
     if q <= 0:
         raise NonTransversalCorner(
             f"corner not strictly transversal at tau={tau:.6g}, alpha={alpha:.6g} (q={q:.3e})")
-    return CollisionOrbit(y_star=y, params=OscillatorParams(zeta, tau, eps, alpha),
+    return CollisionOrbit(y_star=corner.y_star, params=OscillatorParams(zeta, tau, eps, alpha),
                           q=q, g_plus=g_plus, g_minus=g_minus)
 
 
@@ -237,37 +275,92 @@ class CollisionStability:
 BIFURCATION_LABELS = ("fold_plus", "flip_plus", "fold_minus", "flip_minus", "ns_minus")
 
 
-def _branch_jacobians(corner: _Corner, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
-    """Both branch Jacobians at the corner, in closed form.
+# ---------------------------------------------------------------------------
+# the surface-point kernel: every formula below runs on stacks of points, and
+# the single-point functions call it with a stack of one.  Its numpy calls
+# equal their per-point forms bit for bit: np.cos/np.sin equal math.cos and
+# math.sin, a stacked (1, 2) @ (2, 1) matmul is the same BLAS ddot as c @ f,
+# and stacked det, trace, svd and solve equal the per-matrix calls.
+
+
+def _normals(alphas: np.ndarray) -> np.ndarray:
+    """Threshold normals c = (cos alpha, sin alpha), one row per alpha."""
+    return np.stack((np.cos(alphas), np.sin(alphas)), axis=-1)
+
+
+def _orbit_scalars(rows: np.ndarray, alphas: np.ndarray):
+    """eps = h(y*), the normals c and g_b = c . f(y*, b) at each point.
+
+    Returns eps (k,), c (k, 2) and g (k, 2) with columns b = +1, -1.
+    """
+    c = _normals(alphas)
+    g = np.stack([np.matmul(c[:, None, :], rows[:, b, :, None])[:, 0, 0] for b in (1, 2)],
+                 axis=-1)
+    return _epsilon(rows[:, 0], alphas), c, g
+
+
+def _jacobians(rows: np.ndarray, c: np.ndarray, g: np.ndarray):
+    """Both branch Jacobians at each corner, in closed form.
 
     The crossing offset is 0 at y* because eps = h(y*), so
     :func:`~relaydyn.reduced.jacobian_F_branch` reduces to
     DF_b = -A(tau) + f(w, +1) c^T / g_b with g_b = c . f(y*, b), and no
     crossing-time solve is needed.
     """
-    alpha = orbit.params.alpha
-    c = np.array([math.cos(alpha), math.sin(alpha)])
-    minus_a, f_image = -corner.a_tau, corner.f_image
-    jacobians = []
-    for g in (orbit.g_plus, orbit.g_minus):
-        if abs(g) < 1e-8:
-            raise DegenerateDerivative(f"threshold met tangentially at tau={corner.tau:.6g}, "
-                                       f"alpha={alpha:.6g}")
-        jacobians.append(minus_a + np.outer(f_image, c) / g)
-    return jacobians[0], jacobians[1]
+    minus_a = -rows[:, 3:5]
+    outer = rows[:, 5, :, None] * c[:, None, :]
+    return minus_a + outer / g[:, 0, None, None], minus_a + outer / g[:, 1, None, None]
 
 
-def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
-    lam = float(np.trace(j_plus))
+def _tests(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, np.ndarray]:
+    """The bifurcation test functions and both traces of stacked Jacobian pairs."""
+    lam = np.trace(j_plus, axis1=1, axis2=2)
     eye = np.eye(2)
     return {
         "fold_plus": lam - 1.0,
         "flip_plus": lam + 1.0,
-        "fold_minus": float(np.linalg.det(j_minus - eye)),
-        "flip_minus": float(np.linalg.det(j_minus + eye)),
-        "ns_minus": float(np.linalg.det(j_minus)) - 1.0,
-        "trace_minus": float(np.trace(j_minus)),
+        "fold_minus": np.linalg.det(j_minus - eye),
+        "flip_minus": np.linalg.det(j_minus + eye),
+        "ns_minus": np.linalg.det(j_minus) - 1.0,
+        "trace_minus": np.trace(j_minus, axis1=1, axis2=2),
+        "trace_plus": lam,
     }
+
+
+def _surface_batch(rows: np.ndarray, alphas: np.ndarray):
+    """Evaluate the surface at points given by corner rows (k, 6, 2) and alphas.
+
+    Returns eps (k,), q = g_+ g_- (k,), the :func:`_tests` arrays and the
+    validity mask.  A point is valid where the single-point route returns:
+    eps > 0 (else NegativeEpsilon), q > 0 (else NonTransversalCorner),
+    |g_b| >= _G_MIN (else DegenerateDerivative) and a corner exists (NaN
+    rows); the test values are NaN elsewhere.
+    """
+    eps, c, g = _orbit_scalars(rows, alphas)
+    q = g[:, 0] * g[:, 1]
+    valid = (eps > 0) & (q > 0) & (np.abs(g) >= _G_MIN).all(axis=1)
+    idx = np.flatnonzero(valid)
+    tests = {}
+    for key, value in _tests(*_jacobians(rows[idx], c[idx], g[idx])).items():
+        tests[key] = np.full(alphas.shape, np.nan)
+        tests[key][idx] = value
+    return eps, q, tests, valid
+
+
+def _branch_jacobians(corner: _Corner, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
+    """Both branch Jacobians at one corner (see :func:`_jacobians`)."""
+    alpha = orbit.params.alpha
+    g = np.array([[orbit.g_plus, orbit.g_minus]])
+    if (np.abs(g) < _G_MIN).any():
+        raise DegenerateDerivative(f"threshold met tangentially at tau={corner.tau:.6g}, "
+                                   f"alpha={alpha:.6g}")
+    j_plus, j_minus = _jacobians(corner.rows[None], _normals(np.array([alpha])), g)
+    return j_plus[0], j_minus[0]
+
+
+def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
+    """:func:`_tests` at one Jacobian pair, as floats."""
+    return {k: float(v[0]) for k, v in _tests(j_plus[None], j_minus[None]).items()}
 
 
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
@@ -278,9 +371,9 @@ def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
 
 def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:
     j_plus, j_minus = _branch_jacobians(corner, orbit)
-    lam = float(np.trace(j_plus))
     ev = np.linalg.eigvals(j_minus)
     vals = _test_values(j_plus, j_minus)
+    lam = vals.pop("trace_plus")
     tr = vals.pop("trace_minus")
     if abs(tr) >= 2.0:
         vals.pop("ns_minus")  # determinant can be 1 with real eigenvalues
@@ -316,7 +409,7 @@ def _slice_roots(y: np.ndarray, epsilon: float,
         return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
 
     grid = np.linspace(bracket[0], bracket[1], n_scan)
-    vals = np.array([g(a) for a in grid])
+    vals = _epsilon(y, grid) - epsilon  # equals g on every grid point
     roots = []
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-14)))
@@ -352,8 +445,7 @@ def find_nsc(zeta: float, epsilon: float,
         corner = _corner(zeta, tau)
         alpha = _slice_alpha_near(corner, epsilon, hint)
         orbit = _orbit(corner, alpha)
-        _, j_minus = _branch_jacobians(corner, orbit)
-        return float(np.linalg.det(j_minus)) - 1.0, alpha
+        return _test_values(*_branch_jacobians(corner, orbit))["ns_minus"], alpha
 
     taus = np.linspace(tau_bracket[0], tau_bracket[1], n_scan)
     hint = alpha_hint
@@ -415,71 +507,67 @@ class BifurcationMap:
 _RESONANCES = ((math.pi, "1:2"), (2.0 * math.pi / 3.0, "1:3"), (math.pi / 2.0, "1:4"))
 
 
-def _surface_tests(corner: _Corner, alpha: float):
-    """(orbit, test values) at one surface point; None where it is invalid."""
-    try:
-        orbit = _orbit(corner, float(alpha))
-        return orbit, _test_values(*_branch_jacobians(corner, orbit))
-    except (RelayDynError, ValueError):
-        # invalid surface point or (near-)tangential corner
-        return None
+class _Corners:
+    """Corner rows by delay for one map run; each delay is solved once.
 
-
-def _surface_evaluator(zeta: float):
-    """:func:`_surface_tests` by (tau, alpha), solving each distinct tau once.
-
-    The corners live as long as the returned function, so one map run
-    shares them between grid rows, constant-tau edges and midpoints.
+    The grid rows, the constant-tau edges and the midpoints of a run share
+    them.  New delays are solved together, by one stacked solve per call.
     """
-    corners: dict[float, _Corner | None] = {}
 
-    def tests(tau, alpha):
-        tau = float(tau)
-        if tau not in corners:
-            try:
-                corners[tau] = _corner(zeta, tau)
-            except (RelayDynError, ValueError):
-                corners[tau] = None  # no corner at this delay
-        corner = corners[tau]
-        return None if corner is None else _surface_tests(corner, alpha)
+    def __init__(self, zeta: float):
+        self.zeta = zeta
+        self._index: dict[float, int] = {}
+        self._rows = np.empty((0, 6, 2))
 
-    return tests
-
-
-def _grid_values(tests_at, taus, alphas):
-    """Test-function values over the grid; NaN where the surface is invalid."""
-    vals = {k: np.full((taus.size, alphas.size), np.nan)
-            for k in (*BIFURCATION_LABELS, "trace_minus")}
-    for i, tau in enumerate(taus):
-        for j, alpha in enumerate(alphas):
-            tests = tests_at(tau, alpha)
-            if tests is not None:
-                for k, v in tests[1].items():
-                    vals[k][i, j] = v
-    return vals
+    def evaluate(self, taus: np.ndarray, alphas: np.ndarray):
+        """:func:`_surface_batch` at the (tau, alpha) pairs."""
+        keys = taus.tolist()
+        new = [t for t in dict.fromkeys(keys) if t not in self._index]
+        if new:
+            self._index.update(zip(new, range(len(self._index), len(self._index) + len(new))))
+            self._rows = np.concatenate([self._rows, _corner_rows(self.zeta, new)])
+        return _surface_batch(self._rows[[self._index[t] for t in keys]], alphas)
 
 
-def _refine_edge(tests_at, label, p0, p1, v0, tol, max_iter=80):
-    """Bisect ``label`` along the segment p0-p1 until it is below tol.
+def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol, max_iter=80):
+    """Bisect every (label, edge) job in lockstep, one evaluation per round.
 
-    Returns the last midpoint, the test value there (NaN off the surface)
-    and its :func:`_surface_tests` result.  A NaN midpoint ends the search,
-    because the sign test brackets nothing past it.
+    Job n bisects the test function ``BIFURCATION_LABELS[labels[n]]`` along
+    the segment p0[n]-p1[n], whose value at p0[n] is f0[n].  Each job keeps
+    the rule of a scalar bisection: halve at m = (a + b) / 2, stop once the
+    value there is below tol or NaN (the sign test brackets nothing past a
+    NaN), else keep the half whose ends differ in sign; at most max_iter
+    steps.  Jobs on one edge share their midpoints until they part, and
+    each distinct point of a round is evaluated once.
+
+    Returns each job's last point (k, 2) and, at it, the job's test value,
+    eps and all :func:`_tests` values (NaN off the surface).
     """
-    a, b = 0.0, 1.0
-    fa = v0
+    k = labels.size
+    a, b, fa = np.zeros(k), np.ones(k), np.array(f0, dtype=float)
+    point, value, eps = np.empty((k, 2)), np.empty(k), np.empty(k)
+    tests: dict[str, np.ndarray] = {}
+    active = np.arange(k)
     for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        point = (p0[0] + m * (p1[0] - p0[0]), p0[1] + m * (p1[1] - p0[1]))
-        tests = tests_at(*point)
-        fm = math.nan if tests is None else tests[1][label]
-        if math.isnan(fm) or abs(fm) < tol:
+        if not active.size:
             break
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return point, fm, tests
+        m = 0.5 * (a[active] + b[active])
+        start = p0[active]
+        pts = start + m[:, None] * (p1[active] - start)
+        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        u_eps, _, u_tests, _ = corners.evaluate(uniq[:, 0], uniq[:, 1])
+        fm = np.stack([u_tests[lb] for lb in BIFURCATION_LABELS])[labels[active], inverse]
+        point[active], value[active], eps[active] = pts, fm, u_eps[inverse]
+        for key, v in u_tests.items():
+            tests.setdefault(key, np.full(k, np.nan))[active] = v[inverse]
+        go = ~(np.isnan(fm) | (np.abs(fm) < tol))
+        left = go & ((fa[active] < 0) != (fm < 0))
+        right = go & ~left
+        b[active[left]] = m[left]
+        a[active[right]], fa[active[right]] = m[right], fm[right]
+        active = active[go]
+    return point, value, eps, tests
 
 
 def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.ndarray]:
@@ -536,54 +624,63 @@ def bifurcation_map(zeta: float,
 
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
-    tests_at = _surface_evaluator(zeta)
-    vals = _grid_values(tests_at, taus, alphas)
+    tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6
+    corners = _Corners(zeta)
+    _, _, tests, _ = corners.evaluate(np.repeat(taus, alphas.size), np.tile(alphas, taus.size))
+    grid = np.stack([tests[lb] for lb in BIFURCATION_LABELS]).reshape(-1, taus.size, alphas.size)
+
+    # one job per (label, grid edge) with a sign change: edges (i, j)-(i+1, j)
+    # and (i, j)-(i, j+1)
+    jobs = []
+    for di, dj in ((1, 0), (0, 1)):
+        v0 = grid[:, :taus.size - di, :alphas.size - dj]
+        v1 = grid[:, di:, dj:]
+        crossed = np.isfinite(v0) & np.isfinite(v1) & (np.sign(v0) * np.sign(v1) < 0)
+        lab, i, j = np.nonzero(crossed)
+        jobs.append((lab, i, j, i + di, j + dj))
+    lab, i0, j0, i1, j1 = (np.concatenate(parts) for parts in zip(*jobs))
+    point, value, eps, final = _refine_edges(
+        corners, lab, np.stack((taus[i0], alphas[j0]), axis=1),
+        np.stack((taus[i1], alphas[j1]), axis=1), grid[lab, i0, j0], residual_tol)
+
+    # Cells (i, j) are met in row-major order, and each lists its edges as
+    # (i, j)-(i+1, j), (i, j+1)-(i+1, j+1), (i, j)-(i, j+1), (i+1, j)-(i+1, j+1).
+    # A label's points come in the order the cells first meet their edges, and
+    # each cell pairs the crossings it holds in that edge order into segments.
+    met = {label: [] for label in BIFURCATION_LABELS}
+    cells = {label: {} for label in BIFURCATION_LABELS}
+    for n in range(lab.size):
+        label = BIFURCATION_LABELS[lab[n]]
+        cp = _curve_point(label, point[n], value[n], eps[n],
+                          {key: v[n] for key, v in final.items()}, residual_tol)
+        if cp is None:
+            continue
+        # (cell, position) in each of the one or two cells holding the edge
+        i, j = int(i0[n]), int(j0[n])
+        if i1[n] > i:
+            sides = ((i, j - 1, 1), (i, j, 0))
+        else:
+            sides = ((i - 1, j, 3), (i, j, 2))
+        sides = [s for s in sides if 0 <= s[0] < taus.size - 1 and 0 <= s[1] < alphas.size - 1]
+        met[label].append((sides[0], cp))
+        for ci, cj, pos in sides:
+            cells[label].setdefault((ci, cj), []).append((pos, (cp.tau, cp.alpha)))
 
     result = BifurcationMap(zeta=zeta, tau_grid=taus, alpha_grid=alphas)
     for label in BIFURCATION_LABELS:
-        grid = vals[label]
-        # validated crossing per grid edge (or None), shared between the two
-        # adjacent cells
-        edge_pts: dict[tuple, CurvePoint | None] = {}
-
-        def crossing(i0, j0, i1, j1):
-            v0, v1 = grid[i0, j0], grid[i1, j1]
-            if not (np.isfinite(v0) and np.isfinite(v1) and np.sign(v0) * np.sign(v1) < 0):
-                return None
-            refined = _refine_edge(tests_at, label, (taus[i0], alphas[j0]),
-                                   (taus[i1], alphas[j1]), v0, residual_tol)
-            return _curve_point(label, *refined, residual_tol)
-
+        result.points[label] = [cp for _, cp in sorted(met[label], key=lambda e: e[0])]
         segments = []
-        for i in range(taus.size - 1):
-            for j in range(alphas.size - 1):
-                kept = []
-                for (i0, j0, i1, j1, eid) in (
-                        (i, j, i + 1, j, ("h", i, j)),
-                        (i, j + 1, i + 1, j + 1, ("h", i, j + 1)),
-                        (i, j, i, j + 1, ("v", i, j)),
-                        (i + 1, j, i + 1, j + 1, ("v", i + 1, j))):
-                    if eid not in edge_pts:
-                        edge_pts[eid] = crossing(i0, j0, i1, j1)
-                    cp = edge_pts[eid]
-                    if cp is not None:
-                        kept.append((cp.tau, cp.alpha))
-                if len(kept) >= 2:
-                    # ambiguous 4-crossing cells: pair in hit order
-                    for a, b in zip(kept[0::2], kept[1::2]):
-                        segments.append((a, b))
-        # edges enter edge_pts in the order the cells first meet them
-        result.points[label] = [cp for cp in edge_pts.values() if cp is not None]
-        tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6
+        for cell in sorted(cells[label]):
+            kept = [pt for _, pt in sorted(cells[label][cell])]
+            segments.extend(zip(kept[0::2], kept[1::2]))
         result.polylines[label] = _chain_segments(segments, tol)
     return result
 
 
-def _curve_point(label, point, residual, tests, residual_tol) -> CurvePoint | None:
+def _curve_point(label, point, residual, epsilon, tv, residual_tol) -> CurvePoint | None:
     """Validate and tag one refined crossing; None drops it (NaN included)."""
-    if not abs(residual) < residual_tol * 10 or tests is None:
+    if not abs(residual) < residual_tol * 10:
         return None
-    orbit, tv = tests
     tags = []
     if label == "ns_minus":
         tr = tv["trace_minus"]
@@ -597,5 +694,5 @@ def _curve_point(label, point, residual, tests, residual_tol) -> CurvePoint | No
             and abs(tv["flip_minus"]) < 1e-4:
         tags.append("pd-sn")
     return CurvePoint(tau=float(point[0]), alpha=float(point[1]),
-                      epsilon=orbit.params.epsilon, label=label,
+                      epsilon=float(epsilon), label=label,
                       residual=float(residual), tags=tuple(tags))

@@ -56,6 +56,8 @@ __all__ = [
     "reconstruct_history",
 ]
 
+_EPS = float(np.finfo(float).eps)
+
 
 class DomainTag(enum.Enum):
     """Which smooth branch of the reduced map applies at a point."""
@@ -127,20 +129,21 @@ def branch_of(ctx: CollisionContext, y) -> int:
 
 
 def _bracketed_newton(signal, start: float, box: tuple[float, float],
-                      bracket: tuple[float, float]) -> tuple[float, float] | None:
+                      bracket: tuple[float, float],
+                      tol: float = 1e-13) -> tuple[float, float] | None:
     """Root of a scalar signal: Newton from ``start``, else bisection.
 
     ``signal(t)`` returns the value and the slope from one flow evaluation.
-    Newton stops once an iterate leaves ``box`` and accepts a root only
-    inside ``bracket``; otherwise ``brentq`` searches the bracket.  Returns
-    the root and the slope there, or None when the bracket holds no sign
-    change.
+    Newton accepts an iterate whose value is below ``tol`` and lies inside
+    ``bracket``, and stops once an iterate leaves ``box``; otherwise
+    ``brentq`` searches the bracket.  Returns the root and the slope there,
+    or None when the bracket holds no sign change.
     """
 
     t = start
     for _ in range(30):
         r, d = signal(t)
-        if abs(r) < 1e-13:
+        if abs(r) < tol:
             if bracket[0] <= t <= bracket[1]:
                 return t, d
             break
@@ -161,16 +164,20 @@ def _bracketed_newton(signal, start: float, box: tuple[float, float],
 
 
 def _crossing_signal(ctx: CollisionContext, y, branch: int):
-    """Crossing signal of y on a branch: t -> (c . z - eps, c . f(z, branch)).
+    """Crossing signal of y on a branch, and the residual Newton can reach.
 
-    z is the branch flow from y at offset t and c the context's threshold
-    normal.  Each call is one scalar flow evaluation and builds no array:
-    both dot products share one 2-element buffer.
+    The signal is t -> (c . z - eps, c . f(z, branch)), with z the branch
+    flow from y at offset t and c the context's threshold normal.  Each call
+    is one scalar flow evaluation and builds no array: both dot products
+    share one 2-element buffer.  The value rounds to a few ulps of |y|, so
+    the residual floor is 1e-13 up to |y| = 14 and 32 machine epsilons of
+    |y| beyond, where 1e-13 would be below the rounding.
     """
 
     c, eps = ctx.c, ctx.epsilon
     advance, accel = ctx.flow._advance, ctx.flow._accel
     x0, xdot0 = float(y[0]), float(y[1])
+    tol = max(1e-13, 32.0 * _EPS * max(abs(x0), abs(xdot0)))
     buf = np.empty(2)
 
     def signal(t: float) -> tuple[float, float]:
@@ -185,7 +192,7 @@ def _crossing_signal(ctx: CollisionContext, y, branch: int):
         buf[1] = accel(x, xdot, branch)
         return r, float(c.dot(buf))
 
-    return signal
+    return signal, tol
 
 
 def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
@@ -201,8 +208,8 @@ def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
     """
 
     delta = ctx.delta
-    root = _bracketed_newton(_crossing_signal(ctx, y, branch), 0.0,
-                             (-delta, delta), (-delta, delta))
+    signal, tol = _crossing_signal(ctx, y, branch)
+    root = _bracketed_newton(signal, 0.0, (-delta, delta), (-delta, delta), tol)
     if root is None:
         raise NoRootInBracket(
             f"no threshold crossing within {delta:.4g} of the switch point")

@@ -340,27 +340,37 @@ def test_bifurcation_map_equals_the_three_evaluation_map(grid):
         assert points["ns_minus"]
 
 
-def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
+def recorded_evaluations(monkeypatch, zeta, grid):
+    """The (tau, alpha) batches one bifurcation_map run hands its evaluator."""
     from relaydyn import oscillator as osc
+    batches = []
+    real = osc._Corners.evaluate
+
+    def counted(self, taus, alphas):
+        batches.append(list(zip(taus.tolist(), alphas.tolist())))
+        return real(self, taus, alphas)
+
+    monkeypatch.setattr(osc._Corners, "evaluate", counted)
+    bmap = bifurcation_map(zeta, **grid)
+    monkeypatch.undo()
+    return bmap, batches
+
+
+def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
     grid = REFERENCE_GRIDS[1]
     counts = {}
     reference_bifurcation_map(ZETA, **grid, counts=counts)
-    calls = []
-    real = osc._surface_tests
-
-    def counted(corner, alpha):
-        calls.append((corner.tau, alpha))
-        return real(corner, alpha)
-
-    monkeypatch.setattr(osc, "_surface_tests", counted)
-    bmap = bifurcation_map(ZETA, **grid)
-    n_cells = grid["n_tau"] * grid["n_alpha"]
+    bmap, batches = recorded_evaluations(monkeypatch, ZETA, grid)
     taus = np.linspace(*grid["tau_range"], grid["n_tau"])
     alphas = np.linspace(*grid["alpha_range"], grid["n_alpha"])
-    assert calls[:n_cells] == [(t, a) for t in taus for a in alphas]
-    # the rest are the bisection midpoints, in the predecessor's order; it
-    # evaluated every accepted crossing again once per adjacent cell on top
-    assert calls[n_cells:] == counts["midpoints"]
+    assert batches[0] == [(t, a) for t in taus for a in alphas]
+    # then one batch per bisection round: the predecessor's midpoints as a
+    # set, each evaluated once, though labels crossing on one edge shared
+    # them and it evaluated every accepted crossing again once per cell
+    midpoints = [p for batch in batches[1:] for p in batch]
+    assert len(set(midpoints)) == len(midpoints)
+    assert set(midpoints) == set(counts["midpoints"])
+    assert len(midpoints) < len(counts["midpoints"])
     assert counts["reevaluations"] >= len(bmap.all_points()) > 0
 
 
@@ -374,24 +384,27 @@ def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_p
     distinct = sorted({float(t) for t in taus} | {float(p[0]) for p in counts["midpoints"]})
     assert len(distinct) < grid["n_tau"] * grid["n_alpha"] + len(counts["midpoints"])
     calls = []
-    real = osc.collision_point
+    real = osc._corner_rows
 
-    def counted(zeta, tau):
-        calls.append(tau)
-        return real(zeta, tau)
+    def counted(zeta, taus, y=None):
+        if y is None:  # a corner solve, not rows at a given y*
+            calls.append(np.asarray(taus, dtype=float).tolist())
+        return real(zeta, taus, y)
 
-    monkeypatch.setattr(osc, "collision_point", counted)
-    # back-to-back runs each solve every corner: nothing is kept across calls
+    monkeypatch.setattr(osc, "_corner_rows", counted)
+    # back-to-back runs each solve every corner once: nothing is kept across
+    # calls, and a bisection round solves only the delays it adds
     for _ in range(2):
         calls.clear()
         bifurcation_map(ZETA, **grid)
-        assert sorted(calls) == distinct
+        assert sorted(t for batch in calls for t in batch) == distinct
+        assert calls[0] == taus.tolist()
     config = dict(cli.DEFAULTS["surface"], tau_range=[2.9, 5.5], n_tau=7, n_alpha=6)
     rows = np.linspace(2.9, 5.5, 7)
     for _ in range(2):
         calls.clear()
         cli.cmd_surface(config, tmp_path, 0)
-        assert calls == [t for t in rows if t > math.pi]  # none below the surface
+        assert calls == [rows.tolist()]  # one stacked solve for the whole grid
 
 
 # -- closed-form corner Jacobians against the crossing-time solve -----------
@@ -499,26 +512,196 @@ def test_closed_form_jacobians_at_near_tangential_corners():
 
 
 def test_closed_form_jacobians_near_the_singular_corner():
-    # zeta -> 0 with tau -> pi drives |y*| up to about 1e6.  Where h(y*)
-    # misses eps by 1e-13 or more the generic route's Newton steps off
-    # t = 0 and lands up to 4.1e-13 (relative) away in this sample, 1.9e-12
-    # in one twice its size, hence 1e-11.  At 5 of these 1665 points its
-    # crossing bracket holds no sign change, while the closed form, exact
-    # at the corner, still returns.
-    from relaydyn.errors import NoRootInBracket
+    # zeta -> 0 with tau -> pi drives |y*| up to about 1e6, where h(y*)
+    # misses eps by about an ulp of |y*|: by 1e-13 or more at 113 of these
+    # 1665 points.  The crossing-time Newton's residual floor grows with
+    # |y|, so the generic route still stops at t = 0 there and equals the
+    # closed form bit for bit at every point.
     rng = np.random.default_rng(1)
     points = [(-10 ** rng.uniform(-7, -2), math.pi + 10 ** rng.uniform(-8, -2),
                rng.uniform(-math.pi / 2, math.pi / 2)) for _ in range(2000)]
-    n_exact = n_off = n_generic_fails = 0
+    n_orbits = n_off = 0
     for closed, generic, miss in closed_and_generic(points):
-        assert not isinstance(closed, type)
-        if generic is NoRootInBracket:
-            n_generic_fails += 1
-        elif abs(miss) < 1e-13:
-            n_exact += 1
-            assert all(np.array_equal(got, ref) for got, ref in zip(closed, generic))
-        else:
-            n_off += 1
-            for got, ref in zip(closed, generic):
-                assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
-    assert n_exact > 1000 and n_off > 50 and n_generic_fails < 10
+        assert not isinstance(closed, type) and not isinstance(generic, type)
+        assert all(np.array_equal(got, ref) for got, ref in zip(closed, generic))
+        n_orbits += 1
+        n_off += abs(miss) >= 1e-13
+    assert n_orbits == 1665 and n_off == 113
+
+
+# |y*| from 4.5e3 to 2.4e6: h(y*) misses eps by about an ulp of |y*|, more
+# than 1e-13, so Newton has to accept t = 0 on a floor scaled by |y|; the
+# fallback bracket is crossed twice and holds no sign change
+LARGE_CORNERS = [
+    (-1.25688014523386e-07, 3.14159319375383, 0.8819210364435208),
+    (-1.674629636797883e-07, 3.141656733849946, 1.424761121888733),
+    (-2.203500005810026e-06, 3.1416045274462125, 1.1977950139097056),
+    (-8.352912734554121e-06, 3.141722938651509, 1.3903218358204912),
+    (-1.6634731161678694e-05, 3.142030098709536, 1.4255541072510298),
+]
+
+
+@pytest.mark.parametrize("zeta, tau, alpha", LARGE_CORNERS)
+def test_crossing_time_at_corners_with_large_y_star(zeta, tau, alpha):
+    from relaydyn.oscillator import collision_context
+    from relaydyn.reduced import crossing_time
+    orbit = collision_orbit(zeta, tau, alpha)
+    assert np.max(np.abs(orbit.y_star)) > 4e3
+    ctx = collision_context(orbit)
+    assert [crossing_time(ctx, orbit.y_star, b) for b in (1, -1)] == [0.0, 0.0]
+
+
+# -- the batched surface evaluator against the single-point route -----------
+
+def scalar_surface_values(zeta, tau, alpha):
+    """(eps, q, test values) at one point, or the class of the exception.
+
+    The route raises where collision_orbit or the generic branch Jacobians
+    do; the values come from per-point formulas written out here: h(y*) on
+    math.cos and math.sin, g_b = c @ f(y*, b), and the test functions of
+    the two Jacobians by single-matrix trace and det.
+    """
+    from relaydyn.flows import AffineOscillatorFlow
+    try:
+        orbit = collision_orbit(zeta, tau, alpha)
+        j_plus, j_minus = generic_branch_jacobians(orbit)
+    except (RelayDynError, ValueError) as exc:
+        return type(exc)
+    y, flow = orbit.y_star, AffineOscillatorFlow(zeta)
+    c = np.array([math.cos(alpha), math.sin(alpha)])
+    eps = float(y[0] * math.cos(alpha) + y[1] * math.sin(alpha))
+    q = float(c @ flow.velocity(y, 1)) * float(c @ flow.velocity(y, -1))
+    lam, eye = float(np.trace(j_plus)), np.eye(2)
+    return eps, q, {
+        "fold_plus": lam - 1.0,
+        "flip_plus": lam + 1.0,
+        "fold_minus": float(np.linalg.det(j_minus - eye)),
+        "flip_minus": float(np.linalg.det(j_minus + eye)),
+        "ns_minus": float(np.linalg.det(j_minus)) - 1.0,
+        "trace_minus": float(np.trace(j_minus)),
+        "trace_plus": lam,
+    }
+
+
+def surface_sample():
+    """(zeta, tau, alpha) points that reach every way off the surface.
+
+    Random points with tau from below pi + 1e-9 (no corner) to 2 pi, where
+    eps <= 0 and q <= 0 both occur; alphas within 1e-7 of a tangential
+    corner, |g_b| < 1e-8 included; and the singular I + A(tau) limit
+    zeta -> 0, tau -> pi, where |y*| reaches about 1e6.
+    """
+    from relaydyn import oscillator as osc
+    rng = np.random.default_rng(12)
+    points = [(ZETA, t, a) for t, a in zip(rng.uniform(math.pi - 0.3, 2 * math.pi, 3000),
+                                          rng.uniform(-math.pi / 2, math.pi / 2, 3000))]
+    points += [(ZETA, t, 0.3) for t in (math.pi, math.pi + 1e-9, np.nextafter(math.pi + 1e-9, 0))]
+    for tau in np.linspace(3.3, 6.2, 15):
+        corner = osc._corner(ZETA, float(tau))
+        for f in (corner.f_plus, corner.f_minus):
+            for offset in (-1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-8, 1e-7):
+                points.append((ZETA, float(tau), math.atan(-f[0] / f[1]) + offset))
+    points += [(-10 ** rng.uniform(-7, -2), math.pi + 10 ** rng.uniform(-8, -2),
+                rng.uniform(-math.pi / 2, math.pi / 2)) for _ in range(1000)]
+    return [(float(z), float(t), float(a)) for z, t, a in points]
+
+
+def test_batched_evaluator_equals_the_single_point_route():
+    from relaydyn import oscillator as osc
+    points = surface_sample()
+    rows = np.concatenate([osc._corner_rows(z, [t]) for z, t, _ in points])
+    eps, q, tests, valid = osc._surface_batch(rows, np.array([a for _, _, a in points]))
+    raised = {}
+    for n, point in enumerate(points):
+        ref = scalar_surface_values(*point)
+        if isinstance(ref, type):
+            raised[ref] = raised.get(ref, 0) + 1
+            assert not valid[n] and all(np.isnan(v[n]) for v in tests.values()), point
+            continue
+        assert valid[n], point
+        assert (eps[n], q[n]) == ref[:2], point
+        assert {k: v[n] for k, v in tests.items()} == ref[2], point
+    assert all(raised.get(exc, 0) > 50 for exc in (SingularSurface, NegativeEpsilon,
+                                                  NonTransversalCorner, DegenerateDerivative)), raised
+    assert valid.sum() > 1500
+
+
+def test_platform_numpy_matches_the_scalar_calls(monkeypatch):
+    # The batched evaluator equals the single-point route only while numpy's
+    # cos and sin equal math.cos and math.sin, and stacked det, svd, solve,
+    # trace and (1, 2) @ (2, 1) matmul equal their per-matrix calls.  A numpy
+    # build or CPU whose vector routines differ fails here, not through
+    # silently changed bifmap files.
+    from relaydyn import oscillator as osc
+    from relaydyn.cli import DEFAULTS
+    taus, alphas = [], []
+    for name in ("bifmap", "surface"):
+        cfg = DEFAULTS[name]
+        taus.append(np.linspace(*cfg["tau_range"], cfg["n_tau"]))
+        alphas.append(np.linspace(*cfg["alpha_range"], cfg["n_alpha"]))
+    for grid in REFERENCE_GRIDS:
+        _, batches = recorded_evaluations(monkeypatch, ZETA, grid)
+        points = np.array([p for batch in batches[1:] for p in batch])
+        taus.append(points[:, 0])
+        alphas.append(points[:, 1])
+    alphas = np.concatenate(alphas)
+    for vector, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        assert np.array_equal(vector(alphas), [scalar(a) for a in alphas])
+        assert all(vector(alphas[n:n + 1])[0] == scalar(alphas[n]) for n in range(0, alphas.size, 7))
+
+    taus = np.unique(np.concatenate(taus))
+    a, v = osc._flow_rows(ZETA, taus.tolist())
+    m = np.eye(2) + a
+    assert np.array_equal(np.linalg.svd(m, compute_uv=False),
+                          [np.linalg.svd(mi, compute_uv=False) for mi in m])
+    assert np.array_equal(np.linalg.solve(m, -v[..., None])[..., 0],
+                          [np.linalg.solve(mi, -vi) for mi, vi in zip(m, v)])
+    rows = osc._corner_rows(ZETA, taus)
+    rows = rows[~np.isnan(rows[:, 0, 0])]
+    c = np.stack((np.cos(alphas[:len(rows)]), np.sin(alphas[:len(rows)])), axis=-1)
+    for f in (rows[:, 1], rows[:, 2]):
+        assert np.array_equal(np.matmul(c[:, None, :], f[:, :, None])[:, 0, 0],
+                              [ci @ fi for ci, fi in zip(c, f)])
+    j = -rows[:, 3:5] + rows[:, 5, :, None] * c[:, None, :]
+    for stack in (j, j - np.eye(2), j + np.eye(2)):
+        assert np.array_equal(np.linalg.det(stack), [np.linalg.det(ji) for ji in stack])
+        assert np.array_equal(np.trace(stack, axis1=1, axis2=2), [np.trace(ji) for ji in stack])
+
+
+def reference_slice_roots(y, epsilon, bracket=(-math.pi / 2, math.pi / 2), n_scan=361):
+    """The eps-slice roots with the scan evaluated point by point, as written before."""
+    from relaydyn._roots import brentq
+
+    def g(alpha):
+        return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
+
+    grid = np.linspace(bracket[0], bracket[1], n_scan)
+    vals = np.array([g(a) for a in grid])
+    roots = [float(brentq(g, grid[i], grid[i + 1], xtol=1e-14))
+             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
+    roots += [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
+    return sorted(roots)
+
+
+def test_slice_roots_equal_the_pointwise_scan(monkeypatch, tmp_path):
+    from relaydyn import cli
+    from relaydyn import oscillator as osc
+    slices = []
+    real = osc._slice_roots
+
+    def recorded(y, epsilon, *args):
+        slices.append((np.array(y), epsilon))
+        return real(y, epsilon, *args)
+
+    monkeypatch.setattr(osc, "_slice_roots", recorded)
+    cli.cmd_unfold(dict(cli.DEFAULTS["unfold"]), tmp_path, 0)
+    monkeypatch.undo()
+    assert len(slices) > 150
+    rng = np.random.default_rng(14)
+    slices += [(rng.normal(size=2), float(rng.uniform(0.0, 1.0))) for _ in range(200)]
+    n_roots = 0
+    for y, epsilon in slices:
+        roots = osc._slice_roots(y, epsilon)
+        assert roots == reference_slice_roots(y, epsilon)
+        n_roots += len(roots)
+    assert n_roots > 300

@@ -330,7 +330,7 @@ def test_crossing_signal_equals_array_route(ctx):
                         ctx.y_ref + rng.normal(scale=0.3, size=(30, 2))])
     for y in points:
         for b in (1, -1):
-            signal = reduced._crossing_signal(ctx, y, b)
+            signal, _ = reduced._crossing_signal(ctx, y, b)
             for t in ts:
                 z = flow.apply(y, b, t)
                 want = (float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, b)))
