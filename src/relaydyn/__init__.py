@@ -15,14 +15,12 @@ from .continuation import (Branch, BranchPoint, FourierCurve, continue_branch,
                            invariant_curve_residual, newton, solve_fixed_point)
 from .errors import (BreakupDetected, CentroidOnCurve, DegenerateCrossing,
                      DegenerateDerivative, InitialPointFailed,
-                     InsufficientSamples, IntegrationFailure,
-                     LeftNeighborhood, NegativeEpsilon, NoConvergence,
-                     NonTransversalCorner, NoRootInBracket, NoRootInInterval,
-                     NotAMaximum,
-                     NumericalError, ParametrizationBreakdown, RelayDynError,
-                     SingularJacobian, SingularSurface, ValidationError,
-                     WindowTooLarge)
-from .flows import AffineOscillatorFlow, NumericalFlow
+                     InsufficientSamples, LeftNeighborhood, NegativeEpsilon,
+                     NoConvergence, NonTransversalCorner, NoRootInBracket,
+                     NoRootInInterval, NotAMaximum, NumericalError,
+                     ParametrizationBreakdown, RelayDynError, SingularJacobian,
+                     SingularSurface, ValidationError, WindowTooLarge)
+from .flows import AffineOscillatorFlow
 from .history import (BreakpointHistory, HybridState, SampledHistory,
                       Trajectory)
 from .oscillator import (BifurcationMap, CollisionOrbit, CollisionStability,

@@ -126,6 +126,8 @@ def load_config(command: str, path: str | None) -> dict:
         _check_value(key, config[key], default)
     if "n_total" in config and not config["n_transient"] < config["n_total"]:
         raise ConfigError("'n_transient' must be below 'n_total'")
+    if command == "bifmap" and min(config["n_tau"], config["n_alpha"]) < 2:
+        raise ConfigError("'n_tau' and 'n_alpha' must be at least 2 for bifmap")
     return config
 
 
@@ -377,6 +379,8 @@ def run(argv=None) -> int:
             print(json.dumps(load_config(args.name, args.config),
                              sort_keys=True, indent=2))
         return 0
+    if args.seed < 0:
+        raise ConfigError(f"'--seed' must be non-negative, got {args.seed}")
     config = load_config(args.command, args.config)
     out_dir = _prepare_out(args.out)
     names = COMMANDS[args.command](config, out_dir, int(args.seed))

@@ -12,7 +12,6 @@ __all__ = [
     "RelayDynError",
     "NumericalError",
     "ValidationError",
-    "IntegrationFailure",
     "NoRootInBracket",
     "DegenerateDerivative",
     "NoConvergence",
@@ -46,10 +45,6 @@ class ValidationError(RelayDynError):
 
 
 # --- numerical failures -------------------------------------------------
-
-class IntegrationFailure(NumericalError):
-    """The generic ODE backend did not complete a requested integration."""
-
 
 class NoRootInBracket(NumericalError):
     """A root solve found no sign change across its admissible bracket."""

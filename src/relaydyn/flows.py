@@ -2,26 +2,22 @@
 
 A flow backend knows how to advance a state under either of the two frozen
 inputs u = +1 / u = -1, evaluate the vector field itself, and report the
-derivative of the time-t flow with respect to the initial state.  Two
-implementations are provided:
+derivative of the time-t flow with respect to the initial state.
 
-* :class:`AffineOscillatorFlow` - the damped harmonic oscillator with
-  constant forcing, advanced in closed form.  Valid for positive *and*
-  negative times, which the return-map construction relies on.
-* :class:`NumericalFlow` - an adaptive Runge-Kutta 5(4) wrapper for vector
-  fields without a usable closed form (needs scipy).
+:class:`AffineOscillatorFlow` is the damped harmonic oscillator with
+constant forcing, advanced in closed form.  It is valid for positive *and*
+negative times, which the return-map construction relies on.  Consumers
+(``RelaySystem``, ``BreakpointHistory``, ``Trajectory``) take any object
+with the same methods.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationFailure
-
-__all__ = ["AffineOscillatorFlow", "NumericalFlow"]
+__all__ = ["AffineOscillatorFlow"]
 
 
 class AffineOscillatorFlow:
@@ -127,99 +123,3 @@ class AffineOscillatorFlow:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AffineOscillatorFlow(zeta={self.zeta})"
-
-
-class NumericalFlow:
-    """Adaptive RK45 flow for a vector-field pair without closed form.
-
-    Integrates with ``scipy.integrate.solve_ivp``, imported on first use, so
-    this backend (the tests' Runge-Kutta oracle) needs scipy installed.
-
-    Parameters
-    ----------
-    field : callable(y, u) -> array
-        Right-hand side; u is +1 or -1.
-    dim : state dimension.
-    field_jacobian : optional callable(y, u) -> (dim, dim) array.
-        Enables flow Jacobians through the variational equations.  Without
-        it :meth:`jacobian` falls back to central differences.
-    rtol, atol : solver tolerances (default 1e-10 / 1e-10).
-    """
-
-    def __init__(self, field: Callable, dim: int, field_jacobian: Callable | None = None,
-                 rtol: float = 1e-10, atol: float = 1e-10):
-        self.field = field
-        self.dim = int(dim)
-        self.field_jacobian = field_jacobian
-        self.rtol = float(rtol)
-        self.atol = float(atol)
-
-    def _solve(self, y, u, t, dense=False):
-        from scipy.integrate import solve_ivp
-
-        if t == 0.0:
-            # solve_ivp rejects empty spans
-            return None
-        sol = solve_ivp(lambda s, yy: self.field(yy, u), (0.0, t), np.asarray(y, float),
-                        method="RK45", rtol=self.rtol, atol=self.atol,
-                        dense_output=dense)
-        if not sol.success:
-            raise IntegrationFailure(f"RK45 failed over span (0, {t}): {sol.message}")
-        return sol
-
-    def apply(self, y, u: int, t: float) -> np.ndarray:
-        sol = self._solve(y, u, t)
-        if sol is None:
-            return np.asarray(y, float).copy()
-        return sol.y[:, -1]
-
-    def apply_path(self, y, u: int, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size == 0:
-            return np.empty((0, self.dim))
-        out = np.empty((ts.size, self.dim))
-        pos = ts > 0.0
-        neg = ts < 0.0
-        if pos.any():
-            sol = self._solve(y, u, ts[pos].max(), dense=True)
-            out[pos] = sol.sol(ts[pos]).T
-        if neg.any():
-            sol = self._solve(y, u, ts[neg].min(), dense=True)
-            out[neg] = sol.sol(ts[neg]).T
-        out[~(pos | neg)] = np.asarray(y, float)
-        return out
-
-    def velocity(self, y, u: int) -> np.ndarray:
-        return np.asarray(self.field(y, u), dtype=float)
-
-    def jacobian(self, y, u: int, t: float) -> np.ndarray:
-        if self.field_jacobian is None:
-            return self._jacobian_fd(y, u, t)
-        n = self.dim
-
-        def rhs(s, z):
-            yy = z[:n]
-            M = z[n:].reshape(n, n)
-            J = self.field_jacobian(yy, u)
-            return np.concatenate([self.field(yy, u), (J @ M).ravel()])
-
-        z0 = np.concatenate([np.asarray(y, float), np.eye(n).ravel()])
-        if t == 0.0:
-            return np.eye(n)
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=self.rtol, atol=self.atol)
-        if not sol.success:
-            raise IntegrationFailure(f"variational RK45 failed: {sol.message}")
-        return sol.y[n:, -1].reshape(n, n)
-
-    def _jacobian_fd(self, y, u, t, h: float = 1e-6) -> np.ndarray:
-        y = np.asarray(y, float)
-        cols = []
-        for j in range(self.dim):
-            dp = y.copy()
-            dm = y.copy()
-            dp[j] += h
-            dm[j] -= h
-            cols.append((self.apply(dp, u, t) - self.apply(dm, u, t)) / (2 * h))
-        return np.stack(cols, axis=1)

@@ -9,7 +9,7 @@ delay) with the current relay output.  Two history representations:
   backend from the anchor, so it is exact whenever the backend is.
 * :class:`SampledHistory` - values on a uniform grid with cubic
   interpolation, for histories that are not flow trajectories (measured
-  data, random initial conditions) or for the generic backend.
+  data, random initial conditions).
 
 Both evaluate at any s in [-horizon, 0] and report a path derivative, which
 is what the event engine needs to assess crossing transversality.

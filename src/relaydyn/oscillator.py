@@ -91,9 +91,9 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
 
     Raises :class:`SingularSurface` when I + A(tau) is numerically
     singular.  For the damped closed form this happens only in the limit
-    zeta -> 0 with tau -> pi jointly, but generic flow matrices can hit it
-    anywhere, so the guard is a singular-value check rather than a special
-    tau value.
+    zeta -> 0 with tau -> pi jointly.  The guard checks singular values
+    rather than a special tau value, so it refuses every given (zeta, tau)
+    close to that limit, not only the limit itself.
     """
 
     a, v = _flow_rows(zeta, [tau])
@@ -619,9 +619,12 @@ def bifurcation_map(zeta: float,
     |trace| < 2 guard and carry strong-resonance tags (eigenvalue angle
     within 1e-3 of pi, 2*pi/3 or pi/2); points where the fold and flip
     residuals of the same branch both nearly vanish are tagged as PD-SN
-    concurrence candidates.
+    concurrence candidates.  Both grids need at least 2 points.
     """
 
+    if n_tau < 2 or n_alpha < 2:
+        raise ValueError(f"bifurcation_map needs n_tau, n_alpha >= 2, "
+                         f"got {n_tau}, {n_alpha}")
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6

@@ -234,9 +234,8 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     regardless of ``state.u``.
 
     Raises :class:`DegenerateCrossing` when the switching signal meets a
-    threshold line with slope smaller than 1e-8 in magnitude, and
-    :class:`~relaydyn.errors.IntegrationFailure` if the generic backend
-    fails.  Histories shorter than the delay are rejected.
+    threshold line with slope smaller than 1e-8 in magnitude.  Histories
+    shorter than the delay are rejected.
     """
 
     if T <= 0:

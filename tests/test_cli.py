@@ -1,5 +1,6 @@
 """Command line driver: configs, exit codes, deterministic outputs."""
 
+import ast
 import contextlib
 import io
 import json
@@ -32,6 +33,23 @@ def test_import_loads_no_scipy():
          "print([m for m in sys.modules if m.startswith('scipy')])"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_source_imports_no_scipy():
+    # the subprocess check above sees module-level imports only; this one
+    # also catches an import inside a function body
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_print_config_lists_all_defaults(capsys):
@@ -230,6 +248,38 @@ def test_bad_config_values_are_exit_2(tmp_path, capsys, command, bad, message):
     assert err.startswith("config error: " + message)
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()  # refused before any output
+
+
+# every integer count key of every command
+COUNT_KEYS = [(command, key) for command, defaults in cli.DEFAULTS.items()
+              for key, default in defaults.items()
+              if type(default) is int and key != "u0"]
+# caps on the other counts that keep each run short
+SHORT = {"family": {"max_points": 3}, "sweep": {"n_alpha": 5}}
+
+
+@pytest.mark.parametrize("value", [1, 2])
+@pytest.mark.parametrize("command, key", COUNT_KEYS)
+def test_small_counts_never_exit_1(tmp_path, capsys, command, key, value):
+    config = dict(SHORT.get(command, {}), **{key: value})
+    if key == "n_total":
+        config["n_transient"] = 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    assert err.count("\n") == (code != 0)
+    if command == "bifmap" and value == 1:
+        assert code == 2 and err.startswith("config error: 'n_tau' and 'n_alpha'")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_seed_is_exit_2(tmp_path, capsys, command):
+    assert run_cli([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: '--seed' must be non-negative, got -1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_valid_overrides_keep_their_json_types(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from relaydyn.flows import AffineOscillatorFlow, NumericalFlow
+from relaydyn.flows import AffineOscillatorFlow
+from rk_oracle import NumericalFlow
 
 
 def rk_oracle(zeta, y0, u, ts):

@@ -192,6 +192,13 @@ def test_bifurcation_map_small_grid():
                 assert float(steps.max()) < 0.6  # chained, not scattered
 
 
+@pytest.mark.parametrize("n_tau, n_alpha", [(1, 18), (18, 1)])
+def test_bifurcation_map_refuses_one_point_grid(n_tau, n_alpha):
+    # a one-point axis leaves no grid edge and no spacing to chain by
+    with pytest.raises(ValueError, match="n_tau, n_alpha >= 2"):
+        bifurcation_map(ZETA, n_tau=n_tau, n_alpha=n_alpha)
+
+
 # -- the bifurcation map against its three-evaluation predecessor ------------
 
 def generic_branch_jacobians(orbit):

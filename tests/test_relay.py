@@ -9,13 +9,14 @@ from scipy.optimize import brentq
 
 from relaydyn import relay
 from relaydyn.errors import DegenerateCrossing, NoRootInBracket, WindowTooLarge
-from relaydyn.flows import AffineOscillatorFlow, NumericalFlow
+from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import HybridState, SampledHistory
 from relaydyn.oscillator import collision_orbit, collision_context, surface_alpha
 from relaydyn.reduced import map_F, reconstruct_history
 from relaydyn.relay import (RelaySystem, check_weak_transversality, evolve,
                             hysteron, oscillator_system, strict_transversality_q,
                             switch_bound_report)
+from rk_oracle import NumericalFlow
 
 ZETA, TAU, EPS = -0.1, 4.2, 0.1
 
