@@ -1,10 +1,12 @@
 """Brute-force attractor analysis for the reduced half-return map.
 
-Everything here iterates :func:`relaydyn.reduced.map_F` and post-processes
-the orbit: parameter sweeps record the min/max envelope of the iterates
-(the numerical bifurcation diagram), and single-parameter runs are turned
-into polygon descriptions - angles about the attractor mean, the induced
-circle map, corner/arc segmentation.
+Everything here iterates the half-return map of :mod:`relaydyn.reduced` and
+post-processes the orbit: parameter sweeps record the min/max envelope of
+the iterates (the numerical bifurcation diagram), and single-parameter runs
+are turned into polygon descriptions - angles about the attractor mean, the
+induced circle map, corner/arc segmentation.  :func:`iterate_attractor` runs
+the same map as :func:`relaydyn.reduced.map_F` on two floats per step, which
+stays the library route and the tests' oracle for that loop.
 
 The sampling window follows the convention of keeping iterates 40 through
 400: late enough to shed transients at desk scale, long enough to cover
@@ -20,8 +22,8 @@ import numpy as np
 
 from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
                      LeftNeighborhood, NoConvergence, NoRootInBracket)
-from .oscillator import collision_point
-from .reduced import CollisionContext, branch_of, map_F, oscillator_context
+from .oscillator import _surface_corner
+from .reduced import CollisionContext, branch_of, crossing_time, oscillator_context
 
 __all__ = [
     "AttractorRun",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 0.5
+MIN_SAMPLES = 200   # fewest samples a circle map or polygon is extracted from
 
 
 @dataclass(frozen=True)
@@ -78,30 +81,52 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
 
     Raises :class:`LeftNeighborhood` when an iterate moves further than
     ``radius`` from the reference corner (the local map construction is
-    only meaningful nearby; crossing-time failures count as having left).
+    only meaningful nearby; crossing-time failures count as having left),
+    and ``ValueError`` unless ``y0`` is one state of shape (2,) and
+    ``radius`` is positive.
+
+    Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
+    threshold h = c . y is read once per iterate and serves both the next
+    step's branch and the D+/D- flags.  Every dot product stays on
+    ``ndarray.dot`` (the BLAS ddot fuses the multiply-add), so the iterates
+    equal map_F's bit for bit.
     """
 
     if not 0 <= n_transient < n_total:
         raise ValueError("need 0 <= n_transient < n_total")
     y = np.asarray(y0, dtype=float)
-    kept = []
+    if y.shape != (2,):
+        raise ValueError(f"y0 must be one state of shape (2,), got shape {y.shape}")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    advance, c, eps, tau = ctx.flow._advance, ctx.c, ctx.epsilon, ctx.tau
+    x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
+    pts = np.empty((n_total - n_transient, 2))
+    buf = np.empty(2)
+    x, xdot = float(y[0]), float(y[1])
+    h = float(c.dot(y))
     visited_plus = visited_minus = False
     for k in range(n_total):
         try:
-            y = map_F(ctx, y)
+            t = crossing_time(ctx, (x, xdot), -1 if h >= eps else 1)
         except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
-        d = y - ctx.y_ref
-        if math.sqrt(d.dot(d)) > radius:  # np.linalg.norm(d) bit for bit, minus its dispatch
+        x, xdot = advance(x, xdot, 1, tau + t)
+        x, xdot = -x, -xdot
+        buf[0] = x - x_ref
+        buf[1] = xdot - xdot_ref
+        if math.sqrt(buf.dot(buf)) > radius:  # np.linalg.norm bit for bit, no dispatch
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
+        buf[0] = x
+        buf[1] = xdot
+        h = float(c.dot(buf))
         if k >= n_transient:
-            kept.append(y)
-            if branch_of(ctx, y) > 0:
-                visited_plus = True
-            else:
+            pts[k - n_transient] = x, xdot
+            if h >= eps:
                 visited_minus = True
-    pts = np.asarray(kept)
+            else:
+                visited_plus = True
     return AttractorRun(points=pts, env_min=pts.min(axis=0), env_max=pts.max(axis=0),
                         visited_plus=visited_plus, visited_minus=visited_minus,
                         final=pts[-1])
@@ -118,14 +143,22 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     numerical bifurcation diagrams.  A warm start that leaves the
     neighborhood is retried once from the default seed (``retried``); a
     run that escapes from the default seed is recorded with ``escaped``
-    set (NaN envelope).  The sweep itself never raises.
+    set (NaN envelope).  ``sample`` holds the last ``keep`` points of the
+    window, none for ``keep = 0``.
+
+    Escapes never raise.  The inputs do, before any iteration: a negative
+    ``keep`` raises ``ValueError``, and a delay the collision surface does
+    not cover (tau < pi, where the corner sits on the -eps line) raises
+    :class:`SingularSurface`.
     """
 
+    if keep < 0:
+        raise ValueError(f"keep must be non-negative, got {keep!r}")
+    y_ref = _surface_corner(zeta, tau)
     alphas = np.asarray(alphas, dtype=float)
     records: list[SweepRecord] = []
     if alphas.size == 0:
         return records
-    y_ref = collision_point(zeta, tau)
     default_seed = y_ref + np.array([1e-3, 0.0])
     y = np.asarray(y0, dtype=float) if y0 is not None else default_seed
     for alpha in alphas:
@@ -151,7 +184,8 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
         records.append(SweepRecord(alpha=float(alpha), env_min=run.env_min,
                                    env_max=run.env_max, visited_plus=run.visited_plus,
                                    visited_minus=run.visited_minus,
-                                   sample=run.points[-keep:], retried=retried))
+                                   sample=run.points[-keep:] if keep else run.points[:0],
+                                   retried=retried))
         if warm_start:
             y = run.final
     return records
@@ -237,7 +271,8 @@ def _locking_period(angles_in_orbit_order: np.ndarray, max_period: int = 64,
     return None
 
 
-def extract_circle_map(samples: np.ndarray, min_samples: int = 200) -> PolygonDescription:
+def extract_circle_map(samples: np.ndarray,
+                       min_samples: int = MIN_SAMPLES) -> PolygonDescription:
     """Angle dynamics of a closed attractor about its sample mean.
 
     ``samples`` must be in orbit order.  Raises
@@ -280,7 +315,7 @@ def _turning_corners(points: np.ndarray) -> tuple[int, ...]:
 
 
 def polygon_arcs(samples: np.ndarray, ctx: CollisionContext,
-                 min_samples: int = 200) -> PolygonDescription:
+                 min_samples: int = MIN_SAMPLES) -> PolygonDescription:
     """Segment a polygon attractor into its smooth arcs.
 
     Arc identity is the number of map applications since the orbit last

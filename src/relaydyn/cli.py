@@ -128,6 +128,11 @@ def load_config(command: str, path: str | None) -> dict:
         raise ConfigError("'n_transient' must be below 'n_total'")
     if command == "bifmap" and min(config["n_tau"], config["n_alpha"]) < 2:
         raise ConfigError("'n_tau' and 'n_alpha' must be at least 2 for bifmap")
+    if command == "polygon" and \
+            config["n_total"] - config["n_transient"] < attractor.MIN_SAMPLES:
+        raise ConfigError(f"'n_total' - 'n_transient' must be at least "
+                          f"{attractor.MIN_SAMPLES} for polygon, the samples "
+                          f"its circle map needs")
     return config
 
 
@@ -315,7 +320,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> list[str]:
 
 def cmd_polygon(config: dict, out_dir: Path, seed: int) -> list[str]:
     zeta, tau = config["zeta"], config["tau"]
-    y_ref = oscillator.collision_point(zeta, tau)
+    y_ref = oscillator._surface_corner(zeta, tau)
     ctx = reduced.oscillator_context(zeta, config["alpha"], tau,
                                      config["epsilon"], y_ref)
     run = attractor.iterate_attractor(ctx, y_ref + np.array([1e-3, 0.0]),

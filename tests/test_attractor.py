@@ -9,11 +9,12 @@ from relaydyn import attractor
 from relaydyn.attractor import (extract_circle_map, iterate_attractor,
                                 on_plus_image_manifold, polygon_arcs, sweep,
                                 visit_window)
+from relaydyn.cli import DEFAULTS
 from relaydyn.errors import (CentroidOnCurve, DegenerateDerivative,
                              InsufficientSamples, LeftNeighborhood, NoConvergence,
-                             NoRootInBracket)
+                             NoRootInBracket, SingularSurface)
 from relaydyn.oscillator import collision_point, surface_alpha
-from relaydyn.reduced import map_F_branch, oscillator_context
+from relaydyn.reduced import branch_of, map_F, map_F_branch, oscillator_context
 
 ZETA, EPS = -0.1, 0.1
 
@@ -161,17 +162,17 @@ def test_sweep_records_escape_without_raising():
 
 @pytest.mark.parametrize("error", [NoRootInBracket, DegenerateDerivative, NoConvergence])
 def test_crossing_failures_count_as_leaving(monkeypatch, fig_ctx, error):
-    # every crossing-time failure of map_F ends the run as an escape, so a
+    # every crossing-time failure of the map ends the run as an escape, so a
     # sweep records it instead of raising
-    real, calls = attractor.map_F, []
+    real, calls = attractor.crossing_time, []
 
-    def failing(ctx, y):
+    def failing(ctx, y, branch):
         calls.append(y)
         if len(calls) > 5:
             raise error("crossing-time failure")
-        return real(ctx, y)
+        return real(ctx, y, branch)
 
-    monkeypatch.setattr(attractor, "map_F", failing)
+    monkeypatch.setattr(attractor, "crossing_time", failing)
     with pytest.raises(LeftNeighborhood) as info:
         iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]))
     assert isinstance(info.value.__cause__, error)
@@ -262,3 +263,166 @@ def test_sweep_marks_retried_warm_starts(iterate_calls):
     assert len(iterate_calls) == 2
     np.testing.assert_array_equal(iterate_calls[0], far)
     assert records[0].escaped and records[0].retried
+
+
+def map_F_iterates(ctx, y0, n_transient=40, n_total=400, radius=attractor.DEFAULT_RADIUS):
+    """iterate_attractor written on map_F and array arithmetic: the oracle
+    of its float loop, raising the same LeftNeighborhood at the same k."""
+    y = np.asarray(y0, dtype=float)
+    kept, plus, minus = [], False, False
+    for k in range(n_total):
+        try:
+            y = map_F(ctx, y)
+        except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
+            raise LeftNeighborhood(
+                f"iterate {k} lost the threshold crossing: {exc}") from exc
+        if np.linalg.norm(y - ctx.y_ref) > radius:
+            raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
+        if k >= n_transient:
+            kept.append(y)
+            plus |= branch_of(ctx, y) > 0
+            minus |= branch_of(ctx, y) < 0
+    return np.asarray(kept), plus, minus
+
+
+def assert_equals_map_F_loop(ctx, y0, *args):
+    points, plus, minus = map_F_iterates(ctx, y0, *args)
+    run = iterate_attractor(ctx, y0, *args)
+    assert np.array_equal(run.points, points)
+    assert np.array_equal(run.final, points[-1])
+    assert np.array_equal(run.env_min, points.min(axis=0))
+    assert np.array_equal(run.env_max, points.max(axis=0))
+    assert (run.visited_plus, run.visited_minus) == (plus, minus)
+    return run
+
+
+def test_iterate_attractor_equals_map_F_loop_from_both_branches(fig_ctx):
+    # 2e-3 either side of the threshold line, along its unit normal
+    normal = fig_ctx.dh(fig_ctx.y_ref)
+    shift = fig_ctx.epsilon - fig_ctx.h(fig_ctx.y_ref)
+    starts = {b: fig_ctx.y_ref + (shift - b * 2e-3) * normal for b in (1, -1)}
+    for b, y0 in starts.items():
+        assert branch_of(fig_ctx, y0) == b
+        run = assert_equals_map_F_loop(fig_ctx, y0, 0, 120)
+        assert run.points.shape == (120, 2)
+
+
+def test_iterate_attractor_flags_the_sample_itself(fig_ctx):
+    # one-sample windows: each flag must come from the kept iterate, not
+    # from the threshold read that chose its branch
+    y0 = fig_ctx.y_ref + np.array([1e-3, 0.0])
+    flags = {(run.visited_plus, run.visited_minus)
+             for run in (assert_equals_map_F_loop(fig_ctx, y0, n - 1, n)
+                         for n in range(1, 41))}
+    assert flags == {(True, False), (False, True)}
+
+
+def test_iterate_attractor_equals_map_F_loop_on_default_polygon():
+    config = DEFAULTS["polygon"]
+    y_ref = collision_point(config["zeta"], config["tau"])
+    ctx = oscillator_context(config["zeta"], config["alpha"], config["tau"],
+                             config["epsilon"], y_ref)
+    run = assert_equals_map_F_loop(ctx, y_ref + np.array([1e-3, 0.0]),
+                                   config["n_transient"], config["n_total"])
+    assert run.visited_plus and run.visited_minus
+
+
+@pytest.mark.parametrize("radius, k, cause", [
+    (0.05, 0, None),              # the first image is already outside
+    (1.0, 1, None),               # a later image leaves
+    (3.0, 3, NoRootInBracket),    # the path misses the threshold
+])
+def test_iterate_attractor_escapes_where_the_map_F_loop_does(radius, k, cause):
+    # far above the polygon window, where the orbit leaves the corner
+    y_ref = collision_point(ZETA, 4.2)
+    ctx = oscillator_context(ZETA, -0.1, 4.2, EPS, y_ref)
+    y0 = y_ref + np.array([1e-3, 0.0])
+    with pytest.raises(LeftNeighborhood) as want:
+        map_F_iterates(ctx, y0, radius=radius)
+    with pytest.raises(LeftNeighborhood) as got:
+        iterate_attractor(ctx, y0, radius=radius)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"iterate {k} ")
+    assert type(got.value.__cause__) is type(want.value.__cause__)
+    assert isinstance(got.value.__cause__, cause or type(None))
+
+
+def test_float_loop_rests_on_equal_dot_products():
+    # the loop reads h with c.dot on a buffer where map_F reads c @ y, and
+    # measures the distance to the corner without np.linalg.norm; both
+    # must round alike on every default sweep iterate
+    config = DEFAULTS["sweep"]
+    alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
+    records = sweep(config["zeta"], config["tau"], config["epsilon"], alphas,
+                    keep=config["n_total"])
+    y_ref = collision_point(config["zeta"], config["tau"])
+    buf = np.empty(2)
+    checked = 0
+    for r in records:
+        c = np.array([math.cos(r.alpha), math.sin(r.alpha)])
+        for y in r.sample:
+            buf[0], buf[1] = y
+            assert float(c @ y) == float(c.dot(buf))
+            d = y - y_ref
+            assert math.sqrt(d.dot(d)) == np.linalg.norm(d)
+            checked += 1
+    assert checked == 121 * 360
+
+
+def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx):
+    from relaydyn import reduced
+    from relaydyn.flows import AffineOscillatorFlow
+
+    crossings = []
+    real = attractor.crossing_time
+
+    def counting(ctx, y, branch):
+        crossings.append(branch)
+        return real(ctx, y, branch)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(attractor, "crossing_time", counting)
+    for module, name in ((reduced, "map_F"), (reduced, "map_F_branch"),
+                         (reduced, "branch_of"), (attractor, "branch_of")):
+        monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(AffineOscillatorFlow, "apply", forbidden("flow.apply"))
+    run = iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]), 40, 250)
+    assert len(crossings) == 250
+    assert set(crossings) == {1, -1}
+    assert run.points.shape == (210, 2)
+
+
+@pytest.mark.parametrize("y0", [[0.1, 0.2, 0.3], [[0.1, 0.2]], [0.1]])
+def test_iterate_attractor_refuses_a_state_not_of_shape_2(fig_ctx, y0):
+    with pytest.raises(ValueError, match="shape"):
+        iterate_attractor(fig_ctx, y0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_iterate_attractor_refuses_a_non_positive_radius(fig_ctx, radius):
+    with pytest.raises(ValueError, match="radius"):
+        iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]),
+                          radius=radius)
+
+
+def test_sweep_keep_zero_gives_no_sample_and_negative_keep_raises(iterate_calls):
+    records = sweep(ZETA, 4.2, EPS, [-0.45], keep=0)
+    assert records[0].sample.shape == (0, 2)
+    assert not records[0].escaped
+    records = sweep(ZETA, 4.2, EPS, [-0.45], keep=3)
+    assert records[0].sample.shape == (3, 2)
+    iterate_calls.clear()
+    with pytest.raises(ValueError, match="keep"):
+        sweep(ZETA, 4.2, EPS, [-0.45], keep=-3)
+    assert iterate_calls == []
+
+
+def test_sweep_refuses_a_delay_below_pi(iterate_calls):
+    # below pi the corner sits on the -eps line, which is not modelled
+    with pytest.raises(SingularSurface):
+        sweep(ZETA, 3.0, EPS, np.linspace(-1.5, 1.5, 5))
+    assert iterate_calls == []

@@ -222,6 +222,33 @@ def test_surface_below_pi_writes_header_only(tmp_path):
     assert lines == ["tau,alpha,epsilon,q,lambda_plus,residual"]
 
 
+@pytest.mark.parametrize("command, config", [
+    ("sweep", {"tau": 3.0, "alpha_range": [-1.5, 1.5], "n_alpha": 61}),
+    ("polygon", {"tau": 3.0}),
+])
+def test_sweep_and_polygon_below_pi_are_exit_4(tmp_path, capsys, command, config):
+    # below pi the corner sits on the -eps line, which is not modelled: the
+    # delay is refused before any map iteration, not reported as escapes
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "validation error: collision surface covers tau > pi only, got tau=3\n"
+
+
+def test_polygon_with_too_few_samples_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_total": 100}))
+    out = tmp_path / "o"
+    assert run_cli(["polygon", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'n_total' - 'n_transient' must be at least 200")
+    assert err.count("\n") == 1
+    assert not out.exists()  # refused before any output
+    cfg.write_text(json.dumps({"n_total": 240}))
+    assert run_cli(["polygon", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 # -- config validation ------------------------------------------------------
 
 @pytest.mark.parametrize("command,bad,message", [
@@ -324,7 +351,8 @@ PLAUSIBLE = {
     "polygon": {
         "zeta": _numbers(-0.3, 0.3), "tau": _numbers(2.0, 6.0),
         "alpha": _numbers(-1.2, 1.2), "epsilon": _numbers(0.01, 0.4),
-        "n_transient": st.integers(0, 40), "n_total": st.integers(41, 120),
+        # n_total - n_transient >= 200, so that the run reaches the iteration
+        "n_transient": st.integers(0, 40), "n_total": st.integers(240, 320),
     },
     "surface": {
         "zeta": _numbers(-0.3, 0.3),

@@ -338,8 +338,8 @@ def test_crossing_signal_equals_array_route(ctx):
 
 
 def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
-    # the crossing solve runs on the scalar closed form; only the image is
-    # an array evaluation, on both branches and through iterate_attractor
+    # the crossing solve runs on the scalar closed form; only map_F's image
+    # is an array evaluation, on both branches
     from relaydyn import attractor
     from relaydyn.flows import AffineOscillatorFlow
 
@@ -360,15 +360,17 @@ def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
         assert applies == [1]
     assert branches == {1, -1}
 
-    maps = []
-    real_map = attractor.map_F
+    # iterate_attractor takes the image from the scalar closed form too: one
+    # crossing solve per map and no array evaluation at all
+    crossings = []
+    real_crossing = attractor.crossing_time
 
-    def counting_map(c, y):
-        maps.append(y)
-        return real_map(c, y)
+    def counting_crossing(c, y, branch):
+        crossings.append(branch)
+        return real_crossing(c, y, branch)
 
-    monkeypatch.setattr(attractor, "map_F", counting_map)
+    monkeypatch.setattr(attractor, "crossing_time", counting_crossing)
     applies.clear()
     attractor.iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 10, 60)
-    assert len(maps) == 60
-    assert len(applies) == len(maps)
+    assert len(crossings) == 60
+    assert applies == []
