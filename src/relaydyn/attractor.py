@@ -259,32 +259,30 @@ def _circular_monotone(phi_in: np.ndarray, phi_out: np.ndarray) -> bool:
     return bool(np.all(gaps > 0.0) and abs(winding - 1.0) < 1e-9)
 
 
-def _locking_period(angles_in_orbit_order: np.ndarray, max_period: int = 64,
-                    tol: float = 1e-6) -> int | None:
+def _locking_period(angles_in_orbit_order: np.ndarray) -> int | None:
     phi = angles_in_orbit_order
-    for q in range(1, max_period + 1):
+    for q in range(1, 65):
         if phi.size <= q:
             break
         d = np.mod(phi[q:] - phi[:-q] + math.pi, 2.0 * math.pi) - math.pi
-        if np.max(np.abs(d)) < tol:
+        if np.max(np.abs(d)) < 1e-6:
             return q
     return None
 
 
-def extract_circle_map(samples: np.ndarray,
-                       min_samples: int = MIN_SAMPLES) -> PolygonDescription:
+def extract_circle_map(samples: np.ndarray) -> PolygonDescription:
     """Angle dynamics of a closed attractor about its sample mean.
 
     ``samples`` must be in orbit order.  Raises
-    :class:`InsufficientSamples` below ``min_samples`` points and
+    :class:`InsufficientSamples` below ``MIN_SAMPLES`` points and
     :class:`CentroidOnCurve` when the mean is not strictly inside the
     curve (degenerate angles).
     """
 
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < min_samples:
+    if samples.ndim != 2 or samples.shape[0] < MIN_SAMPLES:
         raise InsufficientSamples(
-            f"need at least {min_samples} samples, got {samples.shape[0]}")
+            f"need at least {MIN_SAMPLES} samples, got {samples.shape[0]}")
     centroid = samples.mean(axis=0)
     phi = _angles_about(samples, centroid)
     pairs = np.stack([phi[:-1], phi[1:]], axis=-1)
@@ -314,8 +312,7 @@ def _turning_corners(points: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(ang > 10.0 * med))
 
 
-def polygon_arcs(samples: np.ndarray, ctx: CollisionContext,
-                 min_samples: int = MIN_SAMPLES) -> PolygonDescription:
+def polygon_arcs(samples: np.ndarray, ctx: CollisionContext) -> PolygonDescription:
     """Segment a polygon attractor into its smooth arcs.
 
     Arc identity is the number of map applications since the orbit last
@@ -327,7 +324,7 @@ def polygon_arcs(samples: np.ndarray, ctx: CollisionContext,
     """
 
     samples = np.asarray(samples, dtype=float)
-    desc = extract_circle_map(samples, min_samples=min_samples)
+    desc = extract_circle_map(samples)
     diam = float(np.max(desc.points.max(axis=0) - desc.points.min(axis=0)))
     if diam < 1e-8:
         raise InsufficientSamples("attractor is a point, no polygon to segment")
@@ -373,12 +370,12 @@ def polygon_arcs(samples: np.ndarray, ctx: CollisionContext,
         corner_indices=corners, arc_ids=arc_ids)
 
 
-def on_plus_image_manifold(ctx: CollisionContext, w, tol: float = 1e-8) -> bool:
+def on_plus_image_manifold(ctx: CollisionContext, w) -> bool:
     """Does w lie on the image of the rank-one branch?
 
     That image is the delayed push-forward of the threshold line, so
-    pulling w back by tau under the propagation flow must land on the line.
+    pulling w back by tau under the propagation flow must land on it (1e-8).
     """
 
     z = ctx.flow.apply(-np.asarray(w, dtype=float), 1, -ctx.tau)
-    return abs(float(ctx.h(z)) - ctx.epsilon) <= tol
+    return abs(float(ctx.h(z)) - ctx.epsilon) <= 1e-8

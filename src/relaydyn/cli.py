@@ -69,6 +69,7 @@ POSITIVE = {"tau", "epsilon", "horizon", "scan_dt", "tau_max", "ds", "breakup_to
             "residual_tol", "n_tau", "n_alpha", "n_collision", "n_modes", "max_points",
             "snapshot_every", "n_total"}
 NON_NEGATIVE = {"amplitude", "n_transient"}
+_MAX_SCAN_STEPS = 10_000_000  # per simulate scan; the default config takes 1000
 
 
 def _finite(value) -> bool:
@@ -126,6 +127,10 @@ def load_config(command: str, path: str | None) -> dict:
         _check_value(key, config[key], default)
     if "n_total" in config and not config["n_transient"] < config["n_total"]:
         raise ConfigError("'n_transient' must be below 'n_total'")
+    if command == "simulate" and \
+            max(config["horizon"], config["tau"]) / config["scan_dt"] > _MAX_SCAN_STEPS:
+        raise ConfigError(f"'scan_dt' must be at least max('horizon', 'tau') / "
+                          f"{_MAX_SCAN_STEPS}, got {config['scan_dt']!r}")
     if command == "bifmap" and min(config["n_tau"], config["n_alpha"]) < 2:
         raise ConfigError("'n_tau' and 'n_alpha' must be at least 2 for bifmap")
     if command == "polygon" and \
@@ -243,7 +248,8 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     stab = oscillator.stability_at_collision(orbit)
     angle = abs(float(np.angle(stab.eigs_minus[0])))
     branch = continuation.continue_ns_curve(
-        zeta, eps, tau_span=(math.pi + 0.2, float(config["tau_max"])))
+        zeta, eps, nsc=(tau_ns, alpha_ns),
+        tau_span=(math.pi + 0.2, float(config["tau_max"])))
     ns_rows = [(p.data["tau"], p.data["alpha"], p.data["t0"], p.data["trace"])
                for p in branch.points]
     taus = np.linspace(math.pi + 0.05, float(config["tau_max"]),
@@ -387,8 +393,14 @@ def run(argv=None) -> int:
     if args.seed < 0:
         raise ConfigError(f"'--seed' must be non-negative, got {args.seed}")
     config = load_config(args.command, args.config)
+    created = not Path(args.out).exists()
     out_dir = _prepare_out(args.out)
-    names = COMMANDS[args.command](config, out_dir, int(args.seed))
+    try:
+        names = COMMANDS[args.command](config, out_dir, int(args.seed))
+    except BaseException:  # leave no empty directory of this run's making
+        if created and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
     manifest_config = dict(config, seed=int(args.seed))
     output.write_manifest(out_dir, args.command, manifest_config,
                           names + ["manifest.json"])

@@ -109,8 +109,7 @@ class _Bordered:
         return np.vstack([self.problem.jac(z, f0[:-1]), row])
 
 
-def fd_jacobian(fn: Callable, z: np.ndarray, f0: np.ndarray | None = None,
-                step: float = FD_STEP) -> np.ndarray:
+def fd_jacobian(fn: Callable, z: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference Jacobian of fn at z."""
     z = np.asarray(z, dtype=float)
     if f0 is None:
@@ -118,18 +117,19 @@ def fd_jacobian(fn: Callable, z: np.ndarray, f0: np.ndarray | None = None,
     J = np.empty((f0.size, z.size))
     for j in range(z.size):
         zp = z.copy()
-        zp[j] += step
-        J[:, j] = (np.asarray(fn(zp), dtype=float) - f0) / step
+        zp[j] += FD_STEP
+        J[:, j] = (np.asarray(fn(zp), dtype=float) - f0) / FD_STEP
     return J
 
 
 def newton(problem: ResidualProblem | Callable, z0, tol: float = 1e-10,
-           max_iter: int = 30) -> np.ndarray:
+           max_iter: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration for a square residual system.
 
-    Raises :class:`NoConvergence` when the residual max-norm is still above
-    tol after max_iter steps and :class:`SingularJacobian` when a linear
-    solve fails.
+    Returns the solution and the residual there.  Raises
+    :class:`NoConvergence` when the residual max-norm is still above tol
+    after max_iter steps and :class:`SingularJacobian` when a linear solve
+    fails.
     """
 
     if callable(problem):
@@ -140,7 +140,7 @@ def newton(problem: ResidualProblem | Callable, z0, tol: float = 1e-10,
         if not np.all(np.isfinite(f)):
             raise NoConvergence("residual is not finite")
         if np.max(np.abs(f)) <= tol:
-            return z
+            return z, f
         J = problem.jac(z, f)
         try:
             step = np.linalg.solve(J, f)
@@ -151,7 +151,7 @@ def newton(problem: ResidualProblem | Callable, z0, tol: float = 1e-10,
         z -= step
     f = np.asarray(problem.residual(z), dtype=float)
     if np.all(np.isfinite(f)) and np.max(np.abs(f)) <= tol:
-        return z
+        return z, f
     raise NoConvergence(
         f"residual {np.max(np.abs(f)):.3e} above {tol:.1e} after {max_iter} iterations")
 
@@ -193,8 +193,7 @@ def _tangent(J: np.ndarray) -> np.ndarray:
 
 def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2,
                     ds_min: float = 1e-8, ds_max: float = 0.2,
-                    max_points: int = 400, tol: float = 1e-10,
-                    newton_max_iter: int = 12,
+                    max_points: int = 400,
                     direction: np.ndarray | None = None,
                     fix_index: int | None = None,
                     point_data: Callable[[np.ndarray], dict] | None = None,
@@ -210,7 +209,7 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     raising a :class:`RelayDynError` (recorded, not propagated).  Every
     Jacobian, of the bordered corrector systems and for the tangent, comes
     from ``problem.jac``; a plain callable is wrapped in a
-    :class:`ResidualProblem`.
+    :class:`ResidualProblem`.  Correctors take at most 12 Newton steps.
     """
 
     if callable(problem):
@@ -220,15 +219,15 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     k = n - 1 if fix_index is None else fix_index
 
     try:
-        w = newton(_Bordered(problem, lambda w: w[k] - w0[k]), w0, tol=tol,
-                   max_iter=newton_max_iter)
+        w, f = newton(_Bordered(problem, lambda w: w[k] - w0[k]), w0, max_iter=12)
     except RelayDynError as exc:
         raise InitialPointFailed(f"seed correction failed: {exc}") from exc
 
     branch = Branch()
 
-    def accept(wp, step):
-        rn = float(np.max(np.abs(problem.residual(wp))))
+    def accept(wp, f, step):
+        # f is the bordered residual at wp, so f[:-1] is problem.residual(wp)
+        rn = float(np.max(np.abs(f[:-1])))
         point = BranchPoint(w=wp, residual_norm=rn, step=step,
                             data=point_data(wp) if point_data else {})
         branch.points.append(point)
@@ -239,10 +238,10 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
                 return False
         return True
 
-    if not accept(w, 0.0):
+    if not accept(w, f, 0.0):
         return branch
 
-    t = _tangent(problem.jac(w))
+    t = _tangent(problem.jac(w, f[:-1]))
     if direction is not None:
         if float(np.dot(t, direction)) < 0:
             t = -t
@@ -250,8 +249,8 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     while len(branch.points) < max_points:
         pred = w + step * t
         try:
-            w_new = newton(_Bordered(problem, lambda z: t @ (z - pred)), pred,
-                           tol=tol, max_iter=newton_max_iter)
+            w_new, f = newton(_Bordered(problem, lambda z: t @ (z - pred)), pred,
+                              max_iter=12)
         except (RelayDynError, np.linalg.LinAlgError) as exc:
             step *= 0.5
             if step < ds_min:
@@ -261,14 +260,14 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
             continue
         w = w_new
         try:
-            if not accept(w, step):
+            if not accept(w, f, step):
                 return branch
         except RelayDynError as exc:
             branch.termination = type(exc).__name__
             branch.message = str(exc)
             return branch
         try:
-            t_new = _tangent(problem.jac(w))
+            t_new = _tangent(problem.jac(w, f[:-1]))
         except (RelayDynError, np.linalg.LinAlgError) as exc:
             branch.termination = "tangent-failure"
             branch.message = str(exc)
@@ -301,18 +300,16 @@ def fixed_point_residual(y0, t0: float, tau: float, alpha: float,
     return np.array([res12[0], res12[1], res3])
 
 
-def solve_fixed_point(zeta: float, tau: float, alpha: float, epsilon: float,
-                      y0_guess=None, t0_guess: float = 0.0,
-                      tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """Newton solve for the branch-minus fixed point; seeds at the corner."""
-    if y0_guess is None:
-        y0_guess = collision_point(zeta, tau)
-    z0 = np.array([y0_guess[0], y0_guess[1], t0_guess])
+def solve_fixed_point(zeta: float, tau: float, alpha: float,
+                      epsilon: float) -> tuple[np.ndarray, float]:
+    """Newton solve, to 1e-12, for the branch-minus fixed point from the corner."""
+    y_star = collision_point(zeta, tau)
+    z0 = np.array([y_star[0], y_star[1], 0.0])
 
     def fn(z):
         return fixed_point_residual(z[:2], z[2], tau, alpha, epsilon, zeta)
 
-    z = newton(fn, z0, tol=tol)
+    z, _ = newton(fn, z0, tol=1e-12)
     return z[:2], float(z[2])
 
 
@@ -339,23 +336,24 @@ def ns_residual(y0, t0: float, tau: float, alpha: float, epsilon: float,
     return res, float(np.trace(J))
 
 
-def continue_ns_curve(zeta: float, epsilon: float, *, seed=None,
+def continue_ns_curve(zeta: float, epsilon: float, *,
+                      nsc: tuple[float, float] | None = None,
                       tau_span: tuple[float, float] = (math.pi + 0.2, 5.5),
                       ds: float = 5e-3, ds_max: float = 5e-2,
                       max_points: int = 400) -> Branch:
     """Neimark-Sacker curve of the branch-minus fixed point in (tau, alpha).
 
-    Unknowns are (y0, t0, tau, alpha) at fixed eps.  The seed defaults to
-    the on-surface NS point, where the fixed point is the corner itself
-    (t0 = 0); the locus is traced in both delay directions from there and
-    returned ordered by increasing tau.  Points with a trace-guard
+    Unknowns are (y0, t0, tau, alpha) at fixed eps.  The seed is the
+    on-surface NS point ``nsc`` = (tau, alpha), from :func:`find_nsc` when
+    not given, where the fixed point is the corner itself (t0 = 0); the
+    locus is traced in both delay directions from there and returned
+    ordered by increasing tau.  Points with a trace-guard
     violation terminate a direction and are dropped.
     """
 
-    if seed is None:
-        tau0, alpha0 = find_nsc(zeta, epsilon)
-        y0 = collision_point(zeta, tau0)
-        seed = np.array([y0[0], y0[1], 0.0, tau0, alpha0])
+    tau0, alpha0 = find_nsc(zeta, epsilon) if nsc is None else nsc
+    y0 = collision_point(zeta, tau0)
+    seed = np.array([y0[0], y0[1], 0.0, tau0, alpha0])
 
     def residual(w):
         return ns_residual(w[:2], w[2], w[3], w[4], epsilon, zeta)[0]
@@ -507,8 +505,8 @@ class FourierCurve:
         """The 2n+1 collocation angles (a shared, read-only array)."""
         return _node_trig(self.n_modes).phi
 
-    def radius(self, phi, deriv: int = 0):
-        return _series_val(self.r_coeffs, phi, deriv=deriv)
+    def radius(self, phi):
+        return _series_val(self.r_coeffs, phi)
 
     def offset(self, phi, deriv: int = 0):
         """Crossing offset t(phi) along the curve."""
@@ -744,10 +742,9 @@ def _wrap_angle(x):
     return np.mod(np.asarray(x, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
 
 
-def _fit_scattered(phis: np.ndarray, values: np.ndarray, n_modes: int,
-                   fit_modes: int = 12) -> np.ndarray:
-    """Least-squares Fourier fit on scattered angles, zero-padded to n_modes."""
-    k = min(fit_modes, n_modes, (phis.size - 1) // 2)
+def _fit_scattered(phis: np.ndarray, values: np.ndarray, n_modes: int) -> np.ndarray:
+    """Least-squares fit of up to 12 Fourier modes on scattered angles, padded to n_modes."""
+    k = min(12, n_modes, (phis.size - 1) // 2)
     cols = [np.ones_like(phis)]
     for j in range(1, k + 1):
         cols.append(np.cos(j * phis))
@@ -758,16 +755,15 @@ def _fit_scattered(phis: np.ndarray, values: np.ndarray, n_modes: int,
     return out
 
 
-def _ns_alpha_at(zeta: float, epsilon: float, tau: float, hint: float,
-                 halfwidth: float = 0.08, n_scan: int = 33) -> float:
-    """Switching angle on the fixed-point NS locus at the given delay."""
+def _ns_alpha_at(zeta: float, epsilon: float, tau: float, hint: float) -> float:
+    """Switching angle on the fixed-point NS locus at the given delay, within 0.08 of hint."""
 
     def val(alpha: float) -> float:
         y0, _ = solve_fixed_point(zeta, tau, alpha, epsilon)
         return float(np.linalg.det(_minus_jacobian(y0, tau, alpha, epsilon, zeta))) - 1.0
 
-    grid = np.linspace(hint - halfwidth, hint + halfwidth, n_scan)
-    vals = np.full(n_scan, np.nan)
+    grid = np.linspace(hint - 0.08, hint + 0.08, 33)
+    vals = np.full(33, np.nan)
     for i, a in enumerate(grid):
         try:
             vals[i] = val(float(a))
@@ -776,7 +772,7 @@ def _ns_alpha_at(zeta: float, epsilon: float, tau: float, hint: float,
     ok = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
-        raise NoConvergence(f"no NS crossing within {halfwidth} of alpha={hint:.4g}")
+        raise NoConvergence(f"no NS crossing within 0.08 of alpha={hint:.4g}")
     i = hits[np.argmin(np.abs(0.5 * (grid[hits] + grid[hits + 1]) - hint))]
     return float(brentq(val, grid[i], grid[i + 1], xtol=1e-13))
 
@@ -835,8 +831,8 @@ def seed_colliding_curve(zeta: float, epsilon: float, nsc: tuple[float, float],
 
 
 def solve_colliding_curve(w_guess: np.ndarray, n_modes: int, epsilon: float,
-                          zeta: float, tol: float = 1e-10) -> np.ndarray:
-    """Square Newton solve of the grazing-curve system at frozen tau."""
+                          zeta: float) -> np.ndarray:
+    """Square Newton solve, to 1e-10, of the grazing-curve system at frozen tau."""
     nz = FourierCurve.dim(n_modes)
     tau = float(w_guess[nz + 1])
     v0 = np.delete(w_guess, nz + 1)
@@ -849,31 +845,27 @@ def solve_colliding_curve(w_guess: np.ndarray, n_modes: int, epsilon: float,
         J = _family_fd_jacobian(np.insert(v, nz + 1, tau), f0, n_modes, epsilon, zeta)
         return np.delete(J, nz + 1, axis=1)
 
-    v = newton(ResidualProblem(fn, jacobian), v0, tol=tol)
+    v, _ = newton(ResidualProblem(fn, jacobian), v0)
     w = np.insert(v, nz + 1, tau)
     FourierCurve.unpack(n_modes, w[:nz]).check_parametrization()
     return w
 
 
 def continue_colliding_family(zeta: float, epsilon: float, *, n_modes: int = 32,
-                              dtau_seed: float = 1e-3, nsc: tuple[float, float] | None = None,
-                              tau_stop: float | None = None,
-                              ds: float = 2e-3, ds_min: float = 1e-9,
-                              ds_max: float = 2.5e-2, max_points: int = 400,
-                              breakup_tol: float = 1e-2) -> Branch:
+                              tau_stop: float | None = None, ds: float = 2e-3,
+                              max_points: int = 400, breakup_tol: float = 1e-2) -> Branch:
     """Continue the family of threshold-grazing invariant curves in (tau, alpha).
 
-    Seeds just past the on-surface NS point and steps by pseudo-arclength
-    in the direction of growing tau.  Every accepted point records the
-    curve, its mean radius and the spectral error estimate; the run ends
+    Seeds 1e-3 past the on-surface NS point and steps by pseudo-arclength
+    in the direction of growing tau, with steps between 1e-9 and 2.5e-2.
+    Every accepted point records the curve, its mean radius and the
+    spectral error estimate; the run ends
     with termination ``BreakupDetected`` once that estimate exceeds
     ``breakup_tol``, with ``NotAMaximum`` if the grazing point stops being
     a maximum, or at ``tau_stop``.
     """
 
-    if nsc is None:
-        nsc = find_nsc(zeta, epsilon)
-    w_guess = seed_colliding_curve(zeta, epsilon, nsc, dtau=dtau_seed, n_modes=n_modes)
+    w_guess = seed_colliding_curve(zeta, epsilon, find_nsc(zeta, epsilon), n_modes=n_modes)
     try:
         w0 = solve_colliding_curve(w_guess, n_modes, epsilon, zeta)
     except RelayDynError as exc:
@@ -915,8 +907,8 @@ def continue_colliding_family(zeta: float, epsilon: float, *, n_modes: int = 32,
 
     direction = np.zeros(w0.size)
     direction[nz + 1] = 1.0
-    return continue_branch(ResidualProblem(residual, jacobian), w0, ds=ds, ds_min=ds_min,
-                           ds_max=ds_max, max_points=max_points, direction=direction,
+    return continue_branch(ResidualProblem(residual, jacobian), w0, ds=ds, ds_min=1e-9,
+                           ds_max=2.5e-2, max_points=max_points, direction=direction,
                            fix_index=nz + 1, point_data=point_data, stop=stop)
 
 

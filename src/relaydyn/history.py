@@ -235,10 +235,6 @@ class CrossingRecord:
     slope: float
     switch_time: float    # time + delay
 
-    @property
-    def in_history(self) -> bool:
-        return self.time <= 0.0
-
 
 @dataclass(frozen=True)
 class SwitchRecord:
@@ -303,9 +299,9 @@ class Trajectory:
 
     # -- event views ---------------------------------------------------------
 
-    def crossing_times(self, include_history: bool = False) -> np.ndarray:
-        ts = [c.time for c in self.crossings if include_history or c.time > 0.0]
-        return np.asarray(ts, dtype=float)
+    def crossing_times(self) -> np.ndarray:
+        """Times of the crossings after t = 0."""
+        return np.asarray([c.time for c in self.crossings if c.time > 0.0], dtype=float)
 
     def switch_times(self) -> np.ndarray:
         return np.asarray([s.time for s in self.switches], dtype=float)

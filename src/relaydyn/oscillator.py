@@ -238,10 +238,10 @@ def _orbit(corner: _Corner, alpha: float) -> CollisionOrbit:
                           q=q, g_plus=g_plus, g_minus=g_minus)
 
 
-def collision_context(orbit: CollisionOrbit, delta: float | None = None) -> CollisionContext:
+def collision_context(orbit: CollisionOrbit) -> CollisionContext:
     """Reduced-map context anchored at the orbit's switch point."""
     p = orbit.params
-    return oscillator_context(p.zeta, p.alpha, p.tau, p.epsilon, orbit.y_star, delta)
+    return oscillator_context(p.zeta, p.alpha, p.tau, p.epsilon, orbit.y_star)
 
 
 @dataclass(frozen=True)
@@ -385,30 +385,26 @@ def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:
 # slices of the collision surface and the on-surface NS point
 
 
-def surface_alpha(zeta: float, tau: float, epsilon: float,
-                  bracket: tuple[float, float] = (-math.pi / 2, math.pi / 2),
-                  n_scan: int = 361) -> list[float]:
+def surface_alpha(zeta: float, tau: float, epsilon: float) -> list[float]:
     """Switching angles at which the collision surface meets a given eps.
 
-    Scans alpha over the bracket for sign changes of
+    Scans 361 alphas over [-pi/2, pi/2] for sign changes of
     ``collision_epsilon - epsilon`` and refines each, returning all roots
     in increasing order (the fixed-eps slice of the surface may be crossed
     more than once).  Delays tau <= pi are refused as in
     :func:`collision_epsilon`.
     """
 
-    return _slice_roots(_surface_corner(zeta, tau), epsilon, bracket, n_scan)
+    return _slice_roots(_surface_corner(zeta, tau), epsilon)
 
 
-def _slice_roots(y: np.ndarray, epsilon: float,
-                 bracket: tuple[float, float] = (-math.pi / 2, math.pi / 2),
-                 n_scan: int = 361) -> list[float]:
+def _slice_roots(y: np.ndarray, epsilon: float) -> list[float]:
     """:func:`surface_alpha` for a switch point y* already solved."""
 
     def g(alpha: float) -> float:
         return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
 
-    grid = np.linspace(bracket[0], bracket[1], n_scan)
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 361)
     vals = _epsilon(y, grid) - epsilon  # equals g on every grid point
     roots = []
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
@@ -429,13 +425,11 @@ def _slice_alpha_near(corner: _Corner, epsilon: float, hint: float | None) -> fl
     return min(roots, key=lambda a: abs(a - hint))
 
 
-def find_nsc(zeta: float, epsilon: float,
-             tau_bracket: tuple[float, float] = (math.pi + 0.2, 5.8),
-             alpha_hint: float | None = None,
-             n_scan: int = 60) -> tuple[float, float]:
+def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
     """Locate the Neimark-Sacker point on a fixed-eps slice of the surface.
 
-    Walks tau along the slice (following the alpha root continuously),
+    Walks 60 delays over [pi + 0.2, 5.8] along the slice (following the
+    alpha root continuously from the first root of the first slice),
     finds a sign change of det(DF_minus) - 1 and bisects it down to a tau
     interval of 1e-12.  Scan points off the surface or at a tangential
     corner are skipped.  Returns (tau, alpha).
@@ -447,8 +441,8 @@ def find_nsc(zeta: float, epsilon: float,
         orbit = _orbit(corner, alpha)
         return _test_values(*_branch_jacobians(corner, orbit))["ns_minus"], alpha
 
-    taus = np.linspace(tau_bracket[0], tau_bracket[1], n_scan)
-    hint = alpha_hint
+    taus = np.linspace(math.pi + 0.2, 5.8, 60)
+    hint = None
     prev = None
     for tau in taus:
         try:
@@ -529,14 +523,14 @@ class _Corners:
         return _surface_batch(self._rows[[self._index[t] for t in keys]], alphas)
 
 
-def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol, max_iter=80):
+def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
     """Bisect every (label, edge) job in lockstep, one evaluation per round.
 
     Job n bisects the test function ``BIFURCATION_LABELS[labels[n]]`` along
     the segment p0[n]-p1[n], whose value at p0[n] is f0[n].  Each job keeps
     the rule of a scalar bisection: halve at m = (a + b) / 2, stop once the
     value there is below tol or NaN (the sign test brackets nothing past a
-    NaN), else keep the half whose ends differ in sign; at most max_iter
+    NaN), else keep the half whose ends differ in sign; at most 80
     steps.  Jobs on one edge share their midpoints until they part, and
     each distinct point of a round is evaluated once.
 
@@ -548,7 +542,7 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol, max_iter=80):
     point, value, eps = np.empty((k, 2)), np.empty(k), np.empty(k)
     tests: dict[str, np.ndarray] = {}
     active = np.arange(k)
-    for _ in range(max_iter):
+    for _ in range(80):
         if not active.size:
             break
         m = 0.5 * (a[active] + b[active])

@@ -78,8 +78,8 @@ def write_manifest(out_dir, command: str, config: dict, outputs: list[str]) -> P
 # domain-specific tables
 
 
-def write_trajectory_csv(path, traj, n: int = 2001) -> Path:
-    ts = np.linspace(0.0, traj.T, n)
+def write_trajectory_csv(path, traj) -> Path:
+    ts = np.linspace(0.0, traj.T, 2001)
     rows = []
     for t in ts:
         y = traj(t)
@@ -118,8 +118,8 @@ def write_curve_points_csv(path, points) -> Path:
                      rows)
 
 
-def write_curve_snapshot_csv(path, curve, n: int = 360) -> Path:
-    phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+def write_curve_snapshot_csv(path, curve) -> Path:
+    phis = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     r, eta, t, y = curve.tabulate(phis)
     rows = zip(phis, r, eta, t, y[:, 0], y[:, 1])
     return write_csv(path, ["phi", "r", "eta", "t", "x", "xdot"], rows)

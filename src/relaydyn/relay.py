@@ -350,11 +350,11 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
 
 
 def check_weak_transversality(system: RelaySystem, traj: Trajectory,
-                              window: float, n: int = 25) -> list[tuple[float, float]]:
+                              window: float) -> list[tuple[float, float]]:
     """Verify |h(y(.))| increases strictly through every recorded crossing.
 
     Returns ``(crossing_time, margin)`` pairs, the margin being the smallest
-    forward difference of |h| over the window (positive = strictly
+    forward difference of |h| at 25 points in the window (positive = strictly
     monotone).  Raises :class:`WindowTooLarge` when the window would overlap
     a neighbouring crossing or leave the recorded time range.
     """
@@ -370,7 +370,7 @@ def check_weak_transversality(system: RelaySystem, traj: Trajectory,
             raise WindowTooLarge(f"window around t={tc:.6g} leaves the trajectory")
         if (i > 0 and lo <= times[i - 1]) or (i + 1 < len(times) and hi >= times[i + 1]):
             raise WindowTooLarge(f"window around t={tc:.6g} overlaps the next crossing")
-        ts = np.linspace(lo, hi, n)
+        ts = np.linspace(lo, hi, 25)
         vals = np.array([abs(system.h(traj(s))) for s in ts])
         out.append((tc, float(np.min(np.diff(vals)))))
     return out
@@ -404,14 +404,14 @@ class SwitchBoundReport:
         return self.observed <= self.bound and gap_ok
 
 
-def switch_bound_report(system: RelaySystem, traj: Trajectory, t0: float,
-                        n_samples: int = 1024) -> SwitchBoundReport:
+def switch_bound_report(system: RelaySystem, traj: Trajectory,
+                        t0: float) -> SwitchBoundReport:
     """Compare switches on [t0, T] against the hysteresis rate bound.
 
     With L a Lipschitz constant of the field, H a bound on |grad h| and
-    y_max the largest state norm seen on [t0 - tau, T], consecutive switches
-    after one full delay are separated by at least 2*eps/(H*L*y_max), so at
-    most 1 + (T - t0)*H*L*y_max/(2*eps) switches fit.  Requires t0 >= tau.
+    y_max the largest state norm at 1024 times on [t0 - tau, T], switches
+    after one full delay are separated by at least 2*eps/(H*L*y_max), so
+    at most 1 + (T - t0)*H*L*y_max/(2*eps) fit.  Requires t0 >= tau.
     """
 
     if t0 < system.tau - 1e-12:
@@ -419,7 +419,7 @@ def switch_bound_report(system: RelaySystem, traj: Trajectory, t0: float,
     L, H = system.lipschitz_f, system.sup_dh
     if L is None or H is None:
         raise ValueError("system lacks lipschitz_f / sup_dh data")
-    ts = np.linspace(t0 - system.tau, traj.T, n_samples)
+    ts = np.linspace(t0 - system.tau, traj.T, 1024)
     y_max = float(max(np.linalg.norm(traj(s)) for s in ts))
     stimes = [s for s in traj.switch_times() if s >= t0]
     gaps = np.diff(stimes)

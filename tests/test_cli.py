@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaydyn import cli
+from relaydyn import cli, continuation, oscillator
 from relaydyn.errors import NoConvergence
 
 
@@ -50,6 +50,65 @@ def test_package_source_imports_no_scipy():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position) for each defaulted parameter.
+
+    The callee name of ``__init__`` is its class; a method's positions skip
+    ``self``/``cls``, and keyword-only parameters have position None.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            name = cls if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            found.extend((name, positional[i].arg, i - bound)
+                         for i in range(first, len(positional)))
+            found.extend((name, arg.arg, None)
+                         for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    # a default that no call in the package, its tests or its benchmark
+    # overrides is a configuration nothing runs: it belongs in the body
+    root = Path(cli.__file__).resolve().parents[2]
+    params = [(path.name, *p) for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+              for p in _defaulted_parameters(ast.parse(path.read_text()))]
+    calls = []  # (callee name, keywords passed, positional arguments passed)
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            # a ** mapping may pass any keyword, a * sequence any position
+            keywords = {k.arg or "**" for k in node.keywords}
+            reach = math.inf if any(isinstance(a, ast.Starred) for a in node.args) \
+                else len(node.args)
+            calls.append((name, keywords, reach))
+    unset = [f"{module}: {name}({param})" for module, name, param, pos in params
+             if not any(callee == name and (param in keywords or "**" in keywords
+                                            or (pos is not None and reach > pos))
+                        for callee, keywords, reach in calls)]
+    assert params and calls
+    assert unset == []
 
 
 def test_print_config_lists_all_defaults(capsys):
@@ -234,6 +293,50 @@ def test_sweep_and_polygon_below_pi_are_exit_4(tmp_path, capsys, command, config
     assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err == "validation error: collision surface covers tau > pi only, got tau=3\n"
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("sweep", {"tau": 3.0}, 4),
+    ("family", {"n_modes": 1, "max_points": 3}, 3),
+])
+def test_failed_run_removes_the_empty_out_directory_it_made(tmp_path, capsys,
+                                                           command, config, code):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+    out.mkdir()  # a directory the user made stays
+    assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scan_dt", [1e-300, 1e-6])
+def test_tiny_scan_dt_is_exit_2(tmp_path, capsys, scan_dt):
+    # refused before any scan grid is allocated: the default horizon 20
+    # would need 2e7 nodes at 1e-6 and more than numpy can index at 1e-300
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scan_dt": scan_dt}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: 'scan_dt' must be at least max('horizon', 'tau') / "
+                   f"10000000, got {scan_dt!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_unfold_solves_its_ns_point_once(tmp_path, monkeypatch):
+    calls = []
+    real = oscillator.find_nsc
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oscillator, "find_nsc", counted)
+    monkeypatch.setattr(continuation, "find_nsc", counted)
+    assert run_cli(["unfold", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [(-0.1, 0.1)]
 
 
 def test_polygon_with_too_few_samples_is_exit_2(tmp_path, capsys):

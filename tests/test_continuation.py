@@ -32,14 +32,14 @@ NSC = (4.1304261916526945, -0.48779391649198917)
 # -- root finding ---------------------------------------------------------
 
 def test_newton_scalar_root():
-    z = newton(lambda z: np.array([z[0] ** 2 - 4.0]), np.array([3.0]))
+    z, _ = newton(lambda z: np.array([z[0] ** 2 - 4.0]), np.array([3.0]))
     assert z[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_newton_solves_linear_system_immediately():
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, -2.0])
-    z = newton(lambda z: A @ z - b, np.zeros(2), max_iter=2)
+    z, _ = newton(lambda z: A @ z - b, np.zeros(2), max_iter=2)
     np.testing.assert_allclose(z, np.linalg.solve(A, b), atol=1e-12)
 
 
@@ -90,6 +90,37 @@ def test_continue_branch_stop_callback():
                              direction=np.array([0.0, 1.0]), stop=stop)
     assert branch.termination == "quadrant"
     assert branch.points[-1].w[1] > 0.5
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_continue_branch_takes_residuals_from_newton(monkeypatch, analytic):
+    # the residual newton converged on is the accepted point's residual and
+    # the tangent Jacobian's f0: outside newton, only a forward-difference
+    # tangent evaluates the residual, once per perturbed column
+    inside, calls = [False], {True: 0, False: 0}
+
+    def residual(w):
+        calls[inside[0]] += 1
+        return circle_residual(w)
+
+    real = continuation.newton
+
+    def counted(*args, **kw):
+        inside[0] = True
+        try:
+            return real(*args, **kw)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(continuation, "newton", counted)
+    jacobian = (lambda w, f0: np.array([2.0 * w])) if analytic else None
+    branch = continue_branch(ResidualProblem(residual, jacobian), np.array([1.0, 0.0]),
+                             ds=0.05, max_points=20, direction=np.array([0.0, 1.0]))
+    assert len(branch) == 20
+    # one tangent at the seed and after each of the 19 steps, 2 columns each
+    assert calls[True] > 0 and calls[False] == (0 if analytic else 2 * 20)
+    for p in branch.points:
+        assert p.residual_norm == float(np.max(np.abs(circle_residual(p.w))))
 
 
 def test_continue_branch_seed_failure():
@@ -403,8 +434,9 @@ def family_points(request):
     def at_tau(v):
         return np.insert(v, nz + 1, guess[nz + 1])
 
-    solved = at_tau(newton(lambda v: _family_residual(at_tau(v), n_modes, EPS, ZETA),
-                           np.delete(guess, nz + 1)))
+    v, _ = newton(lambda v: _family_residual(at_tau(v), n_modes, EPS, ZETA),
+                  np.delete(guess, nz + 1))
+    solved = at_tau(v)
     nudge = 1e-4 * np.sin(np.arange(solved.size) + 1.0)
     return n_modes, {"guess": guess, "solved": solved, "perturbed": solved + nudge}
 

@@ -703,7 +703,7 @@ def test_slice_roots_equal_the_pointwise_scan(monkeypatch, tmp_path):
     monkeypatch.setattr(osc, "_slice_roots", recorded)
     cli.cmd_unfold(dict(cli.DEFAULTS["unfold"]), tmp_path, 0)
     monkeypatch.undo()
-    assert len(slices) > 150
+    assert len({(*y, epsilon) for y, epsilon in slices}) >= 137
     rng = np.random.default_rng(14)
     slices += [(rng.normal(size=2), float(rng.uniform(0.0, 1.0))) for _ in range(200)]
     n_roots = 0
