@@ -70,6 +70,7 @@ POSITIVE = {"tau", "epsilon", "horizon", "scan_dt", "tau_max", "ds", "breakup_to
             "snapshot_every", "n_total"}
 NON_NEGATIVE = {"amplitude", "n_transient"}
 _MAX_SCAN_STEPS = 10_000_000  # per simulate scan; the default config takes 1000
+_NS_TAU_MIN = math.pi + 0.2  # unfold's NS curve spans delays (pi + 0.2, tau_max)
 
 
 def _finite(value) -> bool:
@@ -131,6 +132,9 @@ def load_config(command: str, path: str | None) -> dict:
             max(config["horizon"], config["tau"]) / config["scan_dt"] > _MAX_SCAN_STEPS:
         raise ConfigError(f"'scan_dt' must be at least max('horizon', 'tau') / "
                           f"{_MAX_SCAN_STEPS}, got {config['scan_dt']!r}")
+    if command == "unfold" and config["tau_max"] <= _NS_TAU_MIN:
+        raise ConfigError(f"'tau_max' must be above pi + 0.2 ({_NS_TAU_MIN!r}), the start "
+                          f"of unfold's delay span, got {config['tau_max']!r}")
     if command == "bifmap" and min(config["n_tau"], config["n_alpha"]) < 2:
         raise ConfigError("'n_tau' and 'n_alpha' must be at least 2 for bifmap")
     if command == "polygon" and \
@@ -249,7 +253,7 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     angle = abs(float(np.angle(stab.eigs_minus[0])))
     branch = continuation.continue_ns_curve(
         zeta, eps, nsc=(tau_ns, alpha_ns),
-        tau_span=(math.pi + 0.2, float(config["tau_max"])))
+        tau_span=(_NS_TAU_MIN, float(config["tau_max"])))
     ns_rows = [(p.data["tau"], p.data["alpha"], p.data["t0"], p.data["trace"])
                for p in branch.points]
     taus = np.linspace(math.pi + 0.05, float(config["tau_max"]),

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._roots import brentq
-from .errors import (BreakupDetected, InitialPointFailed, NoConvergence,
-                     NotAMaximum, ParametrizationBreakdown, RelayDynError,
+from .errors import (BreakupDetected, DegenerateDerivative, InitialPointFailed,
+                     NoConvergence, NotAMaximum, ParametrizationBreakdown, RelayDynError,
                      SingularJacobian)
 from .flows import AffineOscillatorFlow
 from .oscillator import collision_point, find_nsc
@@ -323,17 +323,39 @@ def _minus_jacobian(y0, tau, alpha, epsilon, zeta) -> np.ndarray:
 
 def ns_residual(y0, t0: float, tau: float, alpha: float, epsilon: float,
                 zeta: float) -> tuple[np.ndarray, float]:
-    """Fixed-point residual extended by det(DF_minus) - 1.
+    """Fixed-point residual extended by det(DF_minus) - 1, in closed form.
 
-    Returns the four residual components and the trace of DF_minus; a
-    Neimark-Sacker point additionally needs |trace| < 2, otherwise the
-    unit determinant pairs two real reciprocal eigenvalues.
+    With T = tau + t0, w = Y_+^T y0, z = Y_-^(t0) y0 and g = c . f(z, -1),
+
+        DF_minus = -A(T) + f(w, +1) (c^T A(t0)) / g,
+
+    which is :func:`~relaydyn.reduced.jacobian_F_branch` with the unknown
+    t0 in place of the solved crossing time; on the locus the two agree.
+    Everything runs on floats, with no crossing-time solve.  Returns the
+    four residual components and the trace of DF_minus; a Neimark-Sacker
+    point additionally needs |trace| < 2, otherwise the unit determinant
+    pairs two real reciprocal eigenvalues.  Raises
+    :class:`DegenerateDerivative` when |g| < 1e-12.
     """
 
-    fp = fixed_point_residual(y0, t0, tau, alpha, epsilon, zeta)
-    J = _minus_jacobian(y0, tau, alpha, epsilon, zeta)
-    res = np.append(fp, float(np.linalg.det(J)) - 1.0)
-    return res, float(np.trace(J))
+    flow = AffineOscillatorFlow(zeta)
+    x, xdot, t0 = float(y0[0]), float(y0[1]), float(t0)
+    T = float(tau) + t0
+    w0, w1 = flow._advance(x, xdot, +1, T)
+    z0, z1 = flow._advance(x, xdot, -1, t0)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    g = ca * z1 + sa * flow._accel(z0, z1, -1)
+    if abs(g) < 1e-12:
+        raise DegenerateDerivative("threshold crossing is tangent, no linearisation")
+    a, b = flow.flow_matrix(t0), flow.flow_matrix(T)
+    r0 = (ca * a[0, 0] + sa * a[1, 0]) / g
+    r1 = (ca * a[0, 1] + sa * a[1, 1]) / g
+    f0, f1 = w1, flow._accel(w0, w1, +1)
+    j00, j01 = f0 * r0 - b[0, 0], f0 * r1 - b[0, 1]
+    j10, j11 = f1 * r0 - b[1, 0], f1 * r1 - b[1, 1]
+    res = np.array([x + w0, xdot + w1, epsilon - (ca * z0 + sa * z1),
+                    j00 * j11 - j01 * j10 - 1.0])
+    return res, j00 + j11
 
 
 def continue_ns_curve(zeta: float, epsilon: float, *,
@@ -343,12 +365,21 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
                       max_points: int = 400) -> Branch:
     """Neimark-Sacker curve of the branch-minus fixed point in (tau, alpha).
 
-    Unknowns are (y0, t0, tau, alpha) at fixed eps.  The seed is the
-    on-surface NS point ``nsc`` = (tau, alpha), from :func:`find_nsc` when
-    not given, where the fixed point is the corner itself (t0 = 0); the
-    locus is traced in both delay directions from there and returned
-    ordered by increasing tau.  Points with a trace-guard
-    violation terminate a direction and are dropped.
+    Unknowns are (y0, t0, tau, alpha) at fixed eps, and the residual is
+    the closed-form :func:`ns_residual`.  The seed is the on-surface NS
+    point ``nsc`` = (tau, alpha), from :func:`find_nsc` when not given,
+    where the fixed point is the corner itself (t0 = 0); the locus is
+    traced in both delay directions from there and returned ordered by
+    increasing tau.
+
+    A leg ends at its first point outside ``tau_span`` and keeps that
+    point, so the curve reaches a little past both ends of the span: the
+    default ``unfold`` rows run from tau = 3.329 to 5.017 over the span
+    (pi + 0.2, 5.0).  A leg also ends, and drops the point, where
+    |trace| >= 2 (``"trace-guard"``) or where the reduced map is not
+    defined (``"crossing-window"``).  The closed form runs on past the
+    crossing window, so every accepted point solves its crossing time once,
+    and that solve must return t0 to 1e-9.
     """
 
     tau0, alpha0 = find_nsc(zeta, epsilon) if nsc is None else nsc
@@ -362,9 +393,17 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
         _, tr = ns_residual(w[:2], w[2], w[3], w[4], epsilon, zeta)
         return {"tau": w[3], "alpha": w[4], "t0": w[2], "trace": tr}
 
+    def in_window(w) -> bool:
+        ctx = oscillator_context(zeta, w[4], w[3], epsilon, y_ref=w[:2], delta=0.45 * w[3])
+        try:
+            return abs(crossing_time(ctx, w[:2], -1) - w[2]) <= 1e-9
+        except RelayDynError:
+            return False
+
     def stop(point):
-        tau = point.data["tau"]
-        if not tau_span[0] <= tau <= tau_span[1]:
+        if not in_window(point.w):
+            return "crossing-window"
+        if not tau_span[0] <= point.data["tau"] <= tau_span[1]:
             return "tau-bounds"
         if abs(point.data["trace"]) >= 2.0:
             return "trace-guard"
@@ -376,8 +415,8 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
         leg = continue_branch(residual, seed, ds=ds, ds_max=ds_max,
                               max_points=max_points // 2, direction=direction,
                               fix_index=3, point_data=point_data, stop=stop)
-        if leg.termination == "trace-guard" and leg.points:
-            leg.points.pop()  # the guard violator is not an NS point
+        if leg.termination in ("trace-guard", "crossing-window") and leg.points:
+            leg.points.pop()  # not an NS point of the reduced map
         return leg
 
     down, up = run(-1.0), run(1.0)

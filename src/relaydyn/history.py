@@ -299,10 +299,6 @@ class Trajectory:
 
     # -- event views ---------------------------------------------------------
 
-    def crossing_times(self) -> np.ndarray:
-        """Times of the crossings after t = 0."""
-        return np.asarray([c.time for c in self.crossings if c.time > 0.0], dtype=float)
-
     def switch_times(self) -> np.ndarray:
         return np.asarray([s.time for s in self.switches], dtype=float)
 

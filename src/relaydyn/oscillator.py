@@ -106,10 +106,23 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
 
 
 def _flow_rows(zeta: float, taus) -> tuple[np.ndarray, np.ndarray]:
-    """A(tau) and v(tau) for each delay, stacked (closed forms on math.exp)."""
-    flow = AffineOscillatorFlow(zeta)
-    a = np.array([flow.flow_matrix(t) for t in taus]).reshape(-1, 2, 2)
-    v = np.array([flow.flow_offset(t) for t in taus]).reshape(-1, 2)
+    """A(tau) and v(tau) for each delay, stacked.
+
+    The arrays equal ``flow_matrix`` and ``flow_offset`` per delay bit for
+    bit: the products keep the scalar formulas' order, and the exponential
+    is ``math.exp`` per delay, because ``np.exp`` differs from it in the
+    last bit on some CPUs.
+    """
+    t = np.asarray(taus, dtype=float).reshape(-1)
+    z, omsq = float(zeta), AffineOscillatorFlow(zeta)._omsq
+    e = np.array([math.exp(x) for x in (-z * t).tolist()])
+    c, s = np.cos(t), np.sin(t)
+    a = np.empty((t.size, 2, 2))
+    a[:, 0, 0] = e * (c + z * s)
+    a[:, 0, 1] = e * s
+    a[:, 1, 0] = -e * omsq * s
+    a[:, 1, 1] = e * (c - z * s)
+    v = np.stack((e * (-z * s - c) + 1.0, e * omsq * s), axis=-1)
     return a, v
 
 
@@ -147,7 +160,7 @@ def _corner_rows(zeta: float, taus, y: np.ndarray | None = None) -> np.ndarray:
     I + A singular) get NaN rows, which every surface point there inherits.
     """
     taus = np.asarray(taus, dtype=float)
-    a, v = _flow_rows(zeta, taus.tolist())
+    a, v = _flow_rows(zeta, taus)
     if y is None:
         y, _ = _switch_points(a, v)
         y[taus < math.pi + 1e-9] = np.nan

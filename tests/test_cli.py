@@ -339,6 +339,24 @@ def test_unfold_solves_its_ns_point_once(tmp_path, monkeypatch):
     assert calls == [(-0.1, 0.1)]
 
 
+@pytest.mark.parametrize("tau_max", [3.0, math.pi + 0.2, math.nextafter(math.pi + 0.2, 4.0)])
+def test_unfold_needs_delays_past_the_span_start(tmp_path, capsys, tau_max):
+    # unfold traces the NS curve over tau in (pi + 0.2, tau_max); an empty
+    # span used to write an NS row and collision rows beyond tau_max
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau_max": tau_max}))
+    out = tmp_path / "o"
+    code = run_cli(["unfold", "--config", str(cfg), "--out", str(out)])
+    if tau_max > math.pi + 0.2:
+        assert code == 0
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: 'tau_max' must be above pi + 0.2 ({math.pi + 0.2!r}), the start "
+        f"of unfold's delay span, got {tau_max!r}\n")
+    assert not out.exists()
+
+
 def test_polygon_with_too_few_samples_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_total": 100}))

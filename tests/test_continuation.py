@@ -25,6 +25,8 @@ from relaydyn.oscillator import collision_point, find_nsc, surface_alpha
 from relaydyn.output import write_csv, write_curve_snapshot_csv
 from relaydyn.reduced import map_F_branch, oscillator_context
 
+from ns_oracle import ns_residual_oracle
+
 ZETA, EPS = -0.1, 0.1
 NSC = (4.1304261916526945, -0.48779391649198917)
 
@@ -151,9 +153,10 @@ def test_fixed_point_off_surface_closes_orbit():
 
 def test_ns_residual_vanishes_at_nsc():
     y_star = collision_point(ZETA, NSC[0])
-    res, trace = ns_residual(y_star, 0.0, NSC[0], NSC[1], EPS, ZETA)
-    assert np.max(np.abs(res)) < 1e-9
-    assert abs(trace) < 2.0
+    for fn in (ns_residual, ns_residual_oracle):
+        res, trace = fn(y_star, 0.0, NSC[0], NSC[1], EPS, ZETA)
+        assert np.max(np.abs(res)) < 1e-9
+        assert abs(trace) < 2.0
 
 
 def test_continue_ns_curve_brackets_the_seed():
@@ -163,10 +166,53 @@ def test_continue_ns_curve_brackets_the_seed():
     assert taus[0] < NSC[0] < taus[-1]
     assert np.all(np.diff(taus) > 0)
     for p in branch.points:
-        res, trace = ns_residual(p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA)
+        res, trace = ns_residual_oracle(p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA)
         assert np.max(np.abs(res)) < 1e-8
         assert abs(trace) < 2.0
     assert branch.termination == "tau-bounds"
+
+
+@pytest.fixture(scope="module")
+def default_ns_curve():
+    """The NS curve of the default ``unfold``."""
+    return continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.0))
+
+
+def test_ns_residual_closes_the_oracle_on_every_default_row(default_ns_curve):
+    branch = default_ns_curve
+    assert len(branch) == 68
+    for p in branch.points:
+        args = (p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA)
+        res, trace = ns_residual(*args)
+        ref, ref_trace = ns_residual_oracle(*args)
+        assert np.max(np.abs(res)) < 1e-10, p.data
+        assert np.max(np.abs(ref)) < 1e-10, p.data
+        assert abs(trace - ref_trace) < 1e-9, p.data
+        assert trace == p.data["trace"]
+
+
+def test_continue_ns_curve_on_the_oracle_keeps_the_default_rows(monkeypatch, default_ns_curve):
+    branch = default_ns_curve
+    monkeypatch.setattr(continuation, "ns_residual", ns_residual_oracle)
+    ref = continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.0))
+    assert (len(ref), ref.termination) == (len(branch), branch.termination)
+    assert branch.termination == "tau-bounds"
+    for key in ("tau", "alpha", "t0", "trace"):
+        np.testing.assert_allclose(branch.values(key), ref.values(key), rtol=0, atol=1e-9)
+
+
+def test_ns_curve_ends_at_the_crossing_window():
+    # the closed form runs on past tau = 5.1, where the reduced map's
+    # crossing-time solve (window 0.45 tau) no longer finds t0
+    branch = continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.5))
+    assert branch.termination == "crossing-window"
+    taus = branch.values("tau")
+    assert np.all(np.diff(taus) > 0)
+    assert 5.05 < taus[-1] < 5.5
+    for p in branch.points:
+        res, trace = ns_residual_oracle(p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA)
+        assert np.max(np.abs(res)) < 1e-10, p.data
+        assert abs(trace - p.data["trace"]) < 1e-9, p.data
 
 
 # -- trigonometric series helpers ------------------------------------------

@@ -633,14 +633,16 @@ def test_batched_evaluator_equals_the_single_point_route():
     assert valid.sum() > 1500
 
 
-def test_platform_numpy_matches_the_scalar_calls(monkeypatch):
+def test_platform_numpy_matches_the_scalar_calls(monkeypatch, tmp_path):
     # The batched evaluator equals the single-point route only while numpy's
     # cos and sin equal math.cos and math.sin, and stacked det, svd, solve,
     # trace and (1, 2) @ (2, 1) matmul equal their per-matrix calls.  A numpy
     # build or CPU whose vector routines differ fails here, not through
     # silently changed bifmap files.
+    from relaydyn import cli
     from relaydyn import oscillator as osc
     from relaydyn.cli import DEFAULTS
+    from relaydyn.flows import AffineOscillatorFlow
     taus, alphas = [], []
     for name in ("bifmap", "surface"):
         cfg = DEFAULTS[name]
@@ -657,6 +659,27 @@ def test_platform_numpy_matches_the_scalar_calls(monkeypatch):
         assert all(vector(alphas[n:n + 1])[0] == scalar(alphas[n]) for n in range(0, alphas.size, 7))
 
     taus = np.unique(np.concatenate(taus))
+
+    # _flow_rows builds A(tau) and v(tau) on arrays, but with math.exp per
+    # delay: np.exp differs from it in the last bit on some CPUs
+    unfold_taus = []
+    real = osc._flow_rows
+
+    def recorded(zeta, delays):
+        unfold_taus.extend(np.asarray(delays, dtype=float).tolist())
+        return real(zeta, delays)
+
+    monkeypatch.setattr(osc, "_flow_rows", recorded)
+    cli.cmd_unfold(dict(DEFAULTS["unfold"]), tmp_path, 0)  # find_nsc included
+    monkeypatch.undo()
+    assert len(set(unfold_taus)) >= 137
+    rng = np.random.default_rng(15)
+    flow = AffineOscillatorFlow(ZETA)
+    for delays in (taus, np.array(unfold_taus), rng.uniform(0.0, 4.0 * math.pi, 1000)):
+        a, v = osc._flow_rows(ZETA, delays)
+        assert np.array_equal(a, [flow.flow_matrix(t) for t in delays.tolist()])
+        assert np.array_equal(v, [flow.flow_offset(t) for t in delays.tolist()])
+
     a, v = osc._flow_rows(ZETA, taus.tolist())
     m = np.eye(2) + a
     assert np.array_equal(np.linalg.svd(m, compute_uv=False),
