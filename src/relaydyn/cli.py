@@ -248,6 +248,10 @@ def cmd_bifmap(config: dict, out_dir: Path, seed: int) -> list[str]:
 def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     zeta, eps = config["zeta"], config["epsilon"]
     tau_ns, alpha_ns = oscillator.find_nsc(zeta, eps)
+    if not _NS_TAU_MIN <= tau_ns <= float(config["tau_max"]):
+        raise ConfigError(
+            f"the Neimark-Sacker point's delay {tau_ns:.6g} lies outside unfold's "
+            f"delay span [pi + 0.2, {config['tau_max']!r}]; raise 'tau_max'")
     orbit = oscillator.collision_orbit(zeta, tau_ns, alpha_ns)
     stab = oscillator.stability_at_collision(orbit)
     angle = abs(float(np.angle(stab.eigs_minus[0])))
@@ -260,10 +264,11 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
                        int(config["n_collision"]))
     coll_rows = []
     hint = None
-    for tau in taus:
+    for tau, rows in zip(taus.tolist(), oscillator._corner_rows(zeta, taus)):
+        if np.isnan(rows[0, 0]):  # no corner at this delay
+            continue
         try:
-            alpha = oscillator._slice_alpha_near(oscillator._corner(zeta, float(tau)),
-                                                 eps, hint)
+            alpha = oscillator._slice_alpha_near(oscillator._Corner(zeta, tau, rows), eps, hint)
         except RelayDynError:
             continue
         hint = alpha

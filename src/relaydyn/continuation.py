@@ -370,7 +370,8 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
     point ``nsc`` = (tau, alpha), from :func:`find_nsc` when not given,
     where the fixed point is the corner itself (t0 = 0); the locus is
     traced in both delay directions from there and returned ordered by
-    increasing tau.
+    increasing tau.  Raises ``ValueError`` when the seed's delay lies
+    outside ``tau_span``.
 
     A leg ends at its first point outside ``tau_span`` and keeps that
     point, so the curve reaches a little past both ends of the span: the
@@ -383,6 +384,8 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
     """
 
     tau0, alpha0 = find_nsc(zeta, epsilon) if nsc is None else nsc
+    if not tau_span[0] <= tau0 <= tau_span[1]:
+        raise ValueError(f"NS point delay {tau0:.6g} lies outside tau_span {tau_span}")
     y0 = collision_point(zeta, tau0)
     seed = np.array([y0[0], y0[1], 0.0, tau0, alpha0])
 
@@ -721,13 +724,24 @@ def _family_fd_jacobian(w: np.ndarray, f0: np.ndarray | None, n_modes: int,
                         epsilon: float, zeta: float) -> np.ndarray:
     """``fd_jacobian`` of :func:`_family_residual`, bit for bit, by blocks.
 
-    Every column is (G(w + h e_j) - f0) / h with the same perturbed vector
-    and the same floating-point operations per entry as the column loop.
-    Two things differ: an intermediate that column j cannot change (the
-    angle table while a radius coefficient moves, say) is computed once,
-    and the columns of a block are evaluated as one stacked batch.  The
-    radius, offset and angle blocks each recompute only what they touch;
-    the six scalar unknowns (y0, t0, phi*, tau, alpha) take full residuals.
+    The residual's rows come in four blocks: the invariance defect (2m rows,
+    m = 2n + 1 nodes), the threshold defect (m), the fixed point (3) and the
+    closure (2).  Column j of ``fd_jacobian`` is (G(w + h e_j) - f0) / h;
+    here each column computes, from the same perturbed vector and with the
+    same floating-point operations, only the row blocks its unknown enters:
+
+    * radius coefficients and y0: defect and threshold rows (y0 also the
+      fixed point);
+    * offset coefficients: defect, threshold and closure rows;
+    * angle coefficients [p, omega]: defect rows;
+    * t0: fixed point; phi*: closure; tau: defect and fixed point;
+      alpha: threshold and fixed point.
+
+    Every other entry is (v - v) / h for a finite residual value v, which
+    is exactly +0.0, so the matrix starts from zeros.  An intermediate a
+    column cannot change (the angle table while a radius coefficient moves,
+    say) is computed once, and the columns of a block run as one stacked
+    batch.
     """
     w = np.asarray(w, dtype=float)
     if f0 is None:
@@ -735,7 +749,7 @@ def _family_fd_jacobian(w: np.ndarray, f0: np.ndarray | None, n_modes: int,
     nz = FourierCurve.dim(n_modes)
     m = 2 * n_modes + 1
     curve = FourierCurve.unpack(n_modes, w[:nz])
-    y0, r, t = curve.y0, curve.r_coeffs, curve.t_coeffs
+    y0, r, t, t0 = curve.y0, curve.r_coeffs, curve.t_coeffs, curve.t0
     phi_star, tau, alpha = w[nz], w[nz + 1], w[nz + 2]
     trig = _node_trig(n_modes)
     star = _TrigTable.at(phi_star, n_modes)
@@ -745,35 +759,45 @@ def _family_fd_jacobian(w: np.ndarray, f0: np.ndarray | None, n_modes: int,
     t_phi = trig.series(t)
     angles = _angle_table(trig, curve.p_coeffs, curve.omega)
     img = angles.points(y0, r)
-    fwd, on_line = _advance(pts, t_phi, *params)
-    fp = fixed_point_residual(y0, curve.t0, *params)
-    closure = _closure(star, t)
+    fwd, _ = _advance(pts, t_phi, *params)
 
-    J = np.empty((f0.size, w.size))
+    rows = {"defect": slice(0, 2 * m), "on_line": slice(2 * m, 3 * m),
+            "fp": slice(3 * m, 3 * m + 3), "closure": slice(3 * m + 3, 3 * m + 5)}
+    J = np.zeros((f0.size, w.size))
 
-    def put(cols, defect, on_line, closure):
-        """Columns from one batch of perturbed rows; unbatched parts broadcast."""
-        b = defect.shape[0]
-        rows = np.concatenate([defect.reshape(b, -1)] + [
-            np.broadcast_to(x, (b, x.shape[-1])) for x in (on_line, fp, closure)], axis=1)
-        J[:, cols] = ((rows - f0) / FD_STEP).T
+    def put(cols, **blocks):
+        """Columns ``cols`` from one batch of perturbed values per row block."""
+        b = cols.stop - cols.start
+        for name, v in blocks.items():
+            J[rows[name], cols] = ((v.reshape(b, -1) - f0[rows[name]]) / FD_STEP).T
 
     R = _perturbed(r)
     fwd_r, on_line_r = _advance(trig.points(y0, R), t_phi, *params)
-    put(slice(0, m), angles.points(y0, R) + fwd_r, on_line_r, closure)
+    put(slice(0, m), defect=angles.points(y0, R) + fwd_r, on_line=on_line_r)
 
     T = _perturbed(t)
     fwd_t, on_line_t = _advance(pts, trig.series(T), *params)
-    put(slice(m, 2 * m), img + fwd_t, on_line_t, _closure(star, T))
+    put(slice(m, 2 * m), defect=img + fwd_t, on_line=on_line_t, closure=_closure(star, T))
 
     P = _perturbed(np.append(curve.p_coeffs, curve.omega))  # [p, omega] columns
     img_p = _angle_table(trig, P[:, :-1], P[:, -1:]).points(y0, r)
-    put(slice(2 * m, nz - 3), img_p + fwd, on_line, closure)
+    put(slice(2 * m, nz - 3), defect=img_p + fwd)
 
-    for j in range(nz - 3, w.size):
-        wp = w.copy()
-        wp[j] += FD_STEP
-        J[:, j] = (_family_residual(wp, n_modes, epsilon, zeta) - f0) / FD_STEP
+    Y = _perturbed(y0)[:, None]  # both y0 columns, on the node angle table
+    fwd_y, on_line_y = _advance(trig.points(Y, r), t_phi, *params)
+    put(slice(nz - 3, nz - 1), defect=angles.points(Y, r) + fwd_y, on_line=on_line_y,
+        fp=np.stack([fixed_point_residual(y, t0, *params) for y in Y[:, 0]]))
+
+    put(slice(nz - 1, nz), fp=fixed_point_residual(y0, t0 + FD_STEP, *params))
+    put(slice(nz, nz + 1), closure=_closure(_TrigTable.at(phi_star + FD_STEP, n_modes), t))
+
+    tau_h = (tau + FD_STEP, alpha, epsilon, zeta)
+    put(slice(nz + 1, nz + 2), defect=img + _advance(pts, t_phi, *tau_h)[0],
+        fp=fixed_point_residual(y0, t0, *tau_h))
+
+    alpha_h = (tau, alpha + FD_STEP, epsilon, zeta)
+    put(slice(nz + 2, nz + 3), on_line=_advance(pts, t_phi, *alpha_h)[1],
+        fp=fixed_point_residual(y0, t0, *alpha_h))
     return J
 
 

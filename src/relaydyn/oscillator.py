@@ -185,9 +185,8 @@ class _Corner:
 
     __slots__ = ("zeta", "tau", "rows")
 
-    def __init__(self, zeta: float, tau: float, y: np.ndarray):
-        self.zeta, self.tau = zeta, tau
-        self.rows = _corner_rows(zeta, [tau], np.asarray(y, dtype=float)[None])[0]
+    def __init__(self, zeta: float, tau: float, rows: np.ndarray):
+        self.zeta, self.tau, self.rows = zeta, tau, rows
 
     @property
     def y_star(self) -> np.ndarray:
@@ -204,7 +203,10 @@ class _Corner:
 
 def _corner(zeta: float, tau: float) -> _Corner:
     """Solve the corner of one delay; raises as :func:`collision_orbit` does."""
-    return _Corner(zeta, tau, _surface_corner(zeta, tau))
+    rows = _corner_rows(zeta, [tau])[0]
+    if np.isnan(rows[0, 0]):
+        _surface_corner(zeta, tau)  # raises the reason there is no corner
+    return _Corner(zeta, tau, rows)
 
 
 def _epsilon(y: np.ndarray, alphas) -> np.ndarray:
@@ -379,7 +381,8 @@ def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
     """Classify the corner: branch spectra plus bifurcation residuals."""
     p = orbit.params
-    return _stability(_Corner(p.zeta, p.tau, orbit.y_star), orbit)
+    rows = _corner_rows(p.zeta, [p.tau], np.asarray(orbit.y_star, dtype=float)[None])[0]
+    return _stability(_Corner(p.zeta, p.tau, rows), orbit)
 
 
 def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -347,14 +348,58 @@ def test_unfold_needs_delays_past_the_span_start(tmp_path, capsys, tau_max):
     cfg.write_text(json.dumps({"tau_max": tau_max}))
     out = tmp_path / "o"
     code = run_cli(["unfold", "--config", str(cfg), "--out", str(out)])
-    if tau_max > math.pi + 0.2:
-        assert code == 0
-        return
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"config error: 'tau_max' must be above pi + 0.2 ({math.pi + 0.2!r}), the start "
-        f"of unfold's delay span, got {tau_max!r}\n")
+    err = capsys.readouterr().err
+    if tau_max > math.pi + 0.2:  # a span that stops short of the NS point
+        assert err.startswith("config error: the Neimark-Sacker point's delay 4.13043 ")
+    else:
+        assert err == (
+            f"config error: 'tau_max' must be above pi + 0.2 ({math.pi + 0.2!r}), the start "
+            f"of unfold's delay span, got {tau_max!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_max, code", [(3.5, 2), (4.2, 0)])
+def test_unfold_span_must_hold_the_ns_point(tmp_path, capsys, tau_max, code):
+    # the NS curve is seeded at the NS point (tau = 4.130 by default); a span
+    # ending before it used to write that one row at tau = 4.130 and exit 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau_max": tau_max}))
+    out = tmp_path / "o"
+    assert run_cli(["unfold", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == ("config error: the Neimark-Sacker point's delay 4.13043 lies outside "
+                       f"unfold's delay span [pi + 0.2, {tau_max!r}]; raise 'tau_max'\n")
+        assert not out.exists()
+        return
+    assert err == ""
+    nsc = json.loads((out / "nsc.json").read_text())
+    assert nsc["tau"] <= tau_max and nsc["ns_points"] > 1
+
+
+def test_unfold_collision_curve_skips_delays_without_a_corner(tmp_path, monkeypatch):
+    # one stacked corner solve for the collision curve; a NaN row is skipped
+    # as a raised error at that delay used to be
+    real = oscillator._corner_rows
+    calls = []
+
+    def counted(zeta, taus, y=None):
+        calls.append(len(taus))
+        rows = real(zeta, taus, y)
+        if len(taus) > 1:
+            rows[3] = np.nan
+        return rows
+
+    monkeypatch.setattr(oscillator, "_corner_rows", counted)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_collision": 9}))
+    assert run_cli(["unfold", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert [n for n in calls if n > 1] == [9]
+    lines = (tmp_path / "o" / "collision_curve.csv").read_text().splitlines()
+    taus = np.linspace(math.pi + 0.05, 5.0, 9)
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [t for i, t in enumerate(taus.tolist()) if i != 3]
 
 
 def test_polygon_with_too_few_samples_is_exit_2(tmp_path, capsys):

@@ -172,6 +172,12 @@ def test_continue_ns_curve_brackets_the_seed():
     assert branch.termination == "tau-bounds"
 
 
+@pytest.mark.parametrize("tau_span", [(math.pi + 0.2, 3.5), (4.2, 5.0)])
+def test_continue_ns_curve_refuses_a_seed_outside_the_span(tau_span):
+    with pytest.raises(ValueError, match="NS point delay 4.13043"):
+        continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=tau_span)
+
+
 @pytest.fixture(scope="module")
 def default_ns_curve():
     """The NS curve of the default ``unfold``."""
@@ -495,6 +501,27 @@ def test_blocked_family_jacobian_equals_fd_jacobian(family_points, where):
     assert np.array_equal(_family_fd_jacobian(w, None, n_modes, EPS, ZETA), expected)
     f0 = _family_residual(w, n_modes, EPS, ZETA)
     assert np.array_equal(_family_fd_jacobian(w, f0, n_modes, EPS, ZETA), expected)
+
+
+@pytest.mark.parametrize("given_f0", [True, False])
+def test_blocked_family_jacobian_makes_at_most_the_base_residual(family_points, monkeypatch,
+                                                                 given_f0):
+    # each column computes only the row blocks it moves, never a full residual
+    n_modes, points = family_points
+    w = points["perturbed"]
+    f0 = _family_residual(w, n_modes, EPS, ZETA) if given_f0 else None
+    calls = {"_family_residual": 0, "invariant_curve_residual": 0}
+    for name in calls:
+        real = getattr(continuation, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(continuation, name, counted)
+    _family_fd_jacobian(w, f0, n_modes, EPS, ZETA)
+    expected = 0 if given_f0 else 1
+    assert calls == {"_family_residual": expected, "invariant_curve_residual": expected}
 
 
 def test_batched_series_rows_equal_single_evaluations():
