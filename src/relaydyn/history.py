@@ -276,8 +276,13 @@ class Trajectory:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
+        """State at time t; an array of times gives one row per (flattened) time.
+
+        Every row is the one-time value: the same segment, found by the same
+        ``bisect_right`` rule, and the backend's scalar ``apply``.
+        """
         if np.ndim(t) > 0:
-            return np.stack([self(float(ti)) for ti in np.asarray(t).ravel()])
+            return self._rows(np.asarray(t, dtype=float).ravel())
         t = float(t)
         if t <= 0.0:
             return self.initial_history(t)
@@ -288,8 +293,30 @@ class Trajectory:
         seg = self.segments[i]
         return self.flow.apply(seg.y0, seg.u, t - seg.t0)
 
-    def u_at(self, t: float) -> int:
-        """Relay output at time t (right-continuous)."""
+    def _rows(self, ts: np.ndarray) -> np.ndarray:
+        out = np.empty((ts.size, self.initial_history.dim))
+        past = ts <= 0.0
+        if past.any():
+            out[past] = self.initial_history(ts[past])
+        ahead = ts[~past]
+        if ahead.size:
+            if ahead.max() > self.T + _EDGE_TOL:
+                raise ValueError(f"trajectory evaluated at {ahead.max()} beyond T={self.T}")
+            ahead = np.minimum(ahead, self.T)
+            apply, segs = self.flow.apply, self.segments
+            out[~past] = [apply(segs[i].y0, segs[i].u, s - segs[i].t0)
+                          for s, i in zip(ahead.tolist(), self._segment(ahead).tolist())]
+        return out
+
+    def _segment(self, ts: np.ndarray) -> np.ndarray:
+        """Segment index of each time: ``bisect_right`` on the segment starts, less one."""
+        return np.searchsorted(self._seg_times, ts, side="right") - 1
+
+    def u_at(self, t):
+        """Relay output at time t (right-continuous); an array of times gives a list."""
+        if np.ndim(t) > 0:
+            idx = np.maximum(self._segment(np.asarray(t, dtype=float).ravel()), 0)
+            return [self.segments[i].u for i in idx.tolist()]
         t = float(t)
         i = bisect.bisect_right(self._seg_times, t) - 1
         return self.segments[max(i, 0)].u
@@ -304,9 +331,7 @@ class Trajectory:
 
     def switch_points(self) -> np.ndarray:
         """Headpoint locations at the switch times, one row per switch."""
-        if not self.switches:
-            return np.empty((0, self.initial_history.dim))
-        return np.stack([self(s.time) for s in self.switches])
+        return self(self.switch_times())
 
     # -- tail extraction -----------------------------------------------------
 
@@ -320,7 +345,7 @@ class Trajectory:
             return BreakpointHistory(self.flow, horizon, self(lo), times, labels)
         n = max(129, self.initial_history.values.shape[0])
         grid = np.linspace(lo, self.T, n)
-        return SampledHistory(horizon, np.stack([self(t) for t in grid]))
+        return SampledHistory(horizon, self(grid))
 
     def _tail_events(self, lo: float) -> tuple[list[float], list[int]]:
         """Label-change times in (lo, T] shifted by -T, plus per-interval labels."""

@@ -79,12 +79,14 @@ def write_manifest(out_dir, command: str, config: dict, outputs: list[str]) -> P
 
 
 def write_trajectory_csv(path, traj) -> Path:
+    """2001 rows of (t, x, x', u) on [0, T]: the ``write_csv`` format in one pass."""
     ts = np.linspace(0.0, traj.T, 2001)
-    rows = []
-    for t in ts:
-        y = traj(t)
-        rows.append((t, y[0], y[1], traj.u_at(t)))
-    return write_csv(path, ["t", "x", "xdot", "u"], rows)
+    lines = ["t,x,xdot,u"]
+    lines += [f"{t!r},{x!r},{xdot!r},{u:d}" for t, (x, xdot), u
+              in zip(ts.tolist(), traj(ts).tolist(), traj.u_at(ts))]
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_sweep_csv(path, records) -> Path:

@@ -58,13 +58,18 @@ _SCAN_CHUNK = 32
 class RelaySystem:
     """A relay feedback loop: flow backend, switching functional, delay, band.
 
-    ``h``/``dh`` evaluate the switching functional and its gradient.
+    ``h``/``dh`` evaluate the switching functional and its gradient.  ``h``
+    takes one state of shape (dim,) and returns a float, or a stack of
+    states of shape (n, dim) and returns one value per row.  A stacked value
+    may differ from the one-state value of that row in the last bits; the
+    engine reads stacked values only for the sign tests of its scans, and
+    refines and polishes every crossing on one-state values.
     ``lipschitz_f`` and ``sup_dh`` (optional) feed the switching-rate
     diagnostics of :func:`switch_bound_report`.
     """
 
     flow: object
-    h: Callable[[np.ndarray], float]
+    h: Callable[[np.ndarray], float | np.ndarray]
     dh: Callable[[np.ndarray], np.ndarray]
     tau: float
     epsilon: float
@@ -84,7 +89,7 @@ def oscillator_system(zeta: float, alpha: float, tau: float, epsilon: float) -> 
     c = np.array([math.cos(alpha), math.sin(alpha)])
     return RelaySystem(
         flow=flow,
-        h=lambda y: float(c @ y),
+        h=lambda y: y @ c,
         dh=lambda y: c,
         tau=tau,
         epsilon=epsilon,
@@ -314,13 +319,12 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
     ts = np.linspace(t, t_stop, n)
     dts = ts - t
-    ws = np.empty(n)
     a, b = 0, min(n, _SCAN_CHUNK)
     while True:
-        path = flow.apply_path(y, u, dts[a:b])
-        ws[a:b] = rho * np.array([system.h(p) for p in path]) - eps
+        # one stacked h per chunk: only the sign of each node's residual is read
+        ws = rho * system.h(flow.apply_path(y, u, dts[a:b])) - eps
         first = max(a, 1)  # node 0 is the state at t itself, never a hit
-        hit = np.flatnonzero(ws[first:b] >= 0.0)
+        hit = np.flatnonzero(ws[first - a:] >= 0.0)
         if hit.size:
             i = first + int(hit[0])
             break
@@ -362,7 +366,6 @@ def check_weak_transversality(system: RelaySystem, traj: Trajectory,
     if window <= 0:
         raise ValueError("window must be positive")
     times = sorted(c.time for c in traj.crossings)
-    out = []
     lo_lim = -traj.initial_history.horizon
     for i, tc in enumerate(times):
         lo, hi = tc - window, tc + window
@@ -370,10 +373,11 @@ def check_weak_transversality(system: RelaySystem, traj: Trajectory,
             raise WindowTooLarge(f"window around t={tc:.6g} leaves the trajectory")
         if (i > 0 and lo <= times[i - 1]) or (i + 1 < len(times) and hi >= times[i + 1]):
             raise WindowTooLarge(f"window around t={tc:.6g} overlaps the next crossing")
-        ts = np.linspace(lo, hi, 25)
-        vals = np.array([abs(system.h(traj(s))) for s in ts])
-        out.append((tc, float(np.min(np.diff(vals)))))
-    return out
+    # one row of 25 samples per crossing window, evaluated as one stack
+    ts = np.linspace(np.subtract(times, window), np.add(times, window), 25, axis=1)
+    vals = np.abs(system.h(traj(ts))).reshape(ts.shape)
+    margins = np.diff(vals, axis=1).min(axis=1)
+    return list(zip(times, margins.tolist()))
 
 
 def strict_transversality_q(system: RelaySystem, y) -> float:
@@ -420,7 +424,7 @@ def switch_bound_report(system: RelaySystem, traj: Trajectory,
     if L is None or H is None:
         raise ValueError("system lacks lipschitz_f / sup_dh data")
     ts = np.linspace(t0 - system.tau, traj.T, 1024)
-    y_max = float(max(np.linalg.norm(traj(s)) for s in ts))
+    y_max = float(np.linalg.norm(traj(ts), axis=1).max())
     stimes = [s for s in traj.switch_times() if s >= t0]
     gaps = np.diff(stimes)
     min_gap = float(gaps.min()) if gaps.size else math.inf

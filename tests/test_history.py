@@ -148,3 +148,28 @@ def test_hybrid_state_validates_relay_output():
     HybridState(hist, -1)
     with pytest.raises(ValueError):
         HybridState(hist, 0)
+
+
+@pytest.mark.parametrize("kind", ["sampled", "breakpoint"])
+def test_trajectory_rows_equal_one_time_values(flow, kind):
+    from relaydyn.relay import evolve, oscillator_system
+
+    system = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    if kind == "sampled":
+        hist = SampledHistory.from_function(
+            lambda s: np.array([0.5 + 0.2 * np.sin(s), 0.2 * np.cos(s)]), 4.2)
+    else:
+        hist = BreakpointHistory(flow, 4.2, [0.3, -0.1], times=[-2.5, -0.7],
+                                 labels=[1, -1, 1])
+    _, traj = evolve(system, HybridState(hist, 1), 30.0)
+    assert len(traj.segments) > 3
+    rng = np.random.default_rng(2)
+    edges = [seg.t0 for seg in traj.segments] + [0.0, traj.T, -4.2]
+    ts = np.concatenate([rng.uniform(-4.2, traj.T, 400), edges])
+    rows = traj(ts[:, None])  # any shape, rows in flattened order
+    assert rows.shape == (ts.size, 2)
+    assert np.array_equal(rows, np.stack([traj(t) for t in ts.tolist()]))
+    assert traj.u_at(ts) == [traj.u_at(t) for t in ts.tolist()]
+    assert traj(np.array([])).shape == (0, 2)
+    with pytest.raises(ValueError):
+        traj(np.array([1.0, traj.T + 1e-6]))

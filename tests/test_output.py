@@ -4,10 +4,42 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from relaydyn import cli, relay
 from relaydyn.output import (_fmt, family_records, write_csv, write_json,
                              write_json_lines, write_manifest)
+
+
+def per_row_trajectory_csv(traj) -> bytes:
+    """The trajectory table one row at a time, from scalar evaluations."""
+    lines = ["t,x,xdot,u"]
+    for t in np.linspace(0.0, traj.T, 2001).tolist():
+        y = traj(t)
+        lines.append(",".join([repr(t), repr(float(y[0])), repr(float(y[1])),
+                               str(traj.u_at(t))]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("history", ["constant", "random", "collision"])
+def test_trajectory_csv_matches_the_per_row_writer(tmp_path, monkeypatch, history):
+    trajs, run = [], relay.evolve
+
+    def evolve(*args, **kwargs):
+        state, traj = run(*args, **kwargs)
+        trajs.append(traj)
+        return state, traj
+
+    monkeypatch.setattr(relay, "evolve", evolve)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"horizon": 60.0, "history": history}))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+    (traj,) = trajs
+    assert len(traj.segments) > 5
+    assert (out / "trajectory.csv").read_bytes() == per_row_trajectory_csv(traj)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

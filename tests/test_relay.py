@@ -219,6 +219,22 @@ def test_weak_transversality_on_regular_run():
         check_weak_transversality(system, traj, window=2.0 * TAU)
 
 
+def test_transversality_and_switch_bound_match_per_sample_loops():
+    # the stacked h may move each sample in its last bit, nothing more
+    system, orbit, ctx = oscillator_setup()
+    state = reconstruct_history(ctx, orbit.y_star + np.array([2e-3, -1e-3]),
+                                horizon=2.0 * TAU)
+    _, traj = evolve(system, state, 3.0 * TAU)
+    margins = check_weak_transversality(system, traj, window=0.02)
+    assert len(margins) == len(traj.crossings)
+    for tc, m in margins:
+        vals = [abs(system.h(traj(s))) for s in np.linspace(tc - 0.02, tc + 0.02, 25)]
+        assert m == pytest.approx(min(np.diff(vals)), rel=1e-9)
+    report = switch_bound_report(system, traj, t0=TAU)
+    ts = np.linspace(0.0, traj.T, 1024)
+    assert report.y_max == pytest.approx(max(np.linalg.norm(traj(s)) for s in ts), rel=1e-14)
+
+
 def test_strict_transversality_sign():
     system, orbit, _ = oscillator_setup()
     assert strict_transversality_q(system, orbit.y_star) == pytest.approx(orbit.q)
@@ -301,8 +317,9 @@ class ClockFlow:
 
 def clock_signal(p):
     # strictly increasing and not affine, so a bracket that moves also
-    # moves the bits of the refined root
-    return float(p[0] + 0.3 * math.sin(p[0]))
+    # moves the bits of the refined root; one state or a stack, as h must
+    p = np.asarray(p, dtype=float)
+    return p[..., 0] + 0.3 * np.sin(p[..., 0])
 
 
 def clock_system(eps):
@@ -402,6 +419,38 @@ def test_evolve_scan_work_is_linear_in_the_horizon():
     # the full-grid scan costs about 4x here, its work per crossing grows
     assert calls[1] / calls[0] < 2.5
     assert max(c / k for c, k in zip(calls, crossings)) < 400
+
+
+def test_simulate_scan_makes_one_h_call_per_chunk():
+    # the simulate command's default system and constant history, at the
+    # benchmark's horizon; a scan calling h once per node makes about 30k
+    base = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
+    count = [0]
+
+    def h(y):
+        count[0] += 1
+        return base.h(y)
+
+    _, traj = evolve(dataclasses.replace(base, h=h), state, 500.0)
+    assert len(traj.crossings) > 100
+    assert count[0] < 2000
+    assert count[0] / len(traj.crossings) < 20
+
+
+def test_oscillator_h_takes_one_state_or_a_stack():
+    rng = np.random.default_rng(3)
+    ys = rng.normal(size=(4000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1))
+    for alpha in (-0.5, 0.3, 2.0):
+        system = oscillator_system(ZETA, alpha, TAU, EPS)
+        c = np.array([math.cos(alpha), math.sin(alpha)])
+        one = [system.h(y) for y in ys]
+        # one state: the value of the scalar dot product, bit for bit
+        assert one == [float(c @ y) for y in ys]
+        stacked = system.h(ys)
+        assert stacked.shape == (len(ys),)
+        ulps = np.abs(stacked - np.array(one)) / np.spacing(np.linalg.norm(ys, axis=1))
+        assert ulps.max() <= 2.0
 
 
 def test_evolve_on_rk_flow_matches_closed_form():
