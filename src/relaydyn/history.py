@@ -278,20 +278,11 @@ class Trajectory:
     def __call__(self, t):
         """State at time t; an array of times gives one row per (flattened) time.
 
-        Every row is the one-time value: the same segment, found by the same
-        ``bisect_right`` rule, and the backend's scalar ``apply``.
+        Segments are found by the ``bisect_right`` rule on their start times,
+        and every row comes from the backend's scalar ``apply``.
         """
-        if np.ndim(t) > 0:
-            return self._rows(np.asarray(t, dtype=float).ravel())
-        t = float(t)
-        if t <= 0.0:
-            return self.initial_history(t)
-        if t > self.T + _EDGE_TOL:
-            raise ValueError(f"trajectory evaluated at {t} beyond T={self.T}")
-        t = min(t, self.T)
-        i = bisect.bisect_right(self._seg_times, t) - 1
-        seg = self.segments[i]
-        return self.flow.apply(seg.y0, seg.u, t - seg.t0)
+        rows = self._rows(np.asarray(t, dtype=float).ravel())
+        return rows if np.ndim(t) > 0 else rows[0]
 
     def _rows(self, ts: np.ndarray) -> np.ndarray:
         out = np.empty((ts.size, self.initial_history.dim))
@@ -314,12 +305,9 @@ class Trajectory:
 
     def u_at(self, t):
         """Relay output at time t (right-continuous); an array of times gives a list."""
-        if np.ndim(t) > 0:
-            idx = np.maximum(self._segment(np.asarray(t, dtype=float).ravel()), 0)
-            return [self.segments[i].u for i in idx.tolist()]
-        t = float(t)
-        i = bisect.bisect_right(self._seg_times, t) - 1
-        return self.segments[max(i, 0)].u
+        idx = np.maximum(self._segment(np.asarray(t, dtype=float).ravel()), 0)
+        us = [self.segments[k].u for k in idx.tolist()]
+        return us if np.ndim(t) > 0 else us[0]
 
     def head(self) -> np.ndarray:
         return self(self.T)

@@ -17,6 +17,8 @@ BUILD_ID = "relaydyn-0.1.0"
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the common case, ahead of the isinstance chain
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
@@ -46,7 +48,7 @@ def write_csv(path, header, rows) -> Path:
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -79,14 +81,9 @@ def write_manifest(out_dir, command: str, config: dict, outputs: list[str]) -> P
 
 
 def write_trajectory_csv(path, traj) -> Path:
-    """2001 rows of (t, x, x', u) on [0, T]: the ``write_csv`` format in one pass."""
     ts = np.linspace(0.0, traj.T, 2001)
-    lines = ["t,x,xdot,u"]
-    lines += [f"{t!r},{x!r},{xdot!r},{u:d}" for t, (x, xdot), u
-              in zip(ts.tolist(), traj(ts).tolist(), traj.u_at(ts))]
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_csv(path, ["t", "x", "xdot", "u"],
+                     zip(ts.tolist(), *traj(ts).T.tolist(), traj.u_at(ts)))
 
 
 def write_sweep_csv(path, records) -> Path:

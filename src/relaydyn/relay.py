@@ -61,9 +61,11 @@ class RelaySystem:
     ``h``/``dh`` evaluate the switching functional and its gradient.  ``h``
     takes one state of shape (dim,) and returns a float, or a stack of
     states of shape (n, dim) and returns one value per row.  A stacked value
-    may differ from the one-state value of that row in the last bits; the
-    engine reads stacked values only for the sign tests of its scans, and
-    refines and polishes every crossing on one-state values.
+    may differ from the one-state value of that row in the last bits.
+    :func:`evolve` reads stacked values only for the sign tests of its scans
+    and refines and polishes every crossing on one-state values, so its
+    crossing and switch times do not depend on those bits; the margins of
+    :func:`check_weak_transversality` are built on stacked values.
     ``lipschitz_f`` and ``sup_dh`` (optional) feed the switching-rate
     diagnostics of :func:`switch_bound_report`.
     """
@@ -322,7 +324,11 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     a, b = 0, min(n, _SCAN_CHUNK)
     while True:
         # one stacked h per chunk: only the sign of each node's residual is read
-        ws = rho * system.h(flow.apply_path(y, u, dts[a:b])) - eps
+        hs = system.h(flow.apply_path(y, u, dts[a:b]))
+        if np.shape(hs) != (b - a,):
+            raise TypeError(f"h returned shape {np.shape(hs)} for a stack of {b - a} "
+                            "states; RelaySystem.h must give one value per row")
+        ws = rho * hs - eps
         first = max(a, 1)  # node 0 is the state at t itself, never a hit
         hit = np.flatnonzero(ws[first - a:] >= 0.0)
         if hit.size:
@@ -359,8 +365,10 @@ def check_weak_transversality(system: RelaySystem, traj: Trajectory,
 
     Returns ``(crossing_time, margin)`` pairs, the margin being the smallest
     forward difference of |h| at 25 points in the window (positive = strictly
-    monotone).  Raises :class:`WindowTooLarge` when the window would overlap
-    a neighbouring crossing or leave the recorded time range.
+    monotone).  All windows go through one stacked ``h`` call, so a margin may
+    differ by rounding from one built on one-state values.  Raises
+    :class:`WindowTooLarge` when the window would overlap a neighbouring
+    crossing or leave the recorded time range.
     """
 
     if window <= 0:

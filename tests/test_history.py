@@ -1,5 +1,7 @@
 """History containers: exact breakpoint form, sampled form, hybrid state."""
 
+import bisect
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -166,10 +168,21 @@ def test_trajectory_rows_equal_one_time_values(flow, kind):
     rng = np.random.default_rng(2)
     edges = [seg.t0 for seg in traj.segments] + [0.0, traj.T, -4.2]
     ts = np.concatenate([rng.uniform(-4.2, traj.T, 400), edges])
+    # the one-time rule: initial history up to 0, then the segment that
+    # bisect_right finds on the segment starts, at a time clamped to T
+    starts = [seg.t0 for seg in traj.segments]
+    segs = [traj.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
+            for t in ts.tolist()]
+    expect = np.stack([hist(t) if t <= 0.0 else
+                       traj.flow.apply(seg.y0, seg.u, min(t, traj.T) - seg.t0)
+                       for t, seg in zip(ts.tolist(), segs)])
     rows = traj(ts[:, None])  # any shape, rows in flattened order
     assert rows.shape == (ts.size, 2)
-    assert np.array_equal(rows, np.stack([traj(t) for t in ts.tolist()]))
-    assert traj.u_at(ts) == [traj.u_at(t) for t in ts.tolist()]
+    assert np.array_equal(rows, expect)
+    assert all(np.array_equal(traj(t), row) for t, row in zip(ts.tolist(), expect))
+    us = [seg.u for seg in segs]
+    assert traj.u_at(ts) == us
+    assert [traj.u_at(t) for t in ts.tolist()] == us
     assert traj(np.array([])).shape == (0, 2)
     with pytest.raises(ValueError):
         traj(np.array([1.0, traj.T + 1e-6]))

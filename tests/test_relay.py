@@ -410,7 +410,7 @@ def test_evolve_scan_work_is_linear_in_the_horizon():
         count = [0]
 
         def h(y, count=count):
-            count[0] += 1
+            count[0] += np.atleast_2d(y).shape[0]  # states, one per stacked row
             return base.h(y)
 
         _, traj = evolve(dataclasses.replace(base, h=h), state, horizon)
@@ -424,18 +424,34 @@ def test_evolve_scan_work_is_linear_in_the_horizon():
 def test_simulate_scan_makes_one_h_call_per_chunk():
     # the simulate command's default system and constant history, at the
     # benchmark's horizon; a scan calling h once per node makes about 30k
+    # calls, and a full-grid scan evaluates thousands of states per crossing
     base = oscillator_system(-0.1, -0.5, 4.2, 0.1)
     state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
-    count = [0]
+    calls, states = [0], [0]
 
     def h(y):
-        count[0] += 1
+        calls[0] += 1
+        states[0] += np.atleast_2d(y).shape[0]
         return base.h(y)
 
     _, traj = evolve(dataclasses.replace(base, h=h), state, 500.0)
     assert len(traj.crossings) > 100
-    assert count[0] < 2000
-    assert count[0] / len(traj.crossings) < 20
+    assert calls[0] < 2000
+    assert calls[0] / len(traj.crossings) < 20
+    assert states[0] / len(traj.crossings) < 400
+
+
+@pytest.mark.parametrize("one_state_h", [
+    lambda y: y[0] - 0.1,
+    lambda y: math.cos(-0.5) * y[0] + math.sin(-0.5) * y[1],
+    lambda y: 0.0,
+], ids=["first_row", "dot_of_rows", "constant"])
+def test_scan_refuses_an_h_without_one_value_per_row(one_state_h):
+    # each is right for one state, but wrong or a scalar on a stack
+    base = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
+    with pytest.raises(TypeError, match="one value per row"):
+        evolve(dataclasses.replace(base, h=one_state_h), state, 50.0)
 
 
 def test_oscillator_h_takes_one_state_or_a_stack():
