@@ -25,9 +25,10 @@ from .history import (BreakpointHistory, HybridState, SampledHistory,
                       Trajectory)
 from .oscillator import (BifurcationMap, CollisionOrbit, CollisionStability,
                          CurvePoint, OscillatorParams, bifurcation_map,
-                         collision_context, collision_epsilon, collision_orbit,
-                         collision_point, find_nsc, stability_at_collision,
-                         surface_alpha)
+                         collision_context, collision_curve, collision_epsilon,
+                         collision_orbit, collision_point, find_nsc,
+                         stability_at_collision, surface_alpha, surface_corner,
+                         surface_table)
 from .reduced import (CollisionContext, DomainTag, branch_of, classify,
                       crossing_time, jacobian_F, jacobian_F_branch, map_F,
                       map_F_branch, oscillator_context, reconstruct_history,

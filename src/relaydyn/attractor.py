@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
                      LeftNeighborhood, NoConvergence, NoRootInBracket)
-from .oscillator import _surface_corner
+from .oscillator import surface_corner
 from .reduced import CollisionContext, branch_of, crossing_time, oscillator_context
 
 __all__ = [
@@ -154,7 +154,7 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
 
     if keep < 0:
         raise ValueError(f"keep must be non-negative, got {keep!r}")
-    y_ref = _surface_corner(zeta, tau)
+    y_ref = surface_corner(zeta, tau)
     alphas = np.asarray(alphas, dtype=float)
     records: list[SweepRecord] = []
     if alphas.size == 0:

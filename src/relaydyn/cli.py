@@ -22,7 +22,6 @@ import numpy as np
 
 from . import attractor, continuation, oscillator, output, reduced, relay
 from .errors import NumericalError, RelayDynError, ValidationError
-from .flows import AffineOscillatorFlow
 from .history import HybridState, SampledHistory
 
 
@@ -209,24 +208,12 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int) -> list[str]:
 
 
 def cmd_surface(config: dict, out_dir: Path, seed: int) -> list[str]:
-    zeta = config["zeta"]
-    taus = np.linspace(*config["tau_range"], int(config["n_tau"]))
-    alphas = np.linspace(*config["alpha_range"], int(config["n_alpha"]))
-    # one corner per row; delays without one (tau <= pi) give no row
-    corners = oscillator._corner_rows(zeta, taus)
-    has = ~np.isnan(corners[:, 0, 0])
-    taus, corners = taus[has], corners[has]
-    tau_col, alpha_col = np.repeat(taus, alphas.size), np.tile(alphas, taus.size)
-    eps, q, tests, valid = oscillator._surface_batch(
-        np.repeat(corners, alphas.size, axis=0), alpha_col)
-    flow = AffineOscillatorFlow(zeta)
-    resid = [float(np.max(np.abs(y + flow.apply(y, 1, tau))))
-             for tau, y in zip(taus.tolist(), corners[:, 0])]
-    rows = np.column_stack((tau_col, alpha_col, eps, q, tests["trace_plus"],
-                            np.repeat(resid, alphas.size)))[valid].tolist()
+    table = oscillator.surface_table(config["zeta"],
+                                     np.linspace(*config["tau_range"], int(config["n_tau"])),
+                                     np.linspace(*config["alpha_range"], int(config["n_alpha"])))
     f = output.write_csv(out_dir / "surface.csv",
                          ["tau", "alpha", "epsilon", "q", "lambda_plus", "residual"],
-                         rows)
+                         table.tolist())
     return [f.name]
 
 
@@ -260,19 +247,9 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
         tau_span=(_NS_TAU_MIN, float(config["tau_max"])))
     ns_rows = [(p.data["tau"], p.data["alpha"], p.data["t0"], p.data["trace"])
                for p in branch.points]
-    taus = np.linspace(math.pi + 0.05, float(config["tau_max"]),
-                       int(config["n_collision"]))
-    coll_rows = []
-    hint = None
-    for tau, rows in zip(taus.tolist(), oscillator._corner_rows(zeta, taus)):
-        if np.isnan(rows[0, 0]):  # no corner at this delay
-            continue
-        try:
-            alpha = oscillator._slice_alpha_near(oscillator._Corner(zeta, tau, rows), eps, hint)
-        except RelayDynError:
-            continue
-        hint = alpha
-        coll_rows.append((float(tau), alpha, eps))
+    coll_rows = oscillator.collision_curve(
+        zeta, eps, np.linspace(math.pi + 0.05, float(config["tau_max"]),
+                               int(config["n_collision"])))
     files = [
         output.write_json(out_dir / "nsc.json", {
             "tau": tau_ns, "alpha": alpha_ns, "epsilon": eps,
@@ -335,7 +312,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int) -> list[str]:
 
 def cmd_polygon(config: dict, out_dir: Path, seed: int) -> list[str]:
     zeta, tau = config["zeta"], config["tau"]
-    y_ref = oscillator._surface_corner(zeta, tau)
+    y_ref = oscillator.surface_corner(zeta, tau)
     ctx = reduced.oscillator_context(zeta, config["alpha"], tau,
                                      config["epsilon"], y_ref)
     run = attractor.iterate_attractor(ctx, y_ref + np.array([1e-3, 0.0]),

@@ -38,12 +38,22 @@ _EDGE_TOL = 1e-9
 class _Window:
     """Evaluation window [-horizon, 0] shared by both history kinds."""
 
-    horizon: float
+    def __init__(self, horizon: float):
+        self.horizon = float(horizon)
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
 
     def _check(self, s: float) -> float:
         if s < -self.horizon - _EDGE_TOL or s > _EDGE_TOL:
             raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
         return min(max(s, -self.horizon), 0.0)
+
+    def _check_all(self, s: np.ndarray) -> np.ndarray:
+        """:meth:`_check` on an array of times."""
+        if s.size:
+            self._check(float(s.min()))
+            self._check(float(s.max()))
+        return np.clip(s, -self.horizon, 0.0)
 
     def head(self) -> np.ndarray:
         return self(0.0)
@@ -65,10 +75,8 @@ class BreakpointHistory(_Window):
 
     def __init__(self, flow, horizon: float, anchor, times: Sequence[float] = (),
                  labels: Sequence[int] = (-1,)):
+        super().__init__(horizon)
         self.flow = flow
-        self.horizon = float(horizon)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         self.times = [float(t) for t in times]
         self.labels = [int(u) for u in labels]
         if len(self.labels) != len(self.times) + 1:
@@ -91,15 +99,17 @@ class BreakpointHistory(_Window):
     def dim(self) -> int:
         return self._starts[0].shape[0]
 
-    def _segment(self, s: float) -> int:
-        return bisect.bisect_right(self.times, s)
+    def _segment(self, s):
+        """Piece index of each time: ``bisect_right`` on the switch times."""
+        return np.searchsorted(self.times, s, side="right")
 
     def __call__(self, s):
-        if np.ndim(s) > 0:
-            return np.stack([self(float(si)) for si in np.asarray(s).ravel()])
-        s = self._check(float(s))
-        i = self._segment(s)
-        return self.flow.apply(self._starts[i], self.labels[i], s - self._start_times[i])
+        """State at s; an array of times gives one row per (flattened) time."""
+        ss = self._check_all(np.asarray(s, dtype=float).ravel())
+        rows = np.empty((ss.size, self.dim))
+        for n, (si, i) in enumerate(zip(ss.tolist(), self._segment(ss).tolist())):
+            rows[n] = self.flow.apply(self._starts[i], self.labels[i], si - self._start_times[i])
+        return rows if np.ndim(s) > 0 else rows[0]
 
     def derivative(self, s: float) -> np.ndarray:
         """Path velocity; uses the label right-continuous at s."""
@@ -160,7 +170,7 @@ class SampledHistory(_Window):
     """
 
     def __init__(self, horizon: float, values):
-        self.horizon = float(horizon)
+        super().__init__(horizon)
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 4:
             raise ValueError("need at least 4 samples, shape (m, dim)")
@@ -194,11 +204,7 @@ class SampledHistory(_Window):
 
     def __call__(self, s):
         if np.ndim(s) > 0:
-            s = np.asarray(s, dtype=float)
-            if s.size:
-                self._check(float(s.min()))
-                self._check(float(s.max()))
-            s = np.clip(s, -self.horizon, 0.0)
+            s = self._check_all(np.asarray(s, dtype=float))
             i = np.searchsorted(self.grid[1:-1], s, side="right")
             (y, c1, c2, c3), dx = self._coef[:, i], (s - self.grid[i])[..., None]
         else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._roots import brentq
 from .errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
-                     SingularSurface)
+                     RelayDynError, SingularSurface)
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, oscillator_context
 
@@ -35,12 +35,15 @@ __all__ = [
     "OscillatorParams",
     "CollisionOrbit",
     "collision_point",
+    "surface_corner",
     "collision_epsilon",
     "collision_orbit",
     "collision_context",
     "CollisionStability",
     "stability_at_collision",
+    "surface_table",
     "surface_alpha",
+    "collision_curve",
     "find_nsc",
     "CurvePoint",
     "BifurcationMap",
@@ -64,9 +67,9 @@ class OscillatorParams:
     alpha: float
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("delay must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("hysteresis half-width must be positive")
 
 
@@ -141,29 +144,20 @@ def _switch_points(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return y, sv
 
 
-def _surface_corner(zeta: float, tau: float) -> np.ndarray:
-    """Switch point y* for a delay the collision surface covers (tau > pi)."""
-    if tau < math.pi + 1e-9:
-        raise SingularSurface(
-            f"collision surface covers tau > pi only, got tau={tau:.6g}")
-    return collision_point(zeta, tau)
-
-
-def _corner_rows(zeta: float, taus, y: np.ndarray | None = None) -> np.ndarray:
+def _corner_rows(zeta: float, taus) -> np.ndarray:
     """The pieces of the collision orbit that depend on tau only, per delay.
 
     Every alpha at one delay shares them.  Row block k holds y*, the vector
     fields f(y*, +1) and f(y*, -1), the flow matrix A(tau) (two rows) and
     f(w, +1) at the image w = Y_+^tau y*, so a (k, 6, 2) array holds
     thousands of corners in little memory.  The switch points are solved by
-    one stacked solve unless given; delays without a corner (tau < pi, or
-    I + A singular) get NaN rows, which every surface point there inherits.
+    one stacked solve.  Delays without a corner (tau < pi, or I + A
+    singular) get NaN rows, which every surface point there inherits.
     """
     taus = np.asarray(taus, dtype=float)
     a, v = _flow_rows(zeta, taus)
-    if y is None:
-        y, _ = _switch_points(a, v)
-        y[taus < math.pi + 1e-9] = np.nan
+    y, _ = _switch_points(a, v)
+    y[taus < math.pi + 1e-9] = np.nan
     flow = AffineOscillatorFlow(zeta)
     x, xdot = y[:, 0], y[:, 1]
     # w = A y + v, summed in the order of flow.apply
@@ -180,33 +174,19 @@ def _corner_rows(zeta: float, taus, y: np.ndarray | None = None) -> np.ndarray:
     return rows
 
 
-class _Corner:
-    """The corner rows of one delay (see :func:`_corner_rows`)."""
-
-    __slots__ = ("zeta", "tau", "rows")
-
-    def __init__(self, zeta: float, tau: float, rows: np.ndarray):
-        self.zeta, self.tau, self.rows = zeta, tau, rows
-
-    @property
-    def y_star(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def f_plus(self) -> np.ndarray:
-        return self.rows[1]
-
-    @property
-    def f_minus(self) -> np.ndarray:
-        return self.rows[2]
-
-
-def _corner(zeta: float, tau: float) -> _Corner:
-    """Solve the corner of one delay; raises as :func:`collision_orbit` does."""
+def _corner(zeta: float, tau: float) -> np.ndarray:
+    """The (6, 2) corner rows of one delay; raises SingularSurface if it has none."""
     rows = _corner_rows(zeta, [tau])[0]
     if np.isnan(rows[0, 0]):
-        _surface_corner(zeta, tau)  # raises the reason there is no corner
-    return _Corner(zeta, tau, rows)
+        collision_point(zeta, tau)  # raises where I + A(tau) is singular
+        raise SingularSurface(
+            f"collision surface covers tau > pi only, got tau={tau:.6g}")
+    return rows
+
+
+def surface_corner(zeta: float, tau: float) -> np.ndarray:
+    """:func:`collision_point` where tau > pi; smaller delays raise SingularSurface."""
+    return _corner(zeta, tau)[0]
 
 
 def _epsilon(y: np.ndarray, alphas) -> np.ndarray:
@@ -225,7 +205,7 @@ def collision_epsilon(zeta: float, tau: float, alpha: float) -> float:
     physical half-width (the parameter point lies off the surface).
     """
 
-    return _positive_epsilon(float(_epsilon(_surface_corner(zeta, tau), alpha)), tau, alpha)
+    return _positive_epsilon(float(_epsilon(surface_corner(zeta, tau), alpha)), tau, alpha)
 
 
 def _positive_epsilon(eps: float, tau: float, alpha: float) -> float:
@@ -237,19 +217,19 @@ def _positive_epsilon(eps: float, tau: float, alpha: float) -> float:
 
 def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
     """Collision orbit data at a surface point, with transversality scalars."""
-    return _orbit(_corner(zeta, tau), alpha)
+    return _orbit(zeta, tau, _corner(zeta, tau), alpha)
 
 
-def _orbit(corner: _Corner, alpha: float) -> CollisionOrbit:
-    zeta, tau, alpha = corner.zeta, corner.tau, float(alpha)
-    eps, _, g = _orbit_scalars(corner.rows[None], np.array([alpha]))
+def _orbit(zeta: float, tau: float, rows: np.ndarray, alpha: float) -> CollisionOrbit:
+    alpha = float(alpha)
+    eps, _, g = _orbit_scalars(rows[None], np.array([alpha]))
     eps = _positive_epsilon(float(eps[0]), tau, alpha)
     g_plus, g_minus = float(g[0, 0]), float(g[0, 1])
     q = g_plus * g_minus
     if q <= 0:
         raise NonTransversalCorner(
             f"corner not strictly transversal at tau={tau:.6g}, alpha={alpha:.6g} (q={q:.3e})")
-    return CollisionOrbit(y_star=corner.y_star, params=OscillatorParams(zeta, tau, eps, alpha),
+    return CollisionOrbit(y_star=rows[0], params=OscillatorParams(zeta, tau, eps, alpha),
                           q=q, g_plus=g_plus, g_minus=g_minus)
 
 
@@ -362,14 +342,14 @@ def _surface_batch(rows: np.ndarray, alphas: np.ndarray):
     return eps, q, tests, valid
 
 
-def _branch_jacobians(corner: _Corner, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
+def _branch_jacobians(rows: np.ndarray, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
     """Both branch Jacobians at one corner (see :func:`_jacobians`)."""
     alpha = orbit.params.alpha
     g = np.array([[orbit.g_plus, orbit.g_minus]])
     if (np.abs(g) < _G_MIN).any():
-        raise DegenerateDerivative(f"threshold met tangentially at tau={corner.tau:.6g}, "
+        raise DegenerateDerivative(f"threshold met tangentially at tau={orbit.params.tau:.6g}, "
                                    f"alpha={alpha:.6g}")
-    j_plus, j_minus = _jacobians(corner.rows[None], _normals(np.array([alpha])), g)
+    j_plus, j_minus = _jacobians(rows[None], _normals(np.array([alpha])), g)
     return j_plus[0], j_minus[0]
 
 
@@ -381,12 +361,7 @@ def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
     """Classify the corner: branch spectra plus bifurcation residuals."""
     p = orbit.params
-    rows = _corner_rows(p.zeta, [p.tau], np.asarray(orbit.y_star, dtype=float)[None])[0]
-    return _stability(_Corner(p.zeta, p.tau, rows), orbit)
-
-
-def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:
-    j_plus, j_minus = _branch_jacobians(corner, orbit)
+    j_plus, j_minus = _branch_jacobians(_corner(p.zeta, p.tau), orbit)
     ev = np.linalg.eigvals(j_minus)
     vals = _test_values(j_plus, j_minus)
     lam = vals.pop("trace_plus")
@@ -395,6 +370,25 @@ def _stability(corner: _Corner, orbit: CollisionOrbit) -> CollisionStability:
         vals.pop("ns_minus")  # determinant can be 1 with real eigenvalues
     return CollisionStability(lambda_plus=lam, eigs_minus=(complex(ev[0]), complex(ev[1])),
                               residuals=vals)
+
+
+def surface_table(zeta: float, taus, alphas) -> np.ndarray:
+    """The surface over the (tau, alpha) grid, tau-major, one row per valid point.
+
+    Columns: tau, alpha, eps, q, lambda_plus and max |y* + Y_+^tau y*|, the
+    residual of the switch point; all corners come from one stacked solve.
+    """
+    taus, alphas = np.asarray(taus, dtype=float), np.asarray(alphas, dtype=float)
+    corners = _corner_rows(zeta, taus)
+    has = ~np.isnan(corners[:, 0, 0])
+    taus, corners = taus[has], corners[has]
+    tau_col, alpha_col = np.repeat(taus, alphas.size), np.tile(alphas, taus.size)
+    eps, q, tests, valid = _surface_batch(np.repeat(corners, alphas.size, axis=0), alpha_col)
+    flow = AffineOscillatorFlow(zeta)
+    resid = [float(np.max(np.abs(y + flow.apply(y, 1, tau))))
+             for tau, y in zip(taus.tolist(), corners[:, 0])]
+    return np.column_stack((tau_col, alpha_col, eps, q, tests["trace_plus"],
+                            np.repeat(resid, alphas.size)))[valid]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +405,7 @@ def surface_alpha(zeta: float, tau: float, epsilon: float) -> list[float]:
     :func:`collision_epsilon`.
     """
 
-    return _slice_roots(_surface_corner(zeta, tau), epsilon)
+    return _slice_roots(surface_corner(zeta, tau), epsilon)
 
 
 def _slice_roots(y: np.ndarray, epsilon: float) -> list[float]:
@@ -430,15 +424,33 @@ def _slice_roots(y: np.ndarray, epsilon: float) -> list[float]:
     return sorted(roots)
 
 
-def _slice_alpha_near(corner: _Corner, epsilon: float, hint: float | None) -> float:
-    """The alpha root of the eps slice at the corner's delay nearest to hint."""
-    roots = _slice_roots(corner.y_star, epsilon)
+def _slice_alpha_near(y: np.ndarray, tau: float, epsilon: float, hint: float | None) -> float:
+    """The alpha root of the eps slice at the corner y* of tau nearest to hint."""
+    roots = _slice_roots(y, epsilon)
     if not roots:
         raise NegativeEpsilon(
-            f"eps={epsilon:.4g} slice does not meet the surface at tau={corner.tau:.6g}")
+            f"eps={epsilon:.4g} slice does not meet the surface at tau={tau:.6g}")
     if hint is None:
         return roots[0]
     return min(roots, key=lambda a: abs(a - hint))
+
+
+def collision_curve(zeta: float, epsilon: float, taus) -> list[tuple[float, float, float]]:
+    """Points (tau, alpha, epsilon) of the fixed-eps slice of the surface.
+
+    Follows the first root of the first delay, then the root nearest the last;
+    delays without a corner or a root are skipped.
+    """
+    curve, hint = [], None
+    for tau, rows in zip(np.asarray(taus, dtype=float).tolist(), _corner_rows(zeta, taus)):
+        if np.isnan(rows[0, 0]):  # no corner at this delay
+            continue
+        try:
+            hint = _slice_alpha_near(rows[0], tau, epsilon, hint)
+        except RelayDynError:
+            continue
+        curve.append((tau, hint, epsilon))
+    return curve
 
 
 def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
@@ -452,10 +464,10 @@ def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
     """
 
     def ns_value(tau: float, hint: float | None) -> tuple[float, float]:
-        corner = _corner(zeta, tau)
-        alpha = _slice_alpha_near(corner, epsilon, hint)
-        orbit = _orbit(corner, alpha)
-        return _test_values(*_branch_jacobians(corner, orbit))["ns_minus"], alpha
+        rows = _corner(zeta, tau)
+        alpha = _slice_alpha_near(rows[0], tau, epsilon, hint)
+        orbit = _orbit(zeta, tau, rows, alpha)
+        return _test_values(*_branch_jacobians(rows, orbit))["ns_minus"], alpha
 
     taus = np.linspace(math.pi + 0.2, 5.8, 60)
     hint = None

@@ -88,7 +88,7 @@ class CollisionContext:
     delta: float
 
     def __post_init__(self):
-        if self.tau <= 0 or self.epsilon <= 0:
+        if not (self.tau > 0 and self.epsilon > 0):
             raise ValueError("delay and hysteresis half-width must be positive")
         if not 0 < self.delta < self.tau:
             raise ValueError("crossing bracket must satisfy 0 < delta < tau")

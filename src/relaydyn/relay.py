@@ -79,9 +79,9 @@ class RelaySystem:
     sup_dh: float | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("delay must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("hysteresis half-width must be positive")
 
 
@@ -176,7 +176,7 @@ def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("empty signal interval")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("hysteresis half-width must be positive")
     state = _init_relay_state(float(signal(a)), u0, epsilon)
     times: list[float] = []
@@ -245,7 +245,7 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     shorter than the delay are rejected.
     """
 
-    if T <= 0:
+    if not T > 0:
         raise ValueError("evolution time must be positive")
     hist = state.history
     tau, eps = system.tau, system.epsilon
@@ -371,7 +371,7 @@ def check_weak_transversality(system: RelaySystem, traj: Trajectory,
     crossing or leave the recorded time range.
     """
 
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     times = sorted(c.time for c in traj.crossings)
     lo_lim = -traj.initial_history.horizon

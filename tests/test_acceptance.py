@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from relaydyn import cli
 from relaydyn.attractor import iterate_attractor, polygon_arcs, sweep, visit_window
 from relaydyn.continuation import (FourierCurve, _ns_alpha_at, continue_colliding_family,
                                    continue_ns_curve, curve_radial_mismatch,
@@ -22,7 +23,7 @@ from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import HybridState, SampledHistory
 from relaydyn.oscillator import (collision_epsilon, collision_orbit,
                                  collision_context, collision_point, find_nsc,
-                                 surface_alpha)
+                                 surface_alpha, surface_table)
 from relaydyn.reduced import (branch_of, jacobian_F_branch, map_F, map_F_branch,
                               oscillator_context, reconstruct_history)
 from relaydyn.relay import evolve, oscillator_system, switch_bound_report
@@ -315,3 +316,34 @@ def test_criterion_9_family_invariance_oracle(family):
            f"every 5th family curve, all collocation nodes through the "
            f"reduced map: radial mismatch {worst:.2e} < 1e-6 "
            f"(within criterion 8's run)")
+
+
+# -- cross-command oracles: one geometry reached by two commands -------------
+
+def test_family_alpha_at_tau_4_2_lies_past_the_sweep_visit_window(family):
+    # the grazing family marks where the tau = 4.2 attractor stops touching
+    # the threshold; sweep at its CLI defaults sees the last D+ visit one
+    # grid step or less below that alpha
+    cfg = cli.DEFAULTS["sweep"]
+    tau = cfg["tau"]
+    taus, alphas = family["branch"].values("tau"), family["branch"].values("alpha")
+    i = int(np.flatnonzero(taus > tau)[0])
+    assert taus[i - 1] <= tau
+    alpha = float(np.interp(tau, taus[i - 1:i + 1], alphas[i - 1:i + 1]))
+    grid = np.linspace(*cfg["alpha_range"], cfg["n_alpha"])
+    records = sweep(cfg["zeta"], tau, cfg["epsilon"], grid, warm_start=cfg["warm_start"],
+                    n_transient=cfg["n_transient"], n_total=cfg["n_total"])
+    edge = visit_window(records)[1]
+    assert edge < alpha <= edge + 1e-3, (alpha, edge)
+
+
+def test_family_starts_one_step_past_the_ns_point(family):
+    assert family["branch"].values("tau")[0] == family["nsc"][0] + 1e-3
+
+
+def test_surface_table_on_the_eps_slice_gives_eps():
+    # sweep's surface_alpha mark and the surface table read one surface
+    alphas = surface_alpha(ZETA, 4.2, EPS)
+    table = surface_table(ZETA, [4.2], alphas)
+    assert table.shape[0] == len(alphas) >= 1
+    assert np.max(np.abs(table[:, 2] - EPS)) <= 1e-12

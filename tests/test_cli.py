@@ -53,6 +53,45 @@ def test_package_source_imports_no_scipy():
     assert found == []
 
 
+def _private_uses(tree):
+    """(line, name) for each ``_``-prefixed name of another relaydyn module
+    that the module imports, or reads as ``module._name``.
+
+    Dunder names are not private, and ``_roots`` is a private module whose
+    public names the package shares.
+    """
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (
+                node.level or (node.module or "").split(".")[0] == "relaydyn"):
+            continue
+        source = (node.module or "").removeprefix("relaydyn").lstrip(".")
+        for alias in node.names:
+            if not source:  # from . import module
+                modules.add(alias.asname or alias.name)
+            elif private(alias.name):
+                found.append((node.lineno, f"{source}.{alias.name}"))
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    return sorted(found)
+
+
+def test_modules_use_no_private_name_of_another_module():
+    # a module's `_` names are its own: another module that needs one wants
+    # a public function in its place
+    probe = ast.parse("from .oscillator import _a, b\nfrom . import oscillator as o\n"
+                      "def f():\n    return o._c, o.d, o.__name__\n")
+    assert _private_uses(probe) == [(1, "oscillator._a"), (4, "o._c")]
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for line, name in _private_uses(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _defaulted_parameters(tree):
     """(callee name, parameter, position) for each defaulted parameter.
 
@@ -384,9 +423,9 @@ def test_unfold_collision_curve_skips_delays_without_a_corner(tmp_path, monkeypa
     real = oscillator._corner_rows
     calls = []
 
-    def counted(zeta, taus, y=None):
+    def counted(zeta, taus):
         calls.append(len(taus))
-        rows = real(zeta, taus, y)
+        rows = real(zeta, taus)
         if len(taus) > 1:
             rows[3] = np.nan
         return rows

@@ -160,20 +160,34 @@ def test_trajectory_rows_equal_one_time_values(flow, kind):
     if kind == "sampled":
         hist = SampledHistory.from_function(
             lambda s: np.array([0.5 + 0.2 * np.sin(s), 0.2 * np.cos(s)]), 4.2)
+        past = hist
     else:
         hist = BreakpointHistory(flow, 4.2, [0.3, -0.1], times=[-2.5, -0.7],
                                  labels=[1, -1, 1])
+        # the history's one-time rule: the piece that bisect_right finds on
+        # the switch times, then apply from that piece's start
+        piece_t, piece_y = [-4.2], [np.array([0.3, -0.1])]
+        for t, u in zip(hist.times, hist.labels):
+            piece_y.append(flow.apply(piece_y[-1], u, t - piece_t[-1]))
+            piece_t.append(t)
+
+        def past(t):
+            i = bisect.bisect_right(hist.times, t)
+            return flow.apply(piece_y[i], hist.labels[i], t - piece_t[i])
     _, traj = evolve(system, HybridState(hist, 1), 30.0)
     assert len(traj.segments) > 3
     rng = np.random.default_rng(2)
-    edges = [seg.t0 for seg in traj.segments] + [0.0, traj.T, -4.2]
+    edges = [seg.t0 for seg in traj.segments] + [0.0, traj.T, -4.2, -2.5, -0.7]
     ts = np.concatenate([rng.uniform(-4.2, traj.T, 400), edges])
+    before = ts[ts <= 0.0]
+    assert np.array_equal(hist(before), [past(t) for t in before.tolist()])
+    assert all(np.array_equal(hist(t), past(t)) for t in before.tolist())
     # the one-time rule: initial history up to 0, then the segment that
     # bisect_right finds on the segment starts, at a time clamped to T
     starts = [seg.t0 for seg in traj.segments]
     segs = [traj.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
             for t in ts.tolist()]
-    expect = np.stack([hist(t) if t <= 0.0 else
+    expect = np.stack([past(t) if t <= 0.0 else
                        traj.flow.apply(seg.y0, seg.u, min(t, traj.T) - seg.t0)
                        for t, seg in zip(ts.tolist(), segs)])
     rows = traj(ts[:, None])  # any shape, rows in flattened order

@@ -118,11 +118,11 @@ def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
     from relaydyn import oscillator as osc
     real, tangential = osc._orbit, []
 
-    def recorded(corner, alpha):
+    def recorded(zeta, tau, rows, alpha):
         try:
-            return real(corner, alpha)
+            return real(zeta, tau, rows, alpha)
         except NonTransversalCorner:
-            tangential.append(corner.tau)
+            tangential.append(tau)
             raise
 
     monkeypatch.setattr(osc, "_orbit", recorded)
@@ -136,10 +136,10 @@ def test_find_nsc_skips_degenerate_scan_points(monkeypatch):
     from relaydyn import oscillator as osc
     real, first = osc._branch_jacobians, math.pi + 0.2
 
-    def degenerate_at_first(corner, orbit):
-        if corner.tau == first:
+    def degenerate_at_first(rows, orbit):
+        if orbit.params.tau == first:
             raise DegenerateDerivative("tangential crossing")
-        return real(corner, orbit)
+        return real(rows, orbit)
 
     monkeypatch.setattr(osc, "_branch_jacobians", degenerate_at_first)
     assert find_nsc(ZETA, EPS) == NSC
@@ -393,10 +393,9 @@ def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_p
     calls = []
     real = osc._corner_rows
 
-    def counted(zeta, taus, y=None):
-        if y is None:  # a corner solve, not rows at a given y*
-            calls.append(np.asarray(taus, dtype=float).tolist())
-        return real(zeta, taus, y)
+    def counted(zeta, taus):
+        calls.append(np.asarray(taus, dtype=float).tolist())
+        return real(zeta, taus)
 
     monkeypatch.setattr(osc, "_corner_rows", counted)
     # back-to-back runs each solve every corner once: nothing is kept across
@@ -429,7 +428,7 @@ def closed_and_generic(points):
     for zeta, tau, alpha in points:
         try:
             corner = osc._corner(zeta, tau)
-            orbit = osc._orbit(corner, alpha)
+            orbit = osc._orbit(zeta, tau, corner, alpha)
         except (RelayDynError, ValueError):
             continue
         sides = []
@@ -481,9 +480,9 @@ def test_closed_form_jacobians_on_find_nsc_slices(monkeypatch):
     from relaydyn import oscillator as osc
     real, points = osc._orbit, []
 
-    def recorded(corner, alpha):
-        points.append((corner.zeta, corner.tau, alpha))
-        return real(corner, alpha)
+    def recorded(zeta, tau, rows, alpha):
+        points.append((zeta, tau, alpha))
+        return real(zeta, tau, rows, alpha)
 
     monkeypatch.setattr(osc, "_orbit", recorded)
     assert find_nsc(ZETA, EPS) == NSC
@@ -511,7 +510,7 @@ def test_closed_form_jacobians_at_near_tangential_corners():
     points = []
     for tau in np.linspace(3.3, 6.2, 15):
         corner = osc._corner(ZETA, float(tau))
-        for f in (corner.f_plus, corner.f_minus):
+        for f in (corner[1], corner[2]):
             for offset in (-1e-8, -1e-9, -1e-10, 1e-10, 1e-9, 1e-8, 1e-7):
                 points.append((ZETA, float(tau), math.atan(-f[0] / f[1]) + offset))
     n_orbits, n_raised, n_off = assert_closed_form_matches(points)
@@ -605,7 +604,7 @@ def surface_sample():
     points += [(ZETA, t, 0.3) for t in (math.pi, math.pi + 1e-9, np.nextafter(math.pi + 1e-9, 0))]
     for tau in np.linspace(3.3, 6.2, 15):
         corner = osc._corner(ZETA, float(tau))
-        for f in (corner.f_plus, corner.f_minus):
+        for f in (corner[1], corner[2]):
             for offset in (-1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9, 1e-8, 1e-7):
                 points.append((ZETA, float(tau), math.atan(-f[0] / f[1]) + offset))
     points += [(-10 ** rng.uniform(-7, -2), math.pi + 10 ** rng.uniform(-8, -2),

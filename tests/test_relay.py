@@ -10,9 +10,10 @@ from scipy.optimize import brentq
 from relaydyn import relay
 from relaydyn.errors import DegenerateCrossing, NoRootInBracket, WindowTooLarge
 from relaydyn.flows import AffineOscillatorFlow
-from relaydyn.history import HybridState, SampledHistory
-from relaydyn.oscillator import collision_orbit, collision_context, surface_alpha
-from relaydyn.reduced import map_F, reconstruct_history
+from relaydyn.history import BreakpointHistory, HybridState, SampledHistory
+from relaydyn.oscillator import (OscillatorParams, collision_orbit, collision_context,
+                                 surface_alpha)
+from relaydyn.reduced import map_F, oscillator_context, reconstruct_history
 from relaydyn.relay import (RelaySystem, check_weak_transversality, evolve,
                             hysteron, oscillator_system, strict_transversality_q,
                             switch_bound_report)
@@ -479,3 +480,32 @@ def test_evolve_on_rk_flow_matches_closed_form():
     assert len(ref.switches) >= 3
     assert len(got.switches) == len(ref.switches)
     np.testing.assert_allclose(got.switch_times(), ref.switch_times(), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_sizes_refuse_nan_and_non_positive_values(bad):
+    # every size guard reads `not x > 0`, so NaN is refused with the message
+    # of a non-positive size instead of passing a `x <= 0` test
+    flow = AffineOscillatorFlow(ZETA)
+    system = oscillator_system(ZETA, -0.5, TAU, EPS)
+    state = HybridState(SampledHistory.constant([0.5, 0.0], TAU), 1)
+    _, traj = evolve(system, state, 10.0)
+    refusals = [
+        (lambda: evolve(system, state, bad), "evolution time must be positive"),
+        (lambda: oscillator_system(ZETA, -0.5, bad, EPS), "delay must be positive"),
+        (lambda: oscillator_system(ZETA, -0.5, TAU, bad), "half-width must be positive"),
+        (lambda: OscillatorParams(ZETA, bad, EPS, -0.5), "delay must be positive"),
+        (lambda: OscillatorParams(ZETA, TAU, bad, -0.5), "half-width must be positive"),
+        (lambda: oscillator_context(ZETA, -0.5, bad, EPS, [0.1, 0.0]),
+         "delay and hysteresis half-width must be positive"),
+        (lambda: oscillator_context(ZETA, -0.5, TAU, bad, [0.1, 0.0]),
+         "delay and hysteresis half-width must be positive"),
+        (lambda: BreakpointHistory(flow, bad, [0.1, 0.0]), "horizon must be positive"),
+        (lambda: SampledHistory(bad, np.zeros((9, 2))), "horizon must be positive"),
+        (lambda: SampledHistory.constant([0.5, 0.0], bad), "horizon must be positive"),
+        (lambda: hysteron(math.sin, (0.0, 10.0), 1, bad), "half-width must be positive"),
+        (lambda: check_weak_transversality(system, traj, bad), "window must be positive"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            call()
