@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import fused_dot, split_factor
 from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
                      LeftNeighborhood, NoConvergence, NoRootInBracket)
 from .oscillator import surface_corner
@@ -87,9 +88,10 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
 
     Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
     threshold h = c . y is read once per iterate and serves both the next
-    step's branch and the D+/D- flags.  Every dot product stays on
-    ``ndarray.dot`` (the BLAS ddot fuses the multiply-add), so the iterates
-    equal map_F's bit for bit.
+    step's branch and the D+/D- flags.  Every dot product, h and the
+    distance to the corner (``np.linalg.norm``'s sqrt of a dot), is a
+    :func:`fused_dot` on floats, equal to ``ndarray.dot`` (the BLAS ddot's
+    fused multiply-add) bit for bit, so the iterates equal map_F's.
     """
 
     if not 0 <= n_transient < n_total:
@@ -99,12 +101,13 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         raise ValueError(f"y0 must be one state of shape (2,), got shape {y.shape}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    advance, c, eps, tau = ctx.flow._advance, ctx.c, ctx.epsilon, ctx.tau
+    advance, eps, tau = ctx.flow._advance, ctx.epsilon, ctx.tau
+    c0, c1 = ctx.c.tolist()
+    c1_split = split_factor(c1)
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
     pts = np.empty((n_total - n_transient, 2))
-    buf = np.empty(2)
     x, xdot = float(y[0]), float(y[1])
-    h = float(c.dot(y))
+    h = fused_dot(c0, c1_split, x, xdot)
     visited_plus = visited_minus = False
     for k in range(n_total):
         try:
@@ -114,13 +117,10 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
         x, xdot = advance(x, xdot, 1, tau + t)
         x, xdot = -x, -xdot
-        buf[0] = x - x_ref
-        buf[1] = xdot - xdot_ref
-        if math.sqrt(buf.dot(buf)) > radius:  # np.linalg.norm bit for bit, no dispatch
+        dx, dxdot = x - x_ref, xdot - xdot_ref
+        if math.sqrt(fused_dot(dx, split_factor(dxdot), dx, dxdot)) > radius:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
-        buf[0] = x
-        buf[1] = xdot
-        h = float(c.dot(buf))
+        h = fused_dot(c0, c1_split, x, xdot)
         if k >= n_transient:
             pts[k - n_transient] = x, xdot
             if h >= eps:

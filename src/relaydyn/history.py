@@ -44,12 +44,12 @@ class _Window:
             raise ValueError("horizon must be positive")
 
     def _check(self, s: float) -> float:
-        if s < -self.horizon - _EDGE_TOL or s > _EDGE_TOL:
+        if not -self.horizon - _EDGE_TOL <= s <= _EDGE_TOL:  # NaN fails too
             raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
         return min(max(s, -self.horizon), 0.0)
 
     def _check_all(self, s: np.ndarray) -> np.ndarray:
-        """:meth:`_check` on an array of times."""
+        """:meth:`_check` on an array of times; a NaN makes min and max NaN."""
         if s.size:
             self._check(float(s.min()))
             self._check(float(s.max()))

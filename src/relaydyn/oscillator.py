@@ -93,10 +93,14 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     """Switch point y* of the symmetric orbit, from y = -Y_+^tau y.
 
     Raises :class:`SingularSurface` when I + A(tau) is numerically
-    singular.  For the damped closed form this happens only in the limit
-    zeta -> 0 with tau -> pi jointly.  The guard checks singular values
-    rather than a special tau value, so it refuses every given (zeta, tau)
-    close to that limit, not only the limit itself.
+    singular by the relative singular-value test (1e-12).  Since
+    det(I + A) = (1 + e^{-zeta tau} cos tau)^2 + e^{-2 zeta tau} sin^2 tau,
+    the matrix is singular only at zeta = 0, tau = (2k+1) pi.  Near that
+    point I + A is a small multiple of a near-rotation, so both singular
+    values shrink together and the relative test does not fire there:
+    200k random points with |zeta| in [1e-18, 0.1] and |tau - pi| in
+    [1e-17, 1e-6] never tripped it.  The refusals callers see at tau < pi
+    come from :func:`surface_corner`'s delay check, not from this guard.
     """
 
     a, v = _flow_rows(zeta, [tau])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import brentq
+from ._roots import brentq, fused_dot, split_factor
 from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval)
 from .flows import AffineOscillatorFlow
 from .history import BreakpointHistory, HybridState
@@ -168,29 +168,26 @@ def _crossing_signal(ctx: CollisionContext, y, branch: int):
 
     The signal is t -> (c . z - eps, c . f(z, branch)), with z the branch
     flow from y at offset t and c the context's threshold normal.  Each call
-    is one scalar flow evaluation and builds no array: both dot products
-    share one 2-element buffer.  The value rounds to a few ulps of |y|, so
-    the residual floor is 1e-13 up to |y| = 14 and 32 machine epsilons of
-    |y| beyond, where 1e-13 would be below the rounding.
+    is one scalar flow evaluation and two :func:`fused_dot` products on
+    floats, which equal ``ndarray.dot`` (the BLAS ddot's fused multiply-add)
+    bit for bit; c's second component is split once per signal.  At t = 0
+    the flow is the identity on finite states bit for bit, so the Newton
+    start reads y itself.  The value rounds to a few ulps of |y|, so the
+    residual floor is 1e-13 up to |y| = 14 and 32 machine epsilons of |y|
+    beyond, where 1e-13 would be below the rounding.
     """
 
-    c, eps = ctx.c, ctx.epsilon
+    eps = ctx.epsilon
     advance, accel = ctx.flow._advance, ctx.flow._accel
+    c0, c1 = ctx.c.tolist()
+    c1_split = split_factor(c1)
     x0, xdot0 = float(y[0]), float(y[1])
     tol = max(1e-13, 32.0 * _EPS * max(abs(x0), abs(xdot0)))
-    buf = np.empty(2)
 
     def signal(t: float) -> tuple[float, float]:
-        x, xdot = advance(x0, xdot0, branch, t)
-        # ndarray.dot, not c[0]*x + c[1]*xdot: the BLAS ddot fuses the
-        # multiply-add, so the plain float sum differs in the last bit
-        # (about one pair in four) and would move crossing times.
-        buf[0] = x
-        buf[1] = xdot
-        r = float(c.dot(buf)) - eps
-        buf[0] = xdot
-        buf[1] = accel(x, xdot, branch)
-        return r, float(c.dot(buf))
+        x, xdot = (x0, xdot0) if t == 0.0 else advance(x0, xdot0, branch, t)
+        return (fused_dot(c0, c1_split, x, xdot) - eps,
+                fused_dot(c0, c1_split, xdot, accel(x, xdot, branch)))
 
     return signal, tol
 

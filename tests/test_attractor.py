@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relaydyn import attractor
+from relaydyn._roots import fused_dot, split_factor
 from relaydyn.attractor import (extract_circle_map, iterate_attractor,
                                 on_plus_image_manifold, polygon_arcs, sweep,
                                 visit_window)
@@ -348,23 +349,23 @@ def test_iterate_attractor_escapes_where_the_map_F_loop_does(radius, k, cause):
 
 
 def test_float_loop_rests_on_equal_dot_products():
-    # the loop reads h with c.dot on a buffer where map_F reads c @ y, and
-    # measures the distance to the corner without np.linalg.norm; both
-    # must round alike on every default sweep iterate
+    # the loop reads h and the distance to the corner with fused_dot on
+    # floats, where map_F reads c @ y and np.linalg.norm; both must round
+    # alike on every default sweep iterate
     config = DEFAULTS["sweep"]
     alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
     records = sweep(config["zeta"], config["tau"], config["epsilon"], alphas,
                     keep=config["n_total"])
     y_ref = collision_point(config["zeta"], config["tau"])
-    buf = np.empty(2)
     checked = 0
     for r in records:
         c = np.array([math.cos(r.alpha), math.sin(r.alpha)])
+        c_split = split_factor(float(c[1]))
         for y in r.sample:
-            buf[0], buf[1] = y
-            assert float(c @ y) == float(c.dot(buf))
+            assert float(c @ y) == fused_dot(float(c[0]), c_split, *y.tolist())
             d = y - y_ref
-            assert math.sqrt(d.dot(d)) == np.linalg.norm(d)
+            d0, d1 = d.tolist()
+            assert math.sqrt(fused_dot(d0, split_factor(d1), d0, d1)) == np.linalg.norm(d)
             checked += 1
     assert checked == 121 * 360
 

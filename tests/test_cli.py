@@ -23,15 +23,17 @@ def run_cli(args):
     return cli.main(args)
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy_fractions_or_decimal():
     # scipy is a test and RK-oracle dependency; importing it costs every
-    # command about 0.7 s of CPU
+    # command about 0.7 s of CPU.  fractions and decimal are the exact
+    # arithmetic that tests check the float kernels against; the kernels
+    # themselves fall back on ndarray.dot, so setup_s does not grow
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run(
-        [sys.executable, "-c", "import relaydyn.cli, sys; "
-         "print([m for m in sys.modules if m.startswith('scipy')])"],
+        [sys.executable, "-c", "import relaydyn.cli, sys; print(sorted({m.split('.')[0] "
+         "for m in sys.modules} & {'scipy', 'fractions', 'decimal'}))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

@@ -89,6 +89,23 @@ def test_sampled_history_refuses_arrays_outside_the_window():
         np.testing.assert_array_equal(row, hist(float(s)))
 
 
+@pytest.mark.parametrize("kind", ["breakpoint", "sampled"])
+def test_histories_refuse_nan_times(flow, kind):
+    # a NaN time is outside every window: it raises like an out-of-window
+    # time, scalar or inside an array, and never returns a NaN row
+    hists = {"breakpoint": [BreakpointHistory(flow, 4.2, [0.3, -0.7]),
+                            BreakpointHistory(flow, 4.2, [1.0, 0.0], times=[-2.0],
+                                              labels=[-1, 1])],
+             "sampled": [SampledHistory.constant([0.3, -0.7], 4.2),
+                         SampledHistory.from_function(
+                             lambda s: np.array([np.sin(s), np.cos(s)]), 4.2)]}[kind]
+    for hist in hists:
+        for evaluate in (lambda: hist(np.nan), lambda: hist(np.array([-1.0, np.nan])),
+                         lambda: hist(np.array([np.nan])), lambda: hist.derivative(np.nan)):
+            with pytest.raises(ValueError, match="outside"):
+                evaluate()
+
+
 def test_sampled_history_interpolates_smooth_function():
     def fn(s):
         return np.array([np.sin(s), np.cos(s)])

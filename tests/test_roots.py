@@ -1,15 +1,20 @@
-"""The package's Brent solver against scipy's, compared with ``==``."""
+"""The package's scalar kernels: Brent's solver against scipy's, and the
+exact two-term dot against ``ndarray.dot`` and rational arithmetic, all
+compared with ``==``."""
 
 import math
+import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from relaydyn import continuation, oscillator, reduced, relay
-from relaydyn._roots import brentq
+from relaydyn._roots import brentq, fused_dot, split_factor
 from relaydyn.errors import NoConvergence, NoRootInBracket, NoRootInInterval
 from relaydyn.history import HybridState, SampledHistory
 
@@ -143,3 +148,82 @@ def test_iteration_cap_raises_no_convergence():
 def test_nan_value_raises_no_convergence():
     with pytest.raises(NoConvergence):
         solve_both(lambda x: math.nan if x > 0.4 else x - 0.6, 0.0, 1.0)
+
+
+def array_dot(c0, c1, x, y):
+    with np.errstate(all="ignore"):
+        return float(np.array((c0, c1)).dot(np.array((x, y))))
+
+
+def fma_oracle(c0, c1, x, y):
+    """fma(c1, y, fl(c0*x)) in exact rational arithmetic, rounded once."""
+    exact = Fraction(c1) * Fraction(y) + Fraction(c0 * x)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def same_float(a, b):
+    """Equal bit for bit up to the NaN payload, the sign of zero included."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_fused_dot_equals_array_dot_and_the_rational_fma_on_random_pairs():
+    rng = random.Random(20)
+    rows = [[rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(4)]
+            for _ in range(100_000)]
+    got = [fused_dot(c0, split_factor(c1), x, y) for c0, c1, x, y in rows]
+    assert got == [float(np.array((c0, c1)).dot(np.array((x, y)))) for c0, c1, x, y in rows]
+    assert got == [fma_oracle(*row) for row in rows]
+    # the plain float sum is what the kernel replaces: it differs often
+    assert sum(g != c0 * x + c1 * y for g, (c0, c1, x, y) in zip(got, rows)) > 10_000
+
+
+@settings(max_examples=500)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+def test_fused_dot_equals_array_dot_on_finite_floats(row):
+    c0, c1, x, y = row
+    with np.errstate(all="ignore"):  # the fallback's overflow, as ndarray.dot's
+        got = fused_dot(c0, split_factor(c1), x, y)
+    assert same_float(got, array_dot(c0, c1, x, y))
+    if math.isfinite(c0 * x):
+        assert got == fma_oracle(c0, c1, x, y)
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e-300, 1e-200, 1.5, -1e-3, 1e200,
+         -1e290, 1.2e300, 1.4e300, -1e308, sys.float_info.max, math.inf, -math.inf,
+         math.nan]
+
+
+def test_fused_dot_equals_array_dot_at_the_edges():
+    # zeros of either sign, subnormals, products at and past the exact
+    # range, factors too large to split, infinities and NaN, in every slot
+    checked = 0
+    for c0 in EDGES[::2] + [-0.0, 0.7]:
+        for x in EDGES[1::2] + [0.0, -2.5]:
+            for c1 in EDGES:
+                c1_split = split_factor(c1)
+                for y in EDGES:
+                    with np.errstate(all="ignore"):
+                        got = fused_dot(c0, c1_split, x, y)
+                    assert same_float(got, array_dot(c0, c1, x, y)), (c0, c1, x, y)
+                    if all(map(math.isfinite, (c0, c1, x, y, c0 * x))):
+                        assert got == fma_oracle(c0, c1, x, y), (c0, c1, x, y)
+                    checked += 1
+    assert checked == 11 * 11 * 18 * 18
+
+
+def test_split_factor_halves_sum_to_the_factor():
+    rng = random.Random(21)
+    for a in [0.0, -0.0, 5e-324, 1.0, 1e290, -1.3e300] + [
+            rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300) for _ in range(1000)]:
+        same, hi, lo = split_factor(a)
+        assert same == a and hi + lo == a
+        # each half fits in 26 bits, so the partial products are exact
+        for half in (hi, lo):
+            m = abs(half.as_integer_ratio()[0])
+            assert (m // (m & -m) if m else 0).bit_length() <= 26
+    assert all(math.isnan(half) for half in split_factor(1.4e300)[1:])
