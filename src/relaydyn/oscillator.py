@@ -51,8 +51,9 @@ __all__ = [
     "BIFURCATION_LABELS",
 ]
 
-# relative smallest singular value below which I + A(tau) counts as singular
-_SINGULAR_RTOL = 1e-12
+# I + A(tau) counts as singular when its smallest singular value is at most
+# this multiple of the larger of its largest one and 1
+_SINGULAR_TOL = 1e-12
 # |c . f(y*, b)| below which the threshold is met tangentially
 _G_MIN = 1e-8
 
@@ -93,14 +94,17 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     """Switch point y* of the symmetric orbit, from y = -Y_+^tau y.
 
     Raises :class:`SingularSurface` when I + A(tau) is numerically
-    singular by the relative singular-value test (1e-12).  Since
+    singular: its smallest singular value is at most 1e-12 times the larger
+    of its largest one and 1.  Since
     det(I + A) = (1 + e^{-zeta tau} cos tau)^2 + e^{-2 zeta tau} sin^2 tau,
     the matrix is singular only at zeta = 0, tau = (2k+1) pi.  Near that
     point I + A is a small multiple of a near-rotation, so both singular
-    values shrink together and the relative test does not fire there:
-    200k random points with |zeta| in [1e-18, 0.1] and |tau - pi| in
-    [1e-17, 1e-6] never tripped it.  The refusals callers see at tau < pi
-    come from :func:`surface_corner`'s delay check, not from this guard.
+    values shrink together and a test relative to the largest alone would
+    not fire; the floor of 1 makes it absolute there, and (0, pi), where
+    both are 1.2e-16, is refused.  Further out the matrix stays well
+    conditioned and y* is large but accurate: at (1e-12, pi + 1e-8) both
+    singular values are 1e-8 and |y*| is 2e8.  The refusals callers see at
+    tau < pi come from :func:`surface_corner`'s delay check.
     """
 
     a, v = _flow_rows(zeta, [tau])
@@ -108,7 +112,7 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     if np.isnan(y[0, 0]):
         raise SingularSurface(
             f"I + A(tau) singular at tau={tau:.6g} "
-            f"(cond {sv[0, 0] / max(sv[0, -1], 1e-300):.2e})")
+            f"(singular values {sv[0, 0]:.2e} and {sv[0, -1]:.2e})")
     return y[0]
 
 
@@ -142,7 +146,7 @@ def _switch_points(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     m = np.eye(2) + a
     sv = np.linalg.svd(m, compute_uv=False)
-    ok = sv[:, -1] > sv[:, 0] * _SINGULAR_RTOL
+    ok = sv[:, -1] > _SINGULAR_TOL * np.maximum(sv[:, 0], 1.0)
     y = np.full(v.shape, np.nan)
     y[ok] = np.linalg.solve(m[ok], -v[ok][..., None])[..., 0]
     return y, sv

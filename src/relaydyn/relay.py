@@ -21,7 +21,9 @@ crossings as it goes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+import numbers
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +65,8 @@ class RelaySystem:
     states of shape (n, dim) and returns one value per row.  A stacked value
     may differ from the one-state value of that row in the last bits.
     :func:`evolve` reads stacked values only for the sign tests of its scans
-    and refines and polishes every crossing on one-state values, so its
+    of the history window and the head path, and refines (and on the head
+    path polishes) every crossing on one-state values, so its
     crossing and switch times do not depend on those bits; the margins of
     :func:`check_weak_transversality` are built on stacked values.
     ``lipschitz_f`` and ``sup_dh`` (optional) feed the switching-rate
@@ -132,34 +135,39 @@ def _init_relay_state(sigma0: float, u0: int, epsilon: float) -> int:
     return u0
 
 
-def _march_relay(value: Callable[[float], float], a: float, b: float, n: int,
-                 state: int, epsilon: float, collect: Callable[[float, int], None]) -> int:
-    """Advance the relay state across one smooth signal piece [a, b].
+def _grid(a: float, b: float, dt: float) -> np.ndarray:
+    """Scan nodes on [a, b], at most ``dt`` apart and never fewer than 8."""
+    return np.linspace(a, b, max(8, int(math.ceil((b - a) / dt)) + 1))
 
-    ``value`` must be exact (not interpolated between the scan nodes) so the
-    bracketed refinement converges to the true crossing.  ``collect`` is
-    called once per flip with the refined time and the new state.  Assumes
-    the state is consistent at ``a`` (watched residual negative there).
-    Returns the state at ``b``.
+
+def _first_crossing(values: Callable[[np.ndarray], np.ndarray],
+                    value: Callable[[float], float], ts: np.ndarray, rho: int,
+                    epsilon: float) -> float | None:
+    """Earliest s in (ts[0], ts[-1]] where ``rho * signal - epsilon`` reaches 0.
+
+    ``values`` gives the signal on an array of nodes and is read only for the
+    sign tests, chunk by chunk (``_SCAN_CHUNK`` nodes, doubling) up to the
+    first chunk that holds a hit; node 0 is never a hit.  ``value`` gives the
+    exact signal at one time, and Brent's method runs on it in the first cell
+    that holds a hit.
     """
-
-    ts = np.linspace(a, b, n)
-    sig = np.array([value(s) for s in ts])
-    last = a
-    i = 1
-    while i < n:
-        if state * sig[i] - epsilon >= 0.0:
-            lo = ts[i - 1] if (state * sig[i - 1] - epsilon) < 0.0 and ts[i - 1] >= last else last
-            st = state
-            s_hit = float(brentq(lambda s: st * value(s) - epsilon, lo, ts[i],
-                                 xtol=1e-14, rtol=8.9e-16))
-            state = -state
-            collect(s_hit, state)
-            last = s_hit
-            # stay on this node: the signal may cross the other line in the same cell
-            continue
-        i += 1
-    return state
+    n = len(ts)
+    a, b = 0, min(n, _SCAN_CHUNK)
+    while True:
+        hs = values(ts[a:b])
+        if np.shape(hs) != (b - a,):
+            raise TypeError(f"h returned shape {np.shape(hs)} for a stack of {b - a} "
+                            "states; RelaySystem.h must give one value per row")
+        first = max(a, 1)
+        hit = np.flatnonzero(rho * hs[first - a:] - epsilon >= 0.0)
+        if hit.size:
+            i = first + int(hit[0])
+            break
+        if b == n:
+            return None
+        a, b = b, min(n, b + 2 * (b - a))
+    return float(brentq(lambda s: rho * value(s) - epsilon, ts[i - 1], ts[i],
+                        xtol=1e-14, rtol=8.9e-16))
 
 
 def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0: int,
@@ -168,8 +176,9 @@ def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0
 
     The initial value u0 only matters while the signal starts inside the
     open band; otherwise the relay state is set by the region the signal
-    starts in.  Sign changes are located on a ``samples``-point grid and
-    refined by bisection, so features narrower than the grid spacing are
+    starts in.  Sign changes are located on a ``samples``-point grid, the
+    scan resuming from each switch on the nodes after it, and refined by
+    Brent's method, so features narrower than the grid spacing are
     invisible; pass more samples for wilder signals.
     """
 
@@ -178,15 +187,18 @@ def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0
         raise ValueError("empty signal interval")
     if not epsilon > 0:
         raise ValueError("hysteresis half-width must be positive")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
     state = _init_relay_state(float(signal(a)), u0, epsilon)
     times: list[float] = []
     values = [state]
-
-    def collect(s_hit, new_state):
-        times.append(s_hit)
-        values.append(new_state)
-
-    _march_relay(signal, a, b, int(samples), state, epsilon, collect)
+    ts = np.linspace(a, b, samples)
+    while (s := _first_crossing(lambda ss: np.array([signal(x) for x in ss]), signal,
+                                ts, state, epsilon)) is not None:
+        state = -state
+        times.append(s)
+        values.append(state)
+        ts = np.concatenate(([s], ts[ts > s]))  # resume on the same grid
     return RelayPath(a, b, tuple(times), tuple(values))
 
 
@@ -194,40 +206,12 @@ def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0
 # evolution engine
 
 
-def _scan_history(system: RelaySystem, state: HybridState, scan_dt: float):
-    """Relay state and crossings encoded in the last delay-window of history.
-
-    Returns (u_start, rho, crossings): the relay output effective at time 0,
-    the relay state continuing the headpoint signal, and crossing records at
-    history times in [-tau, 0].
-    """
-
-    hist = state.history
-    tau, eps = system.tau, system.epsilon
-
-    def sigma(s: float) -> float:
-        return float(system.h(hist(s)))
-
-    def slope(s: float) -> float:
-        return float(system.dh(hist(s)) @ hist.derivative(s))
-
-    rho = _init_relay_state(sigma(-tau), state.u, eps)
-    u_start = rho
-    crossings: list[CrossingRecord] = []
-
-    def collect(s_hit: float, new_state: int):
-        sl = slope(s_hit)
-        if abs(sl) < DEGEN_TOL:
-            raise DegenerateCrossing(
-                f"signal tangent to the switching line at history time {s_hit:.6g}")
-        crossings.append(CrossingRecord(time=s_hit, level=-new_state * eps,
-                                        direction=int(np.sign(sl)), slope=sl,
-                                        switch_time=s_hit + tau))
-
-    for (a, b) in hist.pieces(-tau):
-        n = max(8, int(math.ceil((b - a) / scan_dt)) + 1)
-        rho = _march_relay(sigma, a, b, n, rho, eps, collect)
-    return u_start, rho, crossings
+def _crossing(system: RelaySystem, s: float, slope: float, rho: int) -> CrossingRecord:
+    """Record of the watched line ``rho * epsilon`` reached at time s."""
+    if abs(slope) < DEGEN_TOL:
+        raise DegenerateCrossing(f"signal tangent to the switching line at t={s:.6g}")
+    return CrossingRecord(time=s, level=rho * system.epsilon, direction=int(np.sign(slope)),
+                          slope=slope, switch_time=s + system.tau)
 
 
 def evolve(system: RelaySystem, state: HybridState, T: float,
@@ -238,69 +222,68 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     and the trajectory with its crossing/switch log.  The discrete component
     of the given state is normalised first: when the delayed output starts
     outside the open hysteresis band, the relay value is set by that region
-    regardless of ``state.u``.
+    regardless of ``state.u``.  T and ``scan_dt`` must be positive and finite.
 
     Raises :class:`DegenerateCrossing` when the switching signal meets a
     threshold line with slope smaller than 1e-8 in magnitude.  Histories
     shorter than the delay are rejected.
     """
 
-    if not T > 0:
-        raise ValueError("evolution time must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"evolution time must be positive and finite, got {T!r}")
+    if not 0.0 < scan_dt < math.inf:
+        raise ValueError(f"scan step must be positive and finite, got {scan_dt!r}")
     hist = state.history
     tau, eps = system.tau, system.epsilon
     if hist.horizon < tau - 1e-12:
         raise ValueError("history shorter than the delay")
 
-    u_start, rho, hist_crossings = _scan_history(system, state, scan_dt)
+    def sigma(s: float) -> float:
+        return float(system.h(hist(s)))
 
-    # delayed echoes of the history crossings that still lie ahead
-    pending: list[tuple[float, int]] = []
-    u_sched = u_start
-    cross_by_switch: dict[float, float] = {}
-    for c in hist_crossings:
-        u_sched = -u_sched
-        cross_by_switch[c.switch_time] = c.time
-        if c.switch_time > 0.0:
-            insort(pending, (c.switch_time, u_sched))
+    # the relay output at time 0 reads the signal at -tau, where the watched
+    # residual is negative: every history crossing lies in (-tau, 0], and
+    # its switch, one delay later, lies ahead
+    u = rho = _init_relay_state(sigma(-tau), state.u, eps)
+    crossings: list[CrossingRecord] = []
+    for (a, b) in hist.pieces(-tau):
+        ts = _grid(a, b, scan_dt)
+        while (s := _first_crossing(lambda ss: system.h(hist(ss)), sigma,
+                                    ts, rho, eps)) is not None:
+            slope = float(system.dh(hist(s)) @ hist.derivative(s))
+            crossings.append(_crossing(system, s, slope, rho))
+            rho = -rho
+            ts = np.concatenate(([s], ts[ts > s]))  # resume on the same grid
+    # crossings are found in time order, so their switches fall due in it
+    pending = deque(crossings)
 
     flow = system.flow
     y = hist(0.0)
     t = 0.0
-    u = u_start
     segments = [Segment(0.0, y, u)]
     switches: list[SwitchRecord] = []
-    all_crossings = list(hist_crossings)
 
     while t < T - 1e-13:
-        t_stop = min(T, pending[0][0]) if pending else T
+        t_stop = min(T, pending[0].switch_time) if pending else T
         s_hit = _next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
         if s_hit is not None:
             z = flow.apply(y, u, s_hit - t)
-            sl = float(system.dh(z) @ flow.velocity(z, u))
-            if abs(sl) < DEGEN_TOL:
-                raise DegenerateCrossing(
-                    f"signal tangent to the switching line at t={s_hit:.6g}")
-            all_crossings.append(CrossingRecord(time=s_hit, level=rho * eps,
-                                                direction=int(np.sign(sl)), slope=sl,
-                                                switch_time=s_hit + tau))
-            cross_by_switch[s_hit + tau] = s_hit
+            c = _crossing(system, s_hit, float(system.dh(z) @ flow.velocity(z, u)), rho)
+            crossings.append(c)
+            pending.append(c)
             rho = -rho
-            insort(pending, (s_hit + tau, rho))
             y = z
             t = s_hit
             continue
         y = flow.apply(y, u, t_stop - t)
         t = t_stop
-        if pending and pending[0][0] <= t + 1e-13:
-            st, new_u = pending.pop(0)
-            if new_u != u:
-                u = new_u
-                switches.append(SwitchRecord(time=st, new_u=new_u,
-                                             crossing_time=cross_by_switch[st]))
-                segments.append(Segment(st, y, u))
+        if pending and pending[0].switch_time <= t + 1e-13:
+            c = pending.popleft()
+            u = -u
+            switches.append(SwitchRecord(time=c.switch_time, new_u=u, crossing_time=c.time))
+            segments.append(Segment(c.switch_time, y, u))
 
-    traj = Trajectory(flow, hist, segments, all_crossings, switches, T)
+    traj = Trajectory(flow, hist, segments, crossings, switches, T)
     new_state = HybridState(history=traj.tail_history(hist.horizon), u=u)
     return new_state, traj
 
@@ -309,50 +292,27 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
                         t_stop: float, scan_dt: float) -> float | None:
     """Earliest time in (t, t_stop] where the watched threshold is reached.
 
-    The scan grid spans [t, t_stop], but it is evaluated lazily: chunks of
-    ``_SCAN_CHUNK`` nodes, doubling, up to the first chunk that holds a hit.
-    The cost is linear in the distance to the next hit rather than to
-    ``t_stop``, and the bracket and the root are those of the full grid.
+    :func:`_first_crossing` on the grid over [t, t_stop], its sign tests on
+    one stacked ``h`` call per chunk of the path, then a Newton polish.
     """
     if t_stop <= t:
         return None
-    flow = system.flow
-    eps = system.epsilon
-    n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
-    ts = np.linspace(t, t_stop, n)
-    dts = ts - t
-    a, b = 0, min(n, _SCAN_CHUNK)
-    while True:
-        # one stacked h per chunk: only the sign of each node's residual is read
-        hs = system.h(flow.apply_path(y, u, dts[a:b]))
-        if np.shape(hs) != (b - a,):
-            raise TypeError(f"h returned shape {np.shape(hs)} for a stack of {b - a} "
-                            "states; RelaySystem.h must give one value per row")
-        ws = rho * hs - eps
-        first = max(a, 1)  # node 0 is the state at t itself, never a hit
-        hit = np.flatnonzero(ws[first - a:] >= 0.0)
-        if hit.size:
-            i = first + int(hit[0])
-            break
-        if b == n:
-            return None
-        a, b = b, min(n, b + 2 * (b - a))
+    flow, eps = system.flow, system.epsilon
 
-    def w(s: float) -> float:
-        return rho * system.h(flow.apply(y, u, s - t)) - eps
+    def value(s: float) -> float:
+        return system.h(flow.apply(y, u, s - t))
 
-    s_hit = float(brentq(w, ts[i - 1], ts[i], xtol=1e-14, rtol=8.9e-16))
-
+    s_hit = _first_crossing(lambda ts: system.h(flow.apply_path(y, u, ts - t)), value,
+                            _grid(t, t_stop, scan_dt), rho, eps)
+    if s_hit is None:
+        return None
     # polish until the signal residual itself is tiny
-    def dw(s: float) -> float:
-        z = flow.apply(y, u, s - t)
-        return rho * float(system.dh(z) @ flow.velocity(z, u))
-
     for _ in range(3):
-        r = w(s_hit)
+        r = rho * value(s_hit) - eps
         if abs(r) <= RESID_TOL:
             break
-        d = dw(s_hit)
+        z = flow.apply(y, u, s_hit - t)
+        d = rho * float(system.dh(z) @ flow.velocity(z, u))
         if d == 0.0:
             break
         s_hit -= r / d

@@ -50,6 +50,22 @@ def test_collision_point_solves_fixed_point_equation():
         np.testing.assert_allclose(flow.apply(y, 1, tau), -y, rtol=0, atol=1e-12)
 
 
+def test_collision_point_refuses_the_singular_delay():
+    # at zeta = 0, tau = (2k+1) pi both singular values of I + A(tau) sit at
+    # rounding level, so a test relative to the largest alone cannot see it
+    for tau in (math.pi, 3.0 * math.pi):
+        with pytest.raises(SingularSurface):
+            collision_point(0.0, tau)
+    # both singular values are 1e-8 here: well conditioned, so the large y*
+    # is a result, and it solves the fixed-point equation
+    from relaydyn.flows import AffineOscillatorFlow
+    zeta, tau = 1e-12, math.pi + 1e-8
+    y = collision_point(zeta, tau)
+    assert np.abs(y).max() > 1e8
+    np.testing.assert_allclose(AffineOscillatorFlow(zeta).apply(y, 1, tau), -y,
+                               rtol=1e-12, atol=0)
+
+
 def test_collision_epsilon_sign_rule():
     # corner on the +eps line beyond tau = pi; delays up to pi are refused
     y = collision_point(ZETA, 4.2)

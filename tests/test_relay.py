@@ -193,6 +193,48 @@ def test_evolve_switches_echo_crossings_after_one_delay():
     _, traj = evolve(system, state, 3.0 * TAU)
     for sw in traj.switches:
         assert sw.time == pytest.approx(sw.crossing_time + TAU, abs=1e-12)
+    # each switch flips the relay output, starting from the initial one
+    us = [traj.segments[0].u] + [sw.new_u for sw in traj.switches]
+    assert len(us) > 3 and all(b == -a for a, b in zip(us, us[1:]))
+
+
+@pytest.mark.parametrize("u0", [1, -1])
+def test_history_window_crossings_match_the_oracle(u0):
+    def steep(s):
+        return np.array([3.0 * math.sin(12.0 * s) + 0.4 * math.sin(31.0 * s + 1.0), 0.0])
+
+    def wobbly(s):
+        return np.array([math.sin(3.0 * s) + 0.25 * math.sin(90.0 * s), 0.0])
+
+    # alternating inputs on 8 pieces drive x' across both lines on most of them
+    zigzag = BreakpointHistory(AffineOscillatorFlow(ZETA), TAU, [0.0, 0.0],
+                               [-3.9, -3.3, -2.7, -2.1, -1.5, -0.9, -0.3],
+                               [1, -1, 1, -1, 1, -1, 1, -1])
+    cases = {"steep": (0.0, SampledHistory.from_function(steep, TAU, n=1025), 16),
+             "wobbly": (0.0, SampledHistory.from_function(wobbly, TAU, n=1025), 8),
+             "zigzag": (math.pi / 2, zigzag, 6)}
+    for name, (alpha, hist, n_min) in cases.items():
+        system = oscillator_system(ZETA, alpha, TAU, EPS)
+        _, traj = evolve(system, HybridState(hist, u0), 0.5)
+        got = [c for c in traj.crossings if c.time <= 0.0]
+
+        def sig(s):
+            return float(system.h(hist(s)))
+
+        times, values = relay_oracle(sig, -TAU, 0.0, u0, EPS, n=20001)
+        assert len(got) == len(times) >= n_min, name
+        np.testing.assert_allclose([c.time for c in got], times, rtol=0, atol=1e-9)
+        # the state before each flip names the line reached and the direction
+        assert [c.level for c in got] == [v * EPS for v in values[:-1]], name
+        assert [c.direction for c in got] == values[:-1], name
+        if name == "steep":
+            # the signal goes from one line past the other inside one 0.02
+            # scan cell around every crossing
+            assert all(v * sig(t - 0.01) < -EPS and v * sig(t + 0.01) > EPS
+                       for t, v in zip(times, values) if t < -0.01)
+        if name == "wobbly":
+            # some crossing follows the one before it within two scan cells
+            assert np.diff(times).min() < 2 * relay.DEFAULT_SCAN_DT
 
 
 def test_degenerate_crossing_is_reported():
@@ -485,13 +527,18 @@ def test_evolve_on_rk_flow_matches_closed_form():
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
 def test_sizes_refuse_nan_and_non_positive_values(bad):
     # every size guard reads `not x > 0`, so NaN is refused with the message
-    # of a non-positive size instead of passing a `x <= 0` test
+    # of a non-positive size instead of passing a `x <= 0` test; the horizon
+    # and the scan step of evolve must be finite too
     flow = AffineOscillatorFlow(ZETA)
     system = oscillator_system(ZETA, -0.5, TAU, EPS)
     state = HybridState(SampledHistory.constant([0.5, 0.0], TAU), 1)
     _, traj = evolve(system, state, 10.0)
     refusals = [
         (lambda: evolve(system, state, bad), "evolution time must be positive"),
+        (lambda: evolve(system, state, math.inf), "evolution time must be positive and finite"),
+        (lambda: evolve(system, state, 10.0, scan_dt=bad), "scan step must be positive"),
+        (lambda: evolve(system, state, 10.0, scan_dt=math.inf),
+         "scan step must be positive and finite"),
         (lambda: oscillator_system(ZETA, -0.5, bad, EPS), "delay must be positive"),
         (lambda: oscillator_system(ZETA, -0.5, TAU, bad), "half-width must be positive"),
         (lambda: OscillatorParams(ZETA, bad, EPS, -0.5), "delay must be positive"),
@@ -504,6 +551,10 @@ def test_sizes_refuse_nan_and_non_positive_values(bad):
         (lambda: SampledHistory(bad, np.zeros((9, 2))), "horizon must be positive"),
         (lambda: SampledHistory.constant([0.5, 0.0], bad), "horizon must be positive"),
         (lambda: hysteron(math.sin, (0.0, 10.0), 1, bad), "half-width must be positive"),
+        (lambda: hysteron(math.sin, (0.0, 20.0), 1, 0.5, samples=bad),
+         "samples must be an integer"),
+        *[(lambda n=n: hysteron(math.sin, (0.0, 20.0), 1, 0.5, samples=n),
+           "samples must be an integer of at least 2") for n in (0, 1, 2.5)],
         (lambda: check_weak_transversality(system, traj, bad), "window must be positive"),
     ]
     for call, message in refusals:

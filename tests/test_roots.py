@@ -64,12 +64,12 @@ def test_every_call_site_equals_scipy(monkeypatch):
     relay.hysteron(lambda s: math.sin(s) + 0.2 * math.sin(3.1 * s), (0.0, 30.0), 1, 0.4)
     system = relay.oscillator_system(ZETA, -0.5, TAU, EPS)
     state = HybridState(SampledHistory.constant([0.5, 0.0], TAU), 1)
-    relay.evolve(system, state, 20.0 * TAU)  # _march_relay, _next_head_crossing
+    relay.evolve(system, state, 20.0 * TAU)  # _first_crossing on history and head path
     nsc = oscillator.find_nsc(ZETA, EPS)
     continuation._ns_alpha_at(ZETA, EPS, nsc[0] + 1e-3, nsc[1])
-    assert set(sites) == {"_slice_roots", "_bracketed_newton", "_march_relay",
-                          "_next_head_crossing", "_ns_alpha_at"}
-    assert sites["_bracketed_newton"] >= 5 and sites["_next_head_crossing"] >= 10
+    assert set(sites) == {"_slice_roots", "_bracketed_newton", "_first_crossing",
+                          "_ns_alpha_at"}
+    assert sites["_bracketed_newton"] >= 5 and sites["_first_crossing"] >= 10
 
 
 def cubic(x):
