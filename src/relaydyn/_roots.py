@@ -15,6 +15,8 @@ Numer. Math. 18, 1971, on Veltkamp's splitting) and rounds
 ``q + err + fl(c0*x)`` once with ``math.fsum``, which rounds correctly
 (Shewchuk, Discrete Comput. Geom. 18, 1997).  The tests compare it with
 ``ndarray.dot``, so a BLAS that rounds otherwise fails them.
+``reduced.CrossingKernel`` writes the same arithmetic out in its Newton
+loop, with :data:`SPLITTER`, so a change here belongs there too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from .errors import NoConvergence, NoRootInBracket
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
+SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 
 
 def _value(f, x: float) -> float:
@@ -95,7 +97,7 @@ def split_factor(a: float) -> tuple[float, float, float]:
     split once.  Above |a| = 1.3e300 the splitting product overflows and
     both halves are NaN.
     """
-    t = _SPLIT * a
+    t = SPLITTER * a
     hi = t - (t - a)
     return a, hi, a - hi
 
@@ -114,7 +116,7 @@ def fused_dot(c0: float, c1_split: tuple[float, float, float], x: float, y: floa
     c1, c1_hi, c1_lo = c1_split
     q = c1 * y
     if 1e-250 < abs(q) < 1e250:
-        t = _SPLIT * y
+        t = SPLITTER * y
         y_hi = t - (t - y)
         y_lo = y - y_hi
         err = ((c1_hi * y_hi - q) + c1_hi * y_lo + c1_lo * y_hi) + c1_lo * y_lo

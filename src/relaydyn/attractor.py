@@ -24,7 +24,7 @@ from ._roots import fused_dot, split_factor
 from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
                      LeftNeighborhood, NoConvergence, NoRootInBracket)
 from .oscillator import surface_corner
-from .reduced import CollisionContext, branch_of, crossing_time, oscillator_context
+from .reduced import CollisionContext, branch_of, oscillator_context
 
 __all__ = [
     "AttractorRun",
@@ -83,15 +83,18 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     Raises :class:`LeftNeighborhood` when an iterate moves further than
     ``radius`` from the reference corner (the local map construction is
     only meaningful nearby; crossing-time failures count as having left),
-    and ``ValueError`` unless ``y0`` is one state of shape (2,) and
+    and ``ValueError`` unless ``y0`` is one finite state of shape (2,) and
     ``radius`` is positive.
 
     Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
-    threshold h = c . y is read once per iterate and serves both the next
-    step's branch and the D+/D- flags.  Every dot product, h and the
-    distance to the corner (``np.linalg.norm``'s sqrt of a dot), is a
-    :func:`fused_dot` on floats, equal to ``ndarray.dot`` (the BLAS ddot's
-    fused multiply-add) bit for bit, so the iterates equal map_F's.
+    context's :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is
+    taken once per run and solves each map's crossing directly.  The
+    threshold h = c . y is read once per iterate; it serves as the kernel's
+    value at t = 0, the next step's branch and the D+/D- flags.  Every dot
+    product, h and the distance to the corner (``np.linalg.norm``'s sqrt of
+    a dot), is a :func:`fused_dot` on floats, equal to ``ndarray.dot`` (the
+    BLAS ddot's fused multiply-add) bit for bit, so the iterates equal
+    map_F's.
     """
 
     if not 0 <= n_transient < n_total:
@@ -99,9 +102,12 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     y = np.asarray(y0, dtype=float)
     if y.shape != (2,):
         raise ValueError(f"y0 must be one state of shape (2,), got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"y0 must be finite, got {y.tolist()}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    advance, eps, tau = ctx.flow._advance, ctx.epsilon, ctx.tau
+    solve, advance = ctx.crossing_kernel.solve, ctx.flow._advance
+    eps, tau = ctx.epsilon, ctx.tau
     c0, c1 = ctx.c.tolist()
     c1_split = split_factor(c1)
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
@@ -111,7 +117,7 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     visited_plus = visited_minus = False
     for k in range(n_total):
         try:
-            t = crossing_time(ctx, (x, xdot), -1 if h >= eps else 1)
+            t = solve(x, xdot, h, -1 if h >= eps else 1)
         except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
@@ -147,20 +153,24 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     window, none for ``keep = 0``.
 
     Escapes never raise.  The inputs do, before any iteration: a negative
-    ``keep`` raises ``ValueError``, and a delay the collision surface does
-    not cover (tau < pi, where the corner sits on the -eps line) raises
-    :class:`SingularSurface`.
+    ``keep`` or a non-finite ``y0`` raises ``ValueError``, and a delay the
+    collision surface does not cover (tau < pi, where the corner sits on the
+    -eps line) raises :class:`SingularSurface`.
     """
 
     if keep < 0:
         raise ValueError(f"keep must be non-negative, got {keep!r}")
+    y = None if y0 is None else np.asarray(y0, dtype=float)
+    if y is not None and not np.isfinite(y).all():
+        raise ValueError(f"y0 must be finite, got {y.tolist()}")
     y_ref = surface_corner(zeta, tau)
     alphas = np.asarray(alphas, dtype=float)
     records: list[SweepRecord] = []
     if alphas.size == 0:
         return records
     default_seed = y_ref + np.array([1e-3, 0.0])
-    y = np.asarray(y0, dtype=float) if y0 is not None else default_seed
+    if y is None:
+        y = default_seed
     for alpha in alphas:
         ctx = oscillator_context(zeta, float(alpha), tau, epsilon, y_ref)
         # the iteration is deterministic: rerunning the default seed cannot help

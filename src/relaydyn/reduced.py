@@ -23,6 +23,12 @@ smooth.  The map and its analytic Jacobians are exact up to the flow
 backend; :func:`reconstruct_history` lifts a map point back to a full
 hybrid state so the event-driven engine can serve as an oracle.
 
+The crossing time t(y) and the phase :func:`theta` are roots of one kind
+of signal, a fixed normal dotted with the closed-form flow from y.  One
+:class:`CrossingKernel` solves both, by Newton with a Brent fallback on
+Python floats; each context builds its two kernels once, and the attractor
+loop of :mod:`relaydyn.attractor` calls the crossing kernel directly.
+
 The context watches the +eps line and propagates with input +1 after the
 switch.  For odd fields and linear h the opposite half-cycle is its
 reflection y -> -y, so one context covers the whole orbit.
@@ -32,17 +38,21 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
-from ._roots import brentq, fused_dot, split_factor
-from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval)
+from ._roots import SPLITTER, brentq, fused_dot, split_factor
+from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval,
+                     RelayDynError)
 from .flows import AffineOscillatorFlow
 from .history import BreakpointHistory, HybridState
 
 __all__ = [
     "CollisionContext",
+    "CrossingKernel",
     "oscillator_context",
     "DomainTag",
     "classify",
@@ -77,7 +87,8 @@ class CollisionContext:
     be small enough that the path through any admissible point meets the
     threshold exactly once in that window.  ``y_ref`` is the collision
     point itself (used to anchor the phase section of :func:`theta`).
-    The context watches ``h = +eps`` and propagates with input +1.
+    The context watches ``h = +eps`` and propagates with input +1.  Its
+    two :class:`CrossingKernel` solvers are built on first use and kept.
     """
 
     flow: AffineOscillatorFlow
@@ -100,6 +111,27 @@ class CollisionContext:
     def dh(self, y) -> np.ndarray:
         """Gradient of :meth:`h`: the normal c, the same at every y."""
         return self.c
+
+    @cached_property
+    def crossing_kernel(self) -> CrossingKernel:
+        """Solver of :func:`crossing_time`: h = eps within (-delta, delta) of 0."""
+        d = self.delta
+        return CrossingKernel(
+            self.flow, normal=self.c.tolist(), point=(0.0, 0.0), level=self.epsilon,
+            start=0.0, box=(-d, d), bracket=(-d, d), floor_scale=32.0 * _EPS, min_slope=1e-8,
+            no_root=partial(NoRootInBracket,
+                            f"no threshold crossing within {d:.4g} of the switch point"))
+
+    @cached_property
+    def section_kernel(self) -> CrossingKernel:
+        """Solver of :func:`theta`: the phase section within [0, 2*delta]."""
+        flow, d = self.flow, self.delta
+        return CrossingKernel(
+            flow, normal=flow.velocity(self.y_ref, 1).tolist(),
+            point=flow.apply(self.y_ref, 1, d).tolist(), level=0.0,
+            start=d, box=(-d, 3.0 * d), bracket=(0.0, 2.0 * d), floor_scale=0.0, min_slope=0.0,
+            no_root=partial(NoRootInInterval,
+                            "path does not reach the phase section in [0, 2*delta]"))
 
 
 def oscillator_context(zeta: float, alpha: float, tau: float, epsilon: float,
@@ -128,68 +160,125 @@ def branch_of(ctx: CollisionContext, y) -> int:
     return -1 if float(ctx.h(y)) >= ctx.epsilon else 1
 
 
-def _bracketed_newton(signal, start: float, box: tuple[float, float],
-                      bracket: tuple[float, float],
-                      tol: float = 1e-13) -> tuple[float, float] | None:
-    """Root of a scalar signal: Newton from ``start``, else bisection.
+class CrossingKernel:
+    """Root of the signal t -> n . (z(t) - p) - level along a branch flow.
 
-    ``signal(t)`` returns the value and the slope from one flow evaluation.
-    Newton accepts an iterate whose value is below ``tol`` and lies inside
-    ``bracket``, and stops once an iterate leaves ``box``; otherwise
-    ``brentq`` searches the bracket.  Returns the root and the slope there,
-    or None when the bracket holds no sign change.
+    z(t) is the closed-form flow from a state (x, x') under a frozen input
+    u, n a fixed normal and p a fixed point; the slope n . f(z(t), u) comes
+    from the same flow evaluation.  Everything fixed per context is bound
+    once, at construction: :attr:`CollisionContext.crossing_kernel` watches
+    the threshold line, :attr:`CollisionContext.section_kernel` the phase
+    section of :func:`theta`.
+
+    :meth:`solve` runs Newton from ``start``.  It accepts an iterate whose
+    residual is below max(1e-13, ``floor_scale`` * max(|x|, |x'|)) and that
+    lies inside ``bracket``, and stops once an iterate leaves ``box`` or
+    meets a zero slope; Brent's method then searches the bracket.  A root
+    whose slope is below ``min_slope`` in magnitude raises
+    :class:`DegenerateDerivative`; a bracket without a sign change raises
+    ``no_root()``.
+
+    The state comes from ``flow._advance`` and the field from
+    ``flow._accel``'s expression, on floats.  At t = 0 the flow is the
+    identity on finite states bit for bit, so the Newton start reads the
+    state itself and the dot product the caller passes in.  Both dot
+    products round as :func:`fused_dot`, which equals ``ndarray.dot`` (the
+    BLAS ddot's fused multiply-add) bit for bit.  The Newton loop writes
+    them out (Dekker's product and ``math.fsum``) and calls
+    :func:`fused_dot` only outside its exact range, so a Newton step makes
+    no Python call besides the flow's; :meth:`signal` is the same signal
+    through :func:`fused_dot`, for the bracket search.
     """
 
-    t = start
-    for _ in range(30):
-        r, d = signal(t)
-        if abs(r) < tol:
-            if bracket[0] <= t <= bracket[1]:
-                return t, d
-            break
-        if d == 0.0 or not box[0] <= t <= box[1]:
-            break
-        t -= r / d
+    def __init__(self, flow: AffineOscillatorFlow, normal, point, level: float,
+                 start: float, box: tuple[float, float], bracket: tuple[float, float],
+                 floor_scale: float, min_slope: float,
+                 no_root: Callable[[], RelayDynError]):
+        self._advance = flow._advance
+        self._m2z, self._omsq = -2.0 * flow.zeta, flow._omsq  # flow._accel's factors
+        n0, n1 = normal
+        self._n0, self._n1 = float(n0), split_factor(float(n1))
+        self._p0, self._p1 = float(point[0]), float(point[1])
+        self._level, self._start = float(level), float(start)
+        self._box, self._bracket = box, bracket
+        self._floor_scale, self._min_slope = floor_scale, min_slope
+        self._no_root = no_root
 
-    a, b = bracket
-    (ga, da), (gb, db) = signal(a), signal(b)
-    if ga == 0.0:
-        return a, da
-    if gb == 0.0:
-        return b, db
-    if ga * gb > 0.0:
-        return None
-    t = float(brentq(lambda s: signal(s)[0], a, b, xtol=1e-15, rtol=8.9e-16))
-    return t, signal(t)[1]
+    def dot(self, x: float, xdot: float) -> float:
+        """n . ((x, x') - p): the signal plus ``level`` at t = 0."""
+        return fused_dot(self._n0, self._n1, x - self._p0, xdot - self._p1)
 
+    def signal(self, x: float, xdot: float, g0: float, u: int, t: float) -> tuple[float, float]:
+        """Signal and slope at offset t from (x, x'), with g0 = :meth:`dot`."""
+        if t == 0.0:
+            zx, zv, g = x, xdot, g0
+        else:
+            zx, zv = self._advance(x, xdot, u, t)
+            g = self.dot(zx, zv)
+        return (g - self._level,
+                fused_dot(self._n0, self._n1, zv, self._m2z * zv - self._omsq * (zx - u)))
 
-def _crossing_signal(ctx: CollisionContext, y, branch: int):
-    """Crossing signal of y on a branch, and the residual Newton can reach.
+    def solve(self, x: float, xdot: float, g0: float, u: int) -> float:
+        """Offset t at which the signal from (x, x') under input u vanishes.
 
-    The signal is t -> (c . z - eps, c . f(z, branch)), with z the branch
-    flow from y at offset t and c the context's threshold normal.  Each call
-    is one scalar flow evaluation and two :func:`fused_dot` products on
-    floats, which equal ``ndarray.dot`` (the BLAS ddot's fused multiply-add)
-    bit for bit; c's second component is split once per signal.  At t = 0
-    the flow is the identity on finite states bit for bit, so the Newton
-    start reads y itself.  The value rounds to a few ulps of |y|, so the
-    residual floor is 1e-13 up to |y| = 14 and 32 machine epsilons of |y|
-    beyond, where 1e-13 would be below the rounding.
-    """
+        ``g0`` is :meth:`dot` at (x, x'); a caller that holds it passes it in.
+        """
+        advance, n0, n1_split, p0, p1 = self._advance, self._n0, self._n1, self._p0, self._p1
+        n1, n1_hi, n1_lo = n1_split
+        level, m2z, omsq = self._level, self._m2z, self._omsq
+        box_lo, box_hi = self._box
+        a, b = self._bracket
+        tol = max(1e-13, self._floor_scale * max(abs(x), abs(xdot)))
+        t, converged = self._start, False
+        for _ in range(30):
+            if t == 0.0:
+                zx, zv, g = x, xdot, g0
+            else:
+                zx, zv = advance(x, xdot, u, t)
+                w0, w1 = zx - p0, zv - p1
+                q, err = n1 * w1, math.nan
+                if 1e-250 < abs(q) < 1e250:
+                    s = SPLITTER * w1
+                    hi = s - (s - w1)
+                    lo = w1 - hi
+                    err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
+                g = math.fsum((q, err, n0 * w0)) if err == err \
+                    else fused_dot(n0, n1_split, w0, w1)
+            r = g - level
+            acc = m2z * zv - omsq * (zx - u)
+            q, err = n1 * acc, math.nan
+            if 1e-250 < abs(q) < 1e250:
+                s = SPLITTER * acc
+                hi = s - (s - acc)
+                lo = acc - hi
+                err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
+            d = math.fsum((q, err, n0 * zv)) if err == err \
+                else fused_dot(n0, n1_split, zv, acc)
+            if abs(r) < tol:
+                converged = a <= t <= b
+                break
+            if d == 0.0 or not box_lo <= t <= box_hi:
+                break
+            t -= r / d
+        if not converged:
+            t, d = self._bracket_root(x, xdot, g0, u)
+        if abs(d) < self._min_slope:
+            raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
+        return t
 
-    eps = ctx.epsilon
-    advance, accel = ctx.flow._advance, ctx.flow._accel
-    c0, c1 = ctx.c.tolist()
-    c1_split = split_factor(c1)
-    x0, xdot0 = float(y[0]), float(y[1])
-    tol = max(1e-13, 32.0 * _EPS * max(abs(x0), abs(xdot0)))
-
-    def signal(t: float) -> tuple[float, float]:
-        x, xdot = (x0, xdot0) if t == 0.0 else advance(x0, xdot0, branch, t)
-        return (fused_dot(c0, c1_split, x, xdot) - eps,
-                fused_dot(c0, c1_split, xdot, accel(x, xdot, branch)))
-
-    return signal, tol
+    def _bracket_root(self, x: float, xdot: float, g0: float, u: int) -> tuple[float, float]:
+        """Root and slope by Brent's method over the bracket, else ``no_root()``."""
+        a, b = self._bracket
+        (ra, da), (rb, db) = self.signal(x, xdot, g0, u, a), self.signal(x, xdot, g0, u, b)
+        if ra == 0.0:
+            return a, da
+        if rb == 0.0:
+            return b, db
+        if ra * rb > 0.0:
+            raise self._no_root()
+        t = brentq(lambda s: self.signal(x, xdot, g0, u, s)[0], a, b,
+                   xtol=1e-15, rtol=8.9e-16)
+        return t, self.signal(x, xdot, g0, u, t)[1]
 
 
 def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
@@ -197,23 +286,18 @@ def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
 
     The signal is c . z(t) - eps with c the context's threshold normal and
     z(t) the branch flow from y; its slope c . f(z(t), branch) comes from
-    the same flow evaluation.  Newton from t = 0 with that slope; falls
-    back to bisection over the full bracket when Newton stalls or leaves
-    it.  Raises :class:`NoRootInBracket` when the bracket holds no sign
-    change and :class:`DegenerateDerivative` when the signal is tangent at
-    the root.
+    the same flow evaluation.  The context's :attr:`~CollisionContext.crossing_kernel`
+    runs Newton from t = 0 with that slope and falls back to bisection over
+    the full bracket when Newton stalls or leaves it.  The residual floor is
+    1e-13 up to |y| = 14 and 32 machine epsilons of |y| beyond, where the
+    signal's rounding exceeds 1e-13.  Raises :class:`NoRootInBracket` when
+    the bracket holds no sign change and :class:`DegenerateDerivative` when
+    the signal is tangent at the root.
     """
 
-    delta = ctx.delta
-    signal, tol = _crossing_signal(ctx, y, branch)
-    root = _bracketed_newton(signal, 0.0, (-delta, delta), (-delta, delta), tol)
-    if root is None:
-        raise NoRootInBracket(
-            f"no threshold crossing within {delta:.4g} of the switch point")
-    t, slope = root
-    if abs(slope) < 1e-8:
-        raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
-    return t
+    kernel = ctx.crossing_kernel
+    x, xdot = float(y[0]), float(y[1])
+    return kernel.solve(x, xdot, kernel.dot(x, xdot), branch)
 
 
 def map_F_branch(ctx: CollisionContext, y, branch: int) -> np.ndarray:
@@ -268,24 +352,17 @@ def theta(ctx: CollisionContext, y) -> float:
     The section is the hyperplane through ``Y_p^delta y_ref`` normal to the
     reference velocity f(y_ref, p); it is crossed transversally by every
     path near the collision orbit, giving each map point a well-defined
-    phase theta(y) in [0, 2*delta].  Raises :class:`NoRootInInterval` when
-    the path does not reach the section in that window.
+    phase theta(y) in [0, 2*delta].  The context's
+    :attr:`~CollisionContext.section_kernel` solves f2 . (z - y_sec) = 0,
+    with f2 = f(y_ref, p), y_sec the section point and z the propagation
+    flow from y, by Newton from delta inside (-delta, 3*delta) and Brent's
+    method over [0, 2*delta] after that.  Raises :class:`NoRootInInterval`
+    when the path does not reach the section in that window.
     """
 
-    y = np.asarray(y, dtype=float)
-    flow, delta = ctx.flow, ctx.delta
-    y_ref = np.asarray(ctx.y_ref, dtype=float)
-    f2 = flow.velocity(y_ref, 1)
-    y_sec = flow.apply(y_ref, 1, delta)
-
-    def signal(th: float) -> tuple[float, float]:
-        z = flow.apply(y, 1, th)
-        return float(f2 @ (z - y_sec)), float(f2 @ flow.velocity(z, 1))
-
-    root = _bracketed_newton(signal, delta, (-delta, 3.0 * delta), (0.0, 2.0 * delta))
-    if root is None:
-        raise NoRootInInterval("path does not reach the phase section in [0, 2*delta]")
-    return root[0]
+    kernel = ctx.section_kernel
+    x, xdot = float(y[0]), float(y[1])
+    return kernel.solve(x, xdot, kernel.dot(x, xdot), 1)
 
 
 def reconstruct_history(ctx: CollisionContext, y, horizon: float | None = None) -> HybridState:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relaydyn import attractor
+from relaydyn import attractor, reduced
 from relaydyn._roots import fused_dot, split_factor
 from relaydyn.attractor import (extract_circle_map, iterate_attractor,
                                 on_plus_image_manifold, polygon_arcs, sweep,
@@ -165,15 +165,15 @@ def test_sweep_records_escape_without_raising():
 def test_crossing_failures_count_as_leaving(monkeypatch, fig_ctx, error):
     # every crossing-time failure of the map ends the run as an escape, so a
     # sweep records it instead of raising
-    real, calls = attractor.crossing_time, []
+    real, calls = reduced.CrossingKernel.solve, []
 
-    def failing(ctx, y, branch):
-        calls.append(y)
+    def failing(kernel, x, xdot, g0, u):
+        calls.append((x, xdot))
         if len(calls) > 5:
             raise error("crossing-time failure")
-        return real(ctx, y, branch)
+        return real(kernel, x, xdot, g0, u)
 
-    monkeypatch.setattr(attractor, "crossing_time", failing)
+    monkeypatch.setattr(reduced.CrossingKernel, "solve", failing)
     with pytest.raises(LeftNeighborhood) as info:
         iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]))
     assert isinstance(info.value.__cause__, error)
@@ -371,22 +371,21 @@ def test_float_loop_rests_on_equal_dot_products():
 
 
 def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx):
-    from relaydyn import reduced
     from relaydyn.flows import AffineOscillatorFlow
 
     crossings = []
-    real = attractor.crossing_time
+    real = reduced.CrossingKernel.solve
 
-    def counting(ctx, y, branch):
-        crossings.append(branch)
-        return real(ctx, y, branch)
+    def counting(kernel, x, xdot, g0, u):
+        crossings.append(u)
+        return real(kernel, x, xdot, g0, u)
 
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return call
 
-    monkeypatch.setattr(attractor, "crossing_time", counting)
+    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting)
     for module, name in ((reduced, "map_F"), (reduced, "map_F_branch"),
                          (reduced, "branch_of"), (attractor, "branch_of")):
         monkeypatch.setattr(module, name, forbidden(name))
@@ -401,6 +400,19 @@ def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx):
 def test_iterate_attractor_refuses_a_state_not_of_shape_2(fig_ctx, y0):
     with pytest.raises(ValueError, match="shape"):
         iterate_attractor(fig_ctx, y0)
+
+
+@pytest.mark.parametrize("y0", [[math.nan, 0.0], [math.inf, 0.0], [0.1, math.nan],
+                                [0.1, -math.inf]])
+def test_iterate_attractor_and_sweep_refuse_a_non_finite_state(fig_ctx, iterate_calls, y0):
+    # a NaN or infinite seed used to run into the crossing solve, and sweep
+    # then quietly retried from the default seed
+    with pytest.raises(ValueError, match="finite"):
+        iterate_attractor(fig_ctx, y0)
+    iterate_calls.clear()
+    with pytest.raises(ValueError, match="finite"):
+        sweep(ZETA, 4.2, EPS, [-0.45], y0=y0)
+    assert iterate_calls == []
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])

@@ -179,9 +179,14 @@ def test_context_validation():
 
 
 def two_eval_crossing_time(ctx, y, branch):
-    """Crossing solve with separate value and slope flow evaluations."""
+    """Crossing solve with separate value and slope flow evaluations.
+
+    The residual floor is 1e-13, or 32 machine epsilons of max|y| where that
+    is larger (beyond |y| = 14).
+    """
     y = np.asarray(y, dtype=float)
     flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
+    tol = max(1e-13, 32.0 * np.finfo(float).eps * float(np.max(np.abs(y))))
 
     def g(t):
         return float(ctx.h(flow.apply(y, branch, t))) - eps
@@ -193,7 +198,7 @@ def two_eval_crossing_time(ctx, y, branch):
     t = 0.0
     for _ in range(30):
         r = g(t)
-        if abs(r) < 1e-13:
+        if abs(r) < tol:
             if -delta < t < delta:
                 if abs(dg(t)) < 1e-8:
                     raise DegenerateDerivative("tangent")
@@ -281,11 +286,32 @@ def test_shared_newton_equals_two_eval_solves_near_corner(ctx, brentq_calls):
     assert brentq_calls == []  # Newton converges on every point this close
 
 
+def rare_path_states(ctx):
+    """States that reach the crossing solves' rare paths.
+
+    x' = 0 and a subnormal x' put c1 x' outside :func:`fused_dot`'s exact
+    range; the states on the threshold line and on the pull-back of the
+    phase section have |y| >= 14, where the crossing solve's residual floor
+    is 32 machine epsilons of |y| rather than 1e-13.
+    """
+    c, flow, delta = ctx.c, ctx.flow, ctx.delta
+    along = np.array([-c[1], c[0]])
+    f2 = flow.velocity(ctx.y_ref, 1)
+    y_sec = flow.apply(ctx.y_ref, 1, delta)
+    across = np.array([-f2[1], f2[0]]) / np.hypot(*f2)
+    states = [np.array([ctx.y_ref[0], xdot]) for xdot in (0.0, 5e-324, -1e-310)]
+    for s in (20.0, -25.0, 30.0, -45.0, 100.0, 1e3):
+        states += [(ctx.epsilon + r) * c + s * along for r in (0.0, 1e-3, -2e-3, 0.05)]
+        states.append(flow.apply(y_sec + s * across, 1, -delta))
+    assert min(np.max(np.abs(y)) for y in states[3:]) >= 14.0
+    return states
+
+
 def test_shared_newton_equals_two_eval_solves_far_out(ctx, brentq_calls):
     # at this spread some solves fall back to bisection and some find no root
     rng = np.random.default_rng(32)
     kinds = set()
-    for y in ctx.y_ref + rng.normal(scale=0.3, size=(100, 2)):
+    for y in [*(ctx.y_ref + rng.normal(scale=0.3, size=(100, 2))), *rare_path_states(ctx)]:
         for branch in (1, -1):
             got = outcome(crossing_time, ctx, y, branch)
             assert got == outcome(two_eval_crossing_time, ctx, y, branch)
@@ -321,20 +347,30 @@ def test_shared_newton_no_root(ctx, brentq_calls):
 
 
 def test_crossing_signal_equals_array_route(ctx):
-    # value and slope of the buffer kernel equal h(z) - eps and
-    # dh(z) . f(z, b) built from flow.apply and flow.velocity, bit for bit
-    flow, eps = ctx.flow, ctx.epsilon
+    # value and slope of both kernels' signals equal the threshold signal
+    # h(z) - eps, dh(z) . f(z, b) and the section signal f2 . (z - y_sec),
+    # f2 . f(z, +1), built from flow.apply and flow.velocity, bit for bit
+    flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
+    f2 = flow.velocity(ctx.y_ref, 1)
+    y_sec = flow.apply(ctx.y_ref, 1, delta)
+    crossing, section = ctx.crossing_kernel, ctx.section_kernel
     rng = np.random.default_rng(43)
-    ts = np.linspace(-ctx.delta, ctx.delta, 41)
+    ts = np.linspace(-delta, delta, 41)
     points = np.vstack([ctx.y_ref + rng.normal(scale=5e-3, size=(30, 2)),
                         ctx.y_ref + rng.normal(scale=0.3, size=(30, 2))])
     for y in points:
+        x, xdot = y.tolist()
         for b in (1, -1):
-            signal, _ = reduced._crossing_signal(ctx, y, b)
+            g0 = crossing.dot(x, xdot)
             for t in ts:
                 z = flow.apply(y, b, t)
                 want = (float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, b)))
-                assert signal(t) == want
+                assert crossing.signal(x, xdot, g0, b, t) == want
+        g0 = section.dot(x, xdot)
+        for t in ts + delta:
+            z = flow.apply(y, 1, t)
+            want = (float(f2 @ (z - y_sec)), float(f2 @ flow.velocity(z, 1)))
+            assert section.signal(x, xdot, g0, 1, t) == want
 
 
 def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
@@ -361,16 +397,16 @@ def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
     assert branches == {1, -1}
 
     # iterate_attractor takes the image from the scalar closed form too: one
-    # crossing solve per map and no array evaluation at all
-    crossings = []
-    real_crossing = attractor.crossing_time
+    # kernel solve per map and no array evaluation at all
+    solves = []
+    real_solve = reduced.CrossingKernel.solve
 
-    def counting_crossing(c, y, branch):
-        crossings.append(branch)
-        return real_crossing(c, y, branch)
+    def counting_solve(kernel, x, xdot, g0, u):
+        solves.append(u)
+        return real_solve(kernel, x, xdot, g0, u)
 
-    monkeypatch.setattr(attractor, "crossing_time", counting_crossing)
+    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting_solve)
     applies.clear()
     attractor.iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 10, 60)
-    assert len(crossings) == 60
+    assert len(solves) == 60
     assert applies == []

@@ -79,15 +79,22 @@ def test_hysteron_initialization_rule():
         assert hysteron(lambda s: 0.2, (0, 1), u0, 0.5).final == u0
 
 
-def test_hysteron_two_switches_in_one_scan_cell():
-    # a full band traversal and back inside one coarse grid cell
-    def sig(s):
-        return 2.0 * math.sin(40.0 * s)
+def test_hysteron_fast_signals_on_a_coarse_grid():
+    # on the 101-node grid over [0, 1] the switches of 2 sin(40 s) fall about
+    # eight cells apart.  The single wave switches up in (0.50, 0.51) and down
+    # in (0.51, 0.52): the scan resumed at the first switch finds no hit up
+    # to node 0.51 and takes the second switch in the next cell.
+    s0, half = 0.5035, 0.01
 
-    path = hysteron(sig, (0.0, 1.0), 1, 0.5, samples=101)
-    times, values = relay_oracle(sig, 0.0, 1.0, 1, 0.5)
-    assert path.values == tuple(values)
-    np.testing.assert_allclose(path.switch_times, times, rtol=0, atol=1e-9)
+    def wave(s):
+        return 1.5 * math.sin(math.pi * min(max(s - s0, -half / 2), 1.5 * half) / half)
+
+    for sig in (lambda s: 2.0 * math.sin(40.0 * s), wave):
+        path = hysteron(sig, (0.0, 1.0), 1, 0.5, samples=101)
+        times, values = relay_oracle(sig, 0.0, 1.0, 1, 0.5)
+        assert path.values == tuple(values)
+        np.testing.assert_allclose(path.switch_times, times, rtol=0, atol=1e-9)
+    assert [math.floor(100 * s) for s in path.switch_times] == [50, 51]
 
 
 def relay_path_by_loop(path, s):

@@ -53,7 +53,7 @@ def test_every_call_site_equals_scipy(monkeypatch):
     alpha = oscillator.surface_alpha(ZETA, TAU, EPS)[0]  # _slice_roots
     ctx = oscillator.collision_context(oscillator.collision_orbit(ZETA, TAU, alpha))
     rng = np.random.default_rng(32)
-    for y in ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)):  # _bracketed_newton
+    for y in ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)):  # _bracket_root
         for solve in (lambda: reduced.crossing_time(ctx, y, 1),
                       lambda: reduced.crossing_time(ctx, y, -1),
                       lambda: reduced.theta(ctx, y)):
@@ -67,9 +67,9 @@ def test_every_call_site_equals_scipy(monkeypatch):
     relay.evolve(system, state, 20.0 * TAU)  # _first_crossing on history and head path
     nsc = oscillator.find_nsc(ZETA, EPS)
     continuation._ns_alpha_at(ZETA, EPS, nsc[0] + 1e-3, nsc[1])
-    assert set(sites) == {"_slice_roots", "_bracketed_newton", "_first_crossing",
+    assert set(sites) == {"_slice_roots", "_bracket_root", "_first_crossing",
                           "_ns_alpha_at"}
-    assert sites["_bracketed_newton"] >= 5 and sites["_first_crossing"] >= 10
+    assert sites["_bracket_root"] >= 5 and sites["_first_crossing"] >= 10
 
 
 def cubic(x):
