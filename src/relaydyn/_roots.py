@@ -15,8 +15,9 @@ Numer. Math. 18, 1971, on Veltkamp's splitting) and rounds
 ``q + err + fl(c0*x)`` once with ``math.fsum``, which rounds correctly
 (Shewchuk, Discrete Comput. Geom. 18, 1997).  The tests compare it with
 ``ndarray.dot``, so a BLAS that rounds otherwise fails them.
-``reduced.CrossingKernel`` writes the same arithmetic out in its Newton
-loop, with :data:`SPLITTER`, so a change here belongs there too.
+``reduced.CrossingKernel`` writes the same arithmetic out, with
+:data:`SPLITTER`, for the dot products that set a bit of a root (a Newton
+step's residual and slope), so a change here belongs there too.
 """
 
 from __future__ import annotations

@@ -90,11 +90,14 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     context's :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is
     taken once per run and solves each map's crossing directly.  The
     threshold h = c . y is read once per iterate; it serves as the kernel's
-    value at t = 0, the next step's branch and the D+/D- flags.  Every dot
-    product, h and the distance to the corner (``np.linalg.norm``'s sqrt of
-    a dot), is a :func:`fused_dot` on floats, equal to ``ndarray.dot`` (the
-    BLAS ddot's fused multiply-add) bit for bit, so the iterates equal
-    map_F's.
+    value at t = 0, the next step's branch and the D+/D- flags.  Each dot
+    product that sets a bit of an iterate is a :func:`fused_dot` on floats,
+    equal to ``ndarray.dot`` (the BLAS ddot's fused multiply-add) bit for
+    bit, so the iterates equal map_F's.  The escape test takes
+    ``np.linalg.norm``'s sqrt of a :func:`fused_dot` only within a relative
+    1e-14 of radius**2, or for a radius outside (1e-150, 1e150); elsewhere
+    the plain sum of squares decides alike, since it lies within 3u of the
+    fused one and radius**2 and the sqrt round by u each (u = 2**-53).
     """
 
     if not 0 <= n_transient < n_total:
@@ -111,7 +114,9 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     c0, c1 = ctx.c.tolist()
     c1_split = split_factor(c1)
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
-    pts = np.empty((n_total - n_transient, 2))
+    r2_lo, r2_hi = ((radius * radius * (1.0 - 1e-14), radius * radius * (1.0 + 1e-14))
+                    if 1e-150 < radius < 1e150 else (0.0, math.inf))
+    kept = []
     x, xdot = float(y[0]), float(y[1])
     h = fused_dot(c0, c1_split, x, xdot)
     visited_plus = visited_minus = False
@@ -124,15 +129,18 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         x, xdot = advance(x, xdot, 1, tau + t)
         x, xdot = -x, -xdot
         dx, dxdot = x - x_ref, xdot - xdot_ref
-        if math.sqrt(fused_dot(dx, split_factor(dxdot), dx, dxdot)) > radius:
+        s = dx * dx + dxdot * dxdot
+        if s > r2_hi or s >= r2_lo and \
+                math.sqrt(fused_dot(dx, split_factor(dxdot), dx, dxdot)) > radius:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
         h = fused_dot(c0, c1_split, x, xdot)
         if k >= n_transient:
-            pts[k - n_transient] = x, xdot
+            kept.append((x, xdot))
             if h >= eps:
                 visited_minus = True
             else:
                 visited_plus = True
+    pts = np.array(kept)
     return AttractorRun(points=pts, env_min=pts.min(axis=0), env_max=pts.max(axis=0),
                         visited_plus=visited_plus, visited_minus=visited_minus,
                         final=pts[-1])

@@ -181,13 +181,16 @@ class CrossingKernel:
     The state comes from ``flow._advance`` and the field from
     ``flow._accel``'s expression, on floats.  At t = 0 the flow is the
     identity on finite states bit for bit, so the Newton start reads the
-    state itself and the dot product the caller passes in.  Both dot
-    products round as :func:`fused_dot`, which equals ``ndarray.dot`` (the
-    BLAS ddot's fused multiply-add) bit for bit.  The Newton loop writes
-    them out (Dekker's product and ``math.fsum``) and calls
-    :func:`fused_dot` only outside its exact range, so a Newton step makes
-    no Python call besides the flow's; :meth:`signal` is the same signal
-    through :func:`fused_dot`, for the bracket search.
+    state itself and the dot product the caller passes in.  A Newton step's
+    residual and slope, and :meth:`signal` for the bracket search, round as
+    :func:`fused_dot`, equal to ``ndarray.dot`` (the BLAS ddot's fused
+    multiply-add) bit for bit; the loop writes that arithmetic out (Dekker's
+    product and ``math.fsum``).  The accepted iterate's residual and the
+    slope tested against ``min_slope`` are plain float sums, rounded exactly
+    only inside a certified margin about their thresholds, so roots and
+    exceptions stay bit for bit.  An iterate outside ``box``, which holds
+    ``bracket``, goes to the bracket search unevaluated, so a far Newton
+    step cannot overflow ``math.exp``.
     """
 
     def __init__(self, flow: AffineOscillatorFlow, normal, point, level: float,
@@ -203,6 +206,7 @@ class CrossingKernel:
         self._box, self._bracket = box, bracket
         self._floor_scale, self._min_slope = floor_scale, min_slope
         self._no_root = no_root
+        assert box[0] <= bracket[0] <= bracket[1] <= box[1], "bracket must lie in box"
 
     def dot(self, x: float, xdot: float) -> float:
         """n . ((x, x') - p): the signal plus ``level`` at t = 0."""
@@ -231,21 +235,31 @@ class CrossingKernel:
         tol = max(1e-13, self._floor_scale * max(abs(x), abs(xdot)))
         t, converged = self._start, False
         for _ in range(30):
+            if not box_lo <= t <= box_hi:
+                break
             if t == 0.0:
-                zx, zv, g = x, xdot, g0
+                zx, zv, r = x, xdot, g0 - level
             else:
                 zx, zv = advance(x, xdot, u, t)
                 w0, w1 = zx - p0, zv - p1
-                q, err = n1 * w1, math.nan
-                if 1e-250 < abs(q) < 1e250:
-                    s = SPLITTER * w1
-                    hi = s - (s - w1)
-                    lo = w1 - hi
-                    err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
-                g = math.fsum((q, err, n0 * w0)) if err == err \
-                    else fused_dot(n0, n1_split, w0, w1)
-            r = g - level
+                # plain r is within 5u(|p| + |q| + |level|) of the fused r (u = 2**-53)
+                # and tol - B rounds by u*tol < u(|p| + |q| + |level|) where |r| can
+                # reach tol, so B = 1e-15(...) > 9u(...) certifies |fused r| < tol
+                p, q = n0 * w0, n1 * w1
+                r = p + q - level
+                if not (abs(r) < tol and abs(r) < tol - 1e-15 * (abs(p) + abs(q) + abs(level))):
+                    err = math.nan
+                    if 1e-250 < abs(q) < 1e250:
+                        s = SPLITTER * w1
+                        hi = s - (s - w1)
+                        lo = w1 - hi
+                        err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
+                    r = (math.fsum((q, err, p)) if err == err
+                         else fused_dot(n0, n1_split, w0, w1)) - level
             acc = m2z * zv - omsq * (zx - u)
+            if abs(r) < tol:
+                converged = a <= t <= b
+                break
             q, err = n1 * acc, math.nan
             if 1e-250 < abs(q) < 1e250:
                 s = SPLITTER * acc
@@ -254,14 +268,19 @@ class CrossingKernel:
                 err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
             d = math.fsum((q, err, n0 * zv)) if err == err \
                 else fused_dot(n0, n1_split, zv, acc)
-            if abs(r) < tol:
-                converged = a <= t <= b
-                break
-            if d == 0.0 or not box_lo <= t <= box_hi:
+            if d == 0.0:
                 break
             t -= r / d
         if not converged:
             t, d = self._bracket_root(x, xdot, g0, u)
+        elif self._min_slope:
+            # the plain slope lies within 3u(|p| + |q|) of the fused one
+            p, q = n0 * zv, n1 * acc
+            d = p + q
+            if abs(abs(d) - self._min_slope) <= 1e-15 * (abs(p) + abs(q)):
+                d = fused_dot(n0, n1_split, zv, acc)
+        else:
+            return t
         if abs(d) < self._min_slope:
             raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
         return t

@@ -348,10 +348,50 @@ def test_iterate_attractor_escapes_where_the_map_F_loop_does(radius, k, cause):
     assert isinstance(got.value.__cause__, cause or type(None))
 
 
+def test_iterate_attractor_escapes_at_the_radius_edge(fig_ctx):
+    # a radius equal to the first image's distance keeps it and the next
+    # float below loses it, as in the map_F loop, including where the plain
+    # sum of squares alone would decide otherwise
+    rng = np.random.default_rng(47)
+    misjudged = 0
+    for y0 in fig_ctx.y_ref + rng.normal(scale=1e-2, size=(40, 2)):
+        d = map_F(fig_ctx, y0) - fig_ctx.y_ref
+        radius = float(np.linalg.norm(d))
+        assert_equals_map_F_loop(fig_ctx, y0, 0, 1, radius)
+        below = float(np.nextafter(radius, 0.0))
+        with pytest.raises(LeftNeighborhood) as want:
+            map_F_iterates(fig_ctx, y0, 0, 1, below)
+        with pytest.raises(LeftNeighborhood) as got:
+            iterate_attractor(fig_ctx, y0, 0, 1, below)
+        assert str(got.value) == str(want.value) == "iterate 0 left the working neighborhood"
+        s = float(d[0] * d[0] + d[1] * d[1])
+        misjudged += (s > radius * radius) + (s <= below * below)
+    assert misjudged > 0
+
+
+def test_iterate_attractor_takes_few_exact_sums(monkeypatch):
+    # the float filters leave math.fsum to the dot products that set a bit:
+    # about 5.9 per map at polygon's defaults, 8.9 with every dot exact
+    config = DEFAULTS["polygon"]
+    y_ref = collision_point(config["zeta"], config["tau"])
+    ctx = oscillator_context(config["zeta"], config["alpha"], config["tau"],
+                             config["epsilon"], y_ref)
+    calls, fsum = [], math.fsum
+
+    def counting(terms):
+        calls.append(None)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    iterate_attractor(ctx, y_ref + np.array([1e-3, 0.0]),
+                      config["n_transient"], config["n_total"])
+    assert len(calls) <= 6.0 * config["n_total"]
+
+
 def test_float_loop_rests_on_equal_dot_products():
-    # the loop reads h and the distance to the corner with fused_dot on
-    # floats, where map_F reads c @ y and np.linalg.norm; both must round
-    # alike on every default sweep iterate
+    # the loop reads h, and the distance to the corner near the radius, with
+    # fused_dot on floats, where map_F reads c @ y and np.linalg.norm; both
+    # must round alike on every default sweep iterate
     config = DEFAULTS["sweep"]
     alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
     records = sweep(config["zeta"], config["tau"], config["epsilon"], alphas,

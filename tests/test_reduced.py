@@ -342,6 +342,136 @@ def test_shared_newton_no_root(ctx, brentq_calls):
     assert brentq_calls == []
 
 
+def test_newton_step_out_of_the_box_ends_in_the_bracket_search(ctx):
+    # with a 0.45 tau window, theta's Newton from the first state steps to
+    # t = 19411, where math.exp overflows; an iterate outside the box must go
+    # to the bracket search unevaluated, so every solve of the seed-32 scan
+    # returns a root on its signal inside its window or refuses documentedly
+    delta = 0.45 * TAU
+    wide = oscillator_context(ZETA, surface_alpha(ZETA, TAU, EPS)[0], TAU, EPS,
+                              ctx.y_ref, delta=delta)
+    flow = wide.flow
+    f2 = flow.velocity(wide.y_ref, 1)
+    y_sec = flow.apply(wide.y_ref, 1, delta)
+    kinds = set()
+    rng = np.random.default_rng(32)
+    states = [np.array([0.6680805834690564, 1.0583089064099311]),
+              *(ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)))]
+    for y in states:
+        for branch in (1, -1):
+            t = outcome(crossing_time, wide, y, branch)
+            if not isinstance(t, type):
+                assert -delta <= t <= delta
+                assert abs(wide.h(flow.apply(y, branch, t)) - EPS) <= 1e-12
+            kinds.add(t if isinstance(t, type) else float)
+        th = outcome(theta, wide, y)
+        if not isinstance(th, type):
+            assert 0.0 <= th <= 2.0 * delta
+            assert abs(float(f2 @ (flow.apply(y, 1, th) - y_sec))) <= 1e-12
+        kinds.add(th if isinstance(th, type) else float)
+    assert float in kinds and kinds <= {float, NoRootInBracket, NoRootInInterval,
+                                        DegenerateDerivative}
+
+
+# ---------------------------------------------------------------------------
+# the float filters of the crossing kernel at their margins
+
+FILTER_KERNEL = dict(normal=(0.6, -1.3), start=0.05, box=(-0.5, 0.5),
+                     bracket=(-0.4, 0.4), floor_scale=0.0)
+
+
+def filter_kernel(ctx, level, min_slope):
+    """A :class:`CrossingKernel` whose Newton start is not t = 0, so its
+    first iterate's residual already goes through the float filter."""
+    return reduced.CrossingKernel(ctx.flow, point=ctx.y_ref.tolist(), level=level,
+                                  min_slope=min_slope, no_root=NoRootInBracket,
+                                  **FILTER_KERNEL)
+
+
+def array_solve(ctx, level, min_slope, y, u):
+    """The kernel's rules with every dot product an ``ndarray.dot``."""
+    normal, point = np.array(FILTER_KERNEL["normal"]), ctx.y_ref
+    (box_lo, box_hi), (a, b) = FILTER_KERNEL["box"], FILTER_KERNEL["bracket"]
+    flow, tol = ctx.flow, 1e-13
+
+    def signal(t):
+        z = flow.apply(y, u, t)
+        return float(normal @ (z - point)) - level, float(normal @ flow.velocity(z, u))
+
+    t, converged = FILTER_KERNEL["start"], False
+    for _ in range(30):
+        if not box_lo <= t <= box_hi:
+            break
+        r, d = signal(t)
+        if abs(r) < tol:
+            converged = a <= t <= b
+            break
+        if d == 0.0:
+            break
+        t -= r / d
+    if not converged:
+        (ra, da), (rb, db) = signal(a), signal(b)
+        if ra * rb > 0.0:
+            raise NoRootInBracket("no crossing")
+        t = float(brentq(lambda s: signal(s)[0], a, b, xtol=1e-15, rtol=8.9e-16))
+        d = signal(t)[1]
+    if abs(d) < min_slope:
+        raise DegenerateDerivative("tangent")
+    return t
+
+
+def plain_dot(n, w):
+    return float(n[0] * w[0] + n[1] * w[1])
+
+
+def test_residual_filter_at_the_floor(ctx):
+    # levels that put the first iterate's residual within a few ulps of the
+    # floor 1e-13 on both sides: the kernel must solve as the all-array
+    # route does, including where the plain residual alone would decide
+    # otherwise
+    n = np.array(FILTER_KERNEL["normal"])
+    start = FILTER_KERNEL["start"]
+    rng = np.random.default_rng(45)
+    misjudged = accepted = 0
+    for y in ctx.y_ref + rng.normal(scale=0.05, size=(30, 2)):
+        x, xdot = y.tolist()
+        for u in (1, -1):
+            w = ctx.flow.apply(y, u, start) - ctx.y_ref
+            g = float(n @ w)
+            for level in (g - s * 1e-13 + j * math.ulp(g) for s in (1, -1) for j in range(-3, 4)):
+                kernel = filter_kernel(ctx, level, 1e-8)
+                got = outcome(kernel.solve, x, xdot, kernel.dot(x, xdot), u)
+                assert got == outcome(array_solve, ctx, level, 1e-8, y, u)
+                fused = abs(g - level) < 1e-13
+                misjudged += (abs(plain_dot(n, w) - level) < 1e-13) != fused
+                accepted += got == start
+    assert misjudged > 0 and accepted > 0
+
+
+def test_slope_filter_at_the_minimum_slope(ctx):
+    # minimum slopes within a few ulps of the root's slope: the kernel must
+    # raise DegenerateDerivative exactly where the all-array route does
+    n = np.array(FILTER_KERNEL["normal"])
+    rng = np.random.default_rng(46)
+    misjudged = raised = 0
+    for y in ctx.y_ref + rng.normal(scale=0.05, size=(30, 2)):
+        x, xdot = y.tolist()
+        for u in (1, -1):
+            level = float(n @ (ctx.flow.apply(y, u, 0.1) - ctx.y_ref))  # a root near 0.1
+            t = array_solve(ctx, level, 0.0, y, u)
+            z = ctx.flow.apply(y, u, t)
+            v = ctx.flow.velocity(z, u)
+            slope = abs(float(n @ v))
+            for j in range(-3, 4):
+                min_slope = slope + j * math.ulp(slope)
+                kernel = filter_kernel(ctx, level, min_slope)
+                got = outcome(kernel.solve, x, xdot, kernel.dot(x, xdot), u)
+                assert got == outcome(array_solve, ctx, level, min_slope, y, u)
+                misjudged += (abs(plain_dot(n, v)) < min_slope) != (slope < min_slope)
+                raised += got is DegenerateDerivative
+    assert misjudged > 0 and raised > 0
+
+
 # ---------------------------------------------------------------------------
 # the scalar crossing signal against the array route it replaced
 
