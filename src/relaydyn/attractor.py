@@ -52,6 +52,7 @@ class AttractorRun:
     visited_plus: bool          # some sample in D+ (h < eps)
     visited_minus: bool
     final: np.ndarray           # last iterate, for warm starts
+    period: int                 # exact float period of the orbit, 0 if none
 
     @property
     def width(self) -> np.ndarray:
@@ -83,8 +84,9 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     Raises :class:`LeftNeighborhood` when an iterate moves further than
     ``radius`` from the reference corner (the local map construction is
     only meaningful nearby; crossing-time failures count as having left),
-    and ``ValueError`` unless ``y0`` is one finite state of shape (2,) and
-    ``radius`` is positive.
+    and ``ValueError`` unless ``n_transient`` and ``n_total`` are integers
+    with 0 <= n_transient < n_total, ``y0`` is one finite state of shape (2,)
+    and ``radius`` is positive.
 
     Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
     context's :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is
@@ -98,8 +100,27 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     1e-14 of radius**2, or for a radius outside (1e-150, 1e150); elsewhere
     the plain sum of squares decides alike, since it lies within 3u of the
     fused one and radius**2 and the sqrt round by u each (u = 2**-53).
+
+    Every step is a pure function of (x, x'): h, the branch, the crossing
+    solve, the image and the escape test read nothing else.  So once the
+    state repeats an earlier one exactly, the orbit is periodic from there
+    on: the rest of the window is copied from the stored cycle instead of
+    mapped, which gives the same samples, flags and final iterate, and no
+    escape, since each copied state has passed the test once.  ``period`` is
+    that exact float period, or 0 if no state repeated within ``n_total``.
+    A stable fixed point in D+, where the map has rank one, draws the float
+    iterates onto such a cycle of a few ulps within about 60 maps (the
+    default sweep's alpha <= -0.475).  Repeats are found as in Brent's cycle
+    detection (BIT 20, 1980): each state is compared with a checkpoint, y0
+    and then iterates 2**m - 2, so the first match gives the least period,
+    at two float compares per step.  A state with a zero coordinate never
+    counts as a repeat, because +0.0 == -0.0 although their bits, and what
+    follows from them, differ.
     """
 
+    for name, n in (("n_transient", n_transient), ("n_total", n_total)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if not 0 <= n_transient < n_total:
         raise ValueError("need 0 <= n_transient < n_total")
     y = np.asarray(y0, dtype=float)
@@ -116,10 +137,11 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
     r2_lo, r2_hi = ((radius * radius * (1.0 - 1e-14), radius * radius * (1.0 + 1e-14))
                     if 1e-150 < radius < 1e150 else (0.0, math.inf))
-    kept = []
+    orbit = []                      # x, x', h of every iterate, flat
     x, xdot = float(y[0]), float(y[1])
     h = fused_dot(c0, c1_split, x, xdot)
-    visited_plus = visited_minus = False
+    x_cp, xdot_cp, k_cp, k_next = x, xdot, -1, 0    # checkpoint: y0 is iterate -1
+    period = 0
     for k in range(n_total):
         try:
             t = solve(x, xdot, h, -1 if h >= eps else 1)
@@ -134,16 +156,21 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
                 math.sqrt(fused_dot(dx, split_factor(dxdot), dx, dxdot)) > radius:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
         h = fused_dot(c0, c1_split, x, xdot)
-        if k >= n_transient:
-            kept.append((x, xdot))
-            if h >= eps:
-                visited_minus = True
-            else:
-                visited_plus = True
-    pts = np.array(kept)
+        orbit += (x, xdot, h)
+        if x == x_cp and xdot == xdot_cp and x and xdot:
+            period = k - k_cp
+            break
+        if k == k_next:
+            x_cp, xdot_cp, k_cp, k_next = x, xdot, k, 2 * k + 2
+    if period:
+        rest = n_total - len(orbit) // 3
+        orbit += (orbit[-3 * period:] * (rest // period + 1))[:3 * rest]
+    window = np.array(orbit[3 * n_transient:]).reshape(-1, 3)
+    pts = window[:, :2].copy()
+    minus = window[:, 2] >= eps
     return AttractorRun(points=pts, env_min=pts.min(axis=0), env_max=pts.max(axis=0),
-                        visited_plus=visited_plus, visited_minus=visited_minus,
-                        final=pts[-1])
+                        visited_plus=not minus.all(), visited_minus=bool(minus.any()),
+                        final=pts[-1], period=period)
 
 
 def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
@@ -161,18 +188,24 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     window, none for ``keep = 0``.
 
     Escapes never raise.  The inputs do, before any iteration: a negative
-    ``keep`` or a non-finite ``y0`` raises ``ValueError``, and a delay the
-    collision surface does not cover (tau < pi, where the corner sits on the
-    -eps line) raises :class:`SingularSurface`.
+    ``keep``, or a non-finite zeta, tau, eps, alpha or ``y0``, raises
+    ``ValueError``, and a delay the collision surface does not cover
+    (tau < pi, where the corner sits on the -eps line) raises
+    :class:`SingularSurface`.
     """
 
     if keep < 0:
         raise ValueError(f"keep must be non-negative, got {keep!r}")
+    for name, value in (("zeta", zeta), ("tau", tau), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.isfinite(alphas).all():
+        raise ValueError(f"alphas must be finite, got {alphas.tolist()}")
     y = None if y0 is None else np.asarray(y0, dtype=float)
     if y is not None and not np.isfinite(y).all():
         raise ValueError(f"y0 must be finite, got {y.tolist()}")
     y_ref = surface_corner(zeta, tau)
-    alphas = np.asarray(alphas, dtype=float)
     records: list[SweepRecord] = []
     if alphas.size == 0:
         return records

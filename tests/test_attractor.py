@@ -1,6 +1,7 @@
 """Attractor iteration, envelope sweeps, circle maps and polygon arcs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +227,147 @@ def test_sweep_equals_generic_map_loop():
         assert np.array_equal(r.sample, sample)
 
 
+def test_sweep_equals_generic_map_loop_where_orbits_lock():
+    # the default grid's alpha <= -0.475, where warm-started orbits repeat a
+    # float state within 60 maps and the rest of each window is copied
+    config = DEFAULTS["sweep"]
+    grid = np.linspace(*config["alpha_range"], config["n_alpha"])
+    alphas = grid[grid <= -0.475]
+    records = sweep(ZETA, 4.2, EPS, alphas, keep=360)
+    want = generic_sweep(ZETA, 4.2, EPS, alphas, 40, 400, keep=360)
+    assert len(records) == 26
+    for r, (lo, hi, plus, minus, sample) in zip(records, want, strict=True):
+        assert not r.escaped and not r.retried
+        assert np.array_equal(r.env_min, lo)
+        assert np.array_equal(r.env_max, hi)
+        assert (r.visited_plus, r.visited_minus) == (plus, minus)
+        assert np.array_equal(r.sample, sample)
+
+
+@pytest.fixture
+def locking_ctx():
+    # below the collision the attractor is a fixed point in D+, and from the
+    # default seed its float iterates first repeat a state at iterate 58,
+    # five maps after its first visit
+    return oscillator_context(ZETA, -0.5, 4.2, EPS, collision_point(ZETA, 4.2))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+    real = reduced.CrossingKernel.solve
+
+    def counting(kernel, x, xdot, g0, u):
+        calls.append(u)
+        return real(kernel, x, xdot, g0, u)
+
+    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting)
+    return calls
+
+
+def test_iterate_attractor_stops_at_the_first_float_cycle(locking_ctx, solves):
+    y0 = locking_ctx.y_ref + np.array([1e-3, 0.0])
+    points, _, _ = map_F_iterates(locking_ctx, y0, 0, 400)
+    first = {}
+    for k, y in enumerate(map(tuple, points.tolist())):
+        if y in first:
+            break
+        first[y] = k
+    assert (k, k - first[y]) == (58, 5)
+    assert_equals_map_F_loop(locking_ctx, y0)
+    solves.clear()
+    assert iterate_attractor(locking_ctx, y0).period == 5
+    # the checkpoint at iterate 62 meets its copy five maps later
+    assert len(solves) == 68
+
+
+def test_iterate_attractor_copies_a_cycle_closed_before_the_window(locking_ctx, solves):
+    # the window holds copies only, and so do its flags
+    y0 = locking_ctx.y_ref + np.array([1e-3, 0.0])
+    run = assert_equals_map_F_loop(locking_ctx, y0, 200, 400)
+    assert run.points.shape == (200, 2)
+    solves.clear()
+    assert iterate_attractor(locking_ctx, y0, 200, 400).period == 5
+    assert len(solves) == 68
+
+
+def cycle_context(states, eps):
+    """A context whose map sends each state to the next, cyclically.
+
+    The map tells states apart by their bits, the sign of zero included;
+    h = x, so a state is in D+ where x < eps.
+    """
+    keys = [(math.copysign(1.0, x), x, xdot) for x, xdot in states]
+
+    def advance(x, xdot, u, t):
+        nx, nxdot = states[(keys.index((math.copysign(1.0, x), x, xdot)) + 1) % len(states)]
+        return -nx, -nxdot
+
+    return SimpleNamespace(
+        crossing_kernel=SimpleNamespace(solve=lambda x, xdot, g0, u: 0.0),
+        flow=SimpleNamespace(_advance=advance), epsilon=eps, tau=1.0,
+        c=np.array([1.0, 0.0]), y_ref=np.array([0.0, 0.1]))
+
+
+@pytest.mark.parametrize("c_x, period", [(0.03, 4), (-0.0, 0)])
+def test_iterate_attractor_copies_only_exact_repeats(c_x, period):
+    # the cycle D -> A -> B -> C -> D from D, with A = (+0, v) the checkpoint
+    # at iterate 0; with C = (-0, v), C compares equal to A at iterate 2 but
+    # is another state, so taking it for A would report period 2 and copy a
+    # wrong window
+    v = 0.1
+    states = [(0.02, v), (0.0, v), (0.01, v), (c_x, v)]
+    for n_transient in (0, 30):
+        run = iterate_attractor(cycle_context(states, 0.015), states[0], n_transient, 40)
+        assert run.period == period
+        want = np.array([states[(k + 1) % 4] for k in range(n_transient, 40)])
+        assert np.array_equal(np.signbit(run.points), np.signbit(want))
+        assert np.array_equal(run.points, want)
+        assert run.visited_plus and run.visited_minus
+
+
+def test_sweep_at_the_defaults_skips_the_maps_of_locked_orbits(solves):
+    # 121 x 400 = 48,400 maps without the cycle shortcut; 39,737 with it
+    config = DEFAULTS["sweep"]
+    alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
+    records = sweep(config["zeta"], config["tau"], config["epsilon"], alphas,
+                    warm_start=config["warm_start"], n_transient=config["n_transient"],
+                    n_total=config["n_total"])
+    assert not any(r.escaped or r.retried for r in records)
+    assert len(solves) <= 40_500
+
+
+@pytest.mark.parametrize("n_transient, n_total", [
+    (True, 400), (40.5, 400), (40, 400.0), (np.float64(40), 400), (40, np.bool_(True)),
+    (40, "400")])
+def test_iterate_attractor_refuses_a_count_not_an_integer(fig_ctx, n_transient, n_total):
+    # True used to keep 399 points, 40.5 kept 359, and a float n_total
+    # raised a bare TypeError from range
+    with pytest.raises(ValueError, match="integer"):
+        iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]),
+                          n_transient, n_total)
+
+
+def test_iterate_attractor_takes_numpy_integer_counts(fig_ctx):
+    y0 = fig_ctx.y_ref + np.array([1e-3, 0.0])
+    run = iterate_attractor(fig_ctx, y0, np.int64(40), np.int32(100))
+    assert np.array_equal(run.points, iterate_attractor(fig_ctx, y0, 40, 100).points)
+
+
+@pytest.mark.parametrize("bad", [
+    {"alphas": [-0.45, math.nan]}, {"alphas": [math.inf]}, {"alphas": [-math.inf, -0.45]},
+    {"tau": math.nan}, {"tau": math.inf}, {"epsilon": math.inf}, {"epsilon": math.nan},
+    {"zeta": math.nan}])
+def test_sweep_refuses_non_finite_parameters(iterate_calls, bad):
+    # before, a NaN alpha was recorded as escaped, an infinite one raised a
+    # math domain error, eps = inf gave a NaN envelope and a non-finite tau
+    # failed in the surface corner's SVD
+    args = {"zeta": ZETA, "tau": 4.2, "epsilon": EPS, "alphas": [-0.45], **bad}
+    with pytest.raises(ValueError, match="finite"):
+        sweep(**args)
+    assert iterate_calls == []
+
+
 @pytest.fixture
 def iterate_calls(monkeypatch):
     calls = []
@@ -410,30 +552,23 @@ def test_float_loop_rests_on_equal_dot_products():
     assert checked == 121 * 360
 
 
-def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx):
+def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx, solves):
     from relaydyn.flows import AffineOscillatorFlow
-
-    crossings = []
-    real = reduced.CrossingKernel.solve
-
-    def counting(kernel, x, xdot, g0, u):
-        crossings.append(u)
-        return real(kernel, x, xdot, g0, u)
 
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return call
 
-    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting)
     for module, name in ((reduced, "map_F"), (reduced, "map_F_branch"),
                          (reduced, "branch_of"), (attractor, "branch_of")):
         monkeypatch.setattr(module, name, forbidden(name))
     monkeypatch.setattr(AffineOscillatorFlow, "apply", forbidden("flow.apply"))
     run = iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]), 40, 250)
-    assert len(crossings) == 250
-    assert set(crossings) == {1, -1}
+    assert len(solves) == 250
+    assert set(solves) == {1, -1}
     assert run.points.shape == (210, 2)
+    assert run.period == 0  # the polygon orbit never repeats a state
 
 
 @pytest.mark.parametrize("y0", [[0.1, 0.2, 0.3], [[0.1, 0.2]], [0.1]])
