@@ -187,15 +187,15 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     set (NaN envelope).  ``sample`` holds the last ``keep`` points of the
     window, none for ``keep = 0``.
 
-    Escapes never raise.  The inputs do, before any iteration: a negative
-    ``keep``, or a non-finite zeta, tau, eps, alpha or ``y0``, raises
+    Escapes never raise.  The inputs do, before any iteration: a ``keep``
+    not a non-negative integer, or a non-finite zeta, tau, eps, alpha or ``y0``, raises
     ``ValueError``, and a delay the collision surface does not cover
     (tau < pi, where the corner sits on the -eps line) raises
     :class:`SingularSurface`.
     """
 
-    if keep < 0:
-        raise ValueError(f"keep must be non-negative, got {keep!r}")
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or keep < 0:
+        raise ValueError(f"keep must be a non-negative integer, got {keep!r}")
     for name, value in (("zeta", zeta), ("tau", tau), ("epsilon", epsilon)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")

@@ -347,12 +347,11 @@ def ns_residual(y0, t0: float, tau: float, alpha: float, epsilon: float,
     g = ca * z1 + sa * flow._accel(z0, z1, -1)
     if abs(g) < 1e-12:
         raise DegenerateDerivative("threshold crossing is tangent, no linearisation")
-    a, b = flow.flow_matrix(t0), flow.flow_matrix(T)
-    r0 = (ca * a[0, 0] + sa * a[1, 0]) / g
-    r1 = (ca * a[0, 1] + sa * a[1, 1]) / g
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = flow._matrix(t0), flow._matrix(T)
+    r0, r1 = (ca * a11 + sa * a21) / g, (ca * a12 + sa * a22) / g
     f0, f1 = w1, flow._accel(w0, w1, +1)
-    j00, j01 = f0 * r0 - b[0, 0], f0 * r1 - b[0, 1]
-    j10, j11 = f1 * r0 - b[1, 0], f1 * r1 - b[1, 1]
+    j00, j01 = f0 * r0 - b11, f0 * r1 - b12
+    j10, j11 = f1 * r0 - b21, f1 * r1 - b22
     res = np.array([x + w0, xdot + w1, epsilon - (ca * z0 + sa * z1),
                     j00 * j11 - j01 * j10 - 1.0])
     return res, j00 + j11

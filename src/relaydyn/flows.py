@@ -48,14 +48,15 @@ class AffineOscillatorFlow:
 
     def flow_matrix(self, t: float) -> np.ndarray:
         """State-transition matrix A(t) of the homogeneous part."""
+        return np.array(self._matrix(t)).reshape(2, 2)
+
+    def _matrix(self, t: float) -> tuple[float, float, float, float]:
+        """The entries of :meth:`flow_matrix`, row by row, as four floats."""
         z = self.zeta
         e = math.exp(-z * t)
         c = math.cos(t)
         s = math.sin(t)
-        return np.array([
-            [e * (c + z * s), e * s],
-            [-e * self._omsq * s, e * (c - z * s)],
-        ])
+        return e * (c + z * s), e * s, -e * self._omsq * s, e * (c - z * s)
 
     def flow_offset(self, t: float) -> np.ndarray:
         """Forced response v(t), i.e. the flow of the origin under u = +1."""

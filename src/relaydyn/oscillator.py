@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -422,14 +423,19 @@ def _slice_roots(y: np.ndarray, epsilon: float) -> list[float]:
     def g(alpha: float) -> float:
         return y[0] * math.cos(alpha) + y[1] * math.sin(alpha) - epsilon
 
-    grid = np.linspace(-math.pi / 2, math.pi / 2, 361)
-    vals = _epsilon(y, grid) - epsilon  # equals g on every grid point
-    roots = []
+    grid, cos, sin = _slice_grid()
+    vals = y[0] * cos + y[1] * sin - epsilon  # equals g on every grid point
+    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
         roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-14)))
-    for i in np.flatnonzero(vals == 0.0):
-        roots.append(float(grid[i]))
     return sorted(roots)
+
+
+@cache
+def _slice_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 361 scan angles of :func:`surface_alpha` and their cos and sin, built once."""
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 361)
+    return grid, np.cos(grid), np.sin(grid)
 
 
 def _slice_alpha_near(y: np.ndarray, tau: float, epsilon: float, hint: float | None) -> float:
@@ -478,8 +484,7 @@ def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
         return _test_values(*_branch_jacobians(rows, orbit))["ns_minus"], alpha
 
     taus = np.linspace(math.pi + 0.2, 5.8, 60)
-    hint = None
-    prev = None
+    hint = prev = None
     for tau in taus:
         try:
             val, hint = ns_value(float(tau), hint)
@@ -542,6 +547,7 @@ class _Corners:
 
     The grid rows, the constant-tau edges and the midpoints of a run share
     them.  New delays are solved together, by one stacked solve per call.
+    A batch looks up its distinct delays once, gathering by ``np.unique``'s inverse.
     """
 
     def __init__(self, zeta: float):
@@ -551,12 +557,13 @@ class _Corners:
 
     def evaluate(self, taus: np.ndarray, alphas: np.ndarray):
         """:func:`_surface_batch` at the (tau, alpha) pairs."""
-        keys = taus.tolist()
-        new = [t for t in dict.fromkeys(keys) if t not in self._index]
+        uniq, inverse = np.unique(taus, return_inverse=True)
+        keys = uniq.tolist()
+        new = [t for t in keys if t not in self._index]
         if new:
             self._index.update(zip(new, range(len(self._index), len(self._index) + len(new))))
             self._rows = np.concatenate([self._rows, _corner_rows(self.zeta, new)])
-        return _surface_batch(self._rows[[self._index[t] for t in keys]], alphas)
+        return _surface_batch(self._rows[[self._index[t] for t in keys]][inverse], alphas)
 
 
 def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
@@ -568,7 +575,8 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
     value there is below tol or NaN (the sign test brackets nothing past a
     NaN), else keep the half whose ends differ in sign; at most 80
     steps.  Jobs on one edge share their midpoints until they part, and
-    each distinct point of a round is evaluated once.
+    each distinct point of a round is evaluated once: :func:`_distinct_rows`
+    groups the midpoints equal by value in both coordinates, by one lexsort.
 
     Returns each job's last point (k, 2) and, at it, the job's test value,
     eps and all :func:`_tests` values (NaN off the surface).
@@ -584,8 +592,7 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
         m = 0.5 * (a[active] + b[active])
         start = p0[active]
         pts = start + m[:, None] * (p1[active] - start)
-        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        uniq, inverse = _distinct_rows(pts)
         u_eps, _, u_tests, _ = corners.evaluate(uniq[:, 0], uniq[:, 1])
         fm = np.stack([u_tests[lb] for lb in BIFURCATION_LABELS])[labels[active], inverse]
         point[active], value[active], eps[active] = pts, fm, u_eps[inverse]
@@ -598,6 +605,14 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
         a[active[right]], fa[active[right]] = m[right], fm[right]
         active = active[go]
     return point, value, eps, tests
+
+
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(pts, axis=0, return_inverse=True)`` by one lexsort, not a sort of records."""
+    order = np.lexsort(pts.T[::-1])
+    srt = pts[order]
+    first = np.concatenate(([True], (srt[1:] != srt[:-1]).any(axis=1)))
+    return srt[first], np.cumsum(first)[np.argsort(order)] - 1
 
 
 def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ from relaydyn.continuation import (FourierCurve, _ns_alpha_at, continue_collidin
 from relaydyn.errors import RelayDynError
 from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import HybridState, SampledHistory
-from relaydyn.oscillator import (collision_epsilon, collision_orbit,
+from relaydyn.oscillator import (bifurcation_map, collision_epsilon, collision_orbit,
                                  collision_context, collision_point, find_nsc,
                                  surface_alpha, surface_table)
 from relaydyn.reduced import (branch_of, jacobian_F_branch, map_F, map_F_branch,
@@ -347,3 +347,28 @@ def test_surface_table_on_the_eps_slice_gives_eps():
     table = surface_table(ZETA, [4.2], alphas)
     assert table.shape[0] == len(alphas) >= 1
     assert np.max(np.abs(table[:, 2] - EPS)) <= 1e-12
+
+
+def test_unfold_ns_point_lies_on_the_bifmap_ns_minus_curve():
+    # unfold's NS curve (fixed eps, free t0) and bifmap's ns_minus curve
+    # (t0 = 0, eps = h(y*) varying) meet only at the NS point: the default
+    # find_nsc point lies 4.5e-4 from the bifmap polyline, whose grid steps
+    # are 0.064 x 0.049, and eps read along the nearest segment is 0.0988
+    cfg = cli.DEFAULTS["bifmap"]
+    bmap = bifurcation_map(cfg["zeta"], tau_range=tuple(cfg["tau_range"]),
+                           alpha_range=tuple(cfg["alpha_range"]), n_tau=cfg["n_tau"],
+                           n_alpha=cfg["n_alpha"], residual_tol=cfg["residual_tol"])
+    ucfg = cli.DEFAULTS["unfold"]
+    assert (ucfg["zeta"], ucfg["epsilon"]) == (cfg["zeta"], EPS)
+    nsc = np.array(find_nsc(ucfg["zeta"], ucfg["epsilon"]))
+    best = (math.inf, None, None, None)
+    for line in bmap.polylines["ns_minus"]:
+        for p, q in zip(line[:-1], line[1:]):
+            s = float(np.clip((nsc - p) @ (q - p) / ((q - p) @ (q - p)), 0.0, 1.0))
+            best = min(best, (float(np.hypot(*(p + s * (q - p) - nsc))), s, p, q),
+                       key=lambda b: b[0])
+    dist, s, p, q = best
+    eps_p, eps_q = (collision_epsilon(ZETA, *end) for end in (p, q))
+    eps = eps_p + s * (eps_q - eps_p)
+    assert dist < 1e-3, (dist, p, q)
+    assert abs(eps - EPS) < 3e-3, (eps, eps_p, eps_q)

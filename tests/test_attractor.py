@@ -609,6 +609,22 @@ def test_sweep_keep_zero_gives_no_sample_and_negative_keep_raises(iterate_calls)
     assert iterate_calls == []
 
 
+@pytest.mark.parametrize("keep", [True, 2.5, np.float64(3.0)])
+def test_sweep_refuses_a_keep_not_an_integer(iterate_calls, keep):
+    # True used to return a one-point sample, and 2.5 raised a bare TypeError
+    # from the sample slice after the whole alpha loop had run
+    with pytest.raises(ValueError, match="keep must be a non-negative integer"):
+        sweep(ZETA, 4.2, EPS, [-0.45, -0.44], keep=keep)
+    assert iterate_calls == []
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_sweep_takes_a_numpy_integer_keep(integer):
+    want = sweep(ZETA, 4.2, EPS, [-0.45], keep=3)
+    got = sweep(ZETA, 4.2, EPS, [-0.45], keep=integer(3))
+    assert np.array_equal(got[0].sample, want[0].sample)
+
+
 def test_sweep_refuses_a_delay_below_pi(iterate_calls):
     # below pi the corner sits on the -eps line, which is not modelled
     with pytest.raises(SingularSurface):

@@ -207,6 +207,60 @@ def test_continue_ns_curve_on_the_oracle_keeps_the_default_rows(monkeypatch, def
         np.testing.assert_allclose(branch.values(key), ref.values(key), rtol=0, atol=1e-9)
 
 
+def flow_matrix_ns_residual(y0, t0, tau, alpha, epsilon, zeta):
+    """``ns_residual`` as written before, with A(t0) and A(T) read from flow_matrix arrays."""
+    flow = AffineOscillatorFlow(zeta)
+    x, xdot, t0 = float(y0[0]), float(y0[1]), float(t0)
+    T = float(tau) + t0
+    w0, w1 = flow._advance(x, xdot, +1, T)
+    z0, z1 = flow._advance(x, xdot, -1, t0)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    g = ca * z1 + sa * flow._accel(z0, z1, -1)
+    a, b = flow.flow_matrix(t0), flow.flow_matrix(T)
+    r0 = (ca * a[0, 0] + sa * a[1, 0]) / g
+    r1 = (ca * a[0, 1] + sa * a[1, 1]) / g
+    f0, f1 = w1, flow._accel(w0, w1, +1)
+    j00, j01 = f0 * r0 - b[0, 0], f0 * r1 - b[0, 1]
+    j10, j11 = f1 * r0 - b[1, 0], f1 * r1 - b[1, 1]
+    res = np.array([x + w0, xdot + w1, epsilon - (ca * z0 + sa * z1),
+                    j00 * j11 - j01 * j10 - 1.0])
+    return res, j00 + j11
+
+
+def test_ns_residual_equals_the_flow_matrix_route(default_ns_curve):
+    cases = [(p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA) for p in default_ns_curve.points]
+    assert len(cases) == 68
+    rng = np.random.default_rng(23)
+    cases += [(rng.normal(size=2), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 4.0 * math.pi),
+               rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(0.0, 1.0),
+               rng.uniform(-0.5, 0.5)) for _ in range(1000)]
+    for args in cases:
+        res, trace = ns_residual(*args)
+        ref, ref_trace = flow_matrix_ns_residual(*args)
+        assert np.array_equal(res, ref) and trace == ref_trace, args
+
+
+def test_default_ns_curve_builds_no_flow_matrix(monkeypatch):
+    # ns_residual reads A(t0) and A(tau + t0) as floats: 2,482 flow_matrix
+    # arrays went into the 1,241 residuals of the default unfold curve
+    calls = {"flow_matrix": 0, "ns_residual": 0}
+    real_matrix, real_residual = AffineOscillatorFlow.flow_matrix, continuation.ns_residual
+
+    def counting_matrix(self, t):
+        calls["flow_matrix"] += 1
+        return real_matrix(self, t)
+
+    def counting_residual(*args):
+        calls["ns_residual"] += 1
+        return real_residual(*args)
+
+    monkeypatch.setattr(AffineOscillatorFlow, "flow_matrix", counting_matrix)
+    monkeypatch.setattr(continuation, "ns_residual", counting_residual)
+    branch = continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.0))
+    assert len(branch) == 68
+    assert calls == {"flow_matrix": 0, "ns_residual": 1241}
+
+
 def test_ns_curve_ends_at_the_crossing_window():
     # the closed form runs on past tau = 5.1, where the reduced map's
     # crossing-time solve (window 0.45 tau) no longer finds t0

@@ -397,6 +397,40 @@ def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
     assert counts["reevaluations"] >= len(bmap.all_points()) > 0
 
 
+def test_midpoint_grouping_equals_unique_rows(monkeypatch):
+    # every bisection round of the default map, recorded as
+    # recorded_evaluations records its batches
+    from relaydyn import cli
+    from relaydyn import oscillator as osc
+    cfg = cli.DEFAULTS["bifmap"]
+    rounds = []
+    real = osc._distinct_rows
+
+    def recorded(pts):
+        rounds.append(pts.copy())
+        return real(pts)
+
+    monkeypatch.setattr(osc, "_distinct_rows", recorded)
+    bifurcation_map(ZETA, tau_range=tuple(cfg["tau_range"]), alpha_range=tuple(cfg["alpha_range"]),
+                    n_tau=cfg["n_tau"], n_alpha=cfg["n_alpha"])
+    monkeypatch.undo()
+    assert len(rounds) == 31
+    rng = np.random.default_rng(23)
+    ties = rng.integers(0, 3, size=(60, 2)).astype(float)
+    ties[rng.random(ties.shape) < 0.3] *= -1.0  # -0.0 groups with 0.0
+    shared = 0
+    for pts in rounds + [ties]:
+        uniq, inverse = osc._distinct_rows(pts)
+        ref, ref_inverse = np.unique(pts, axis=0, return_inverse=True)
+        assert uniq.dtype == ref.dtype and np.array_equal(uniq, ref)
+        assert pts is ties or uniq.tobytes() == ref.tobytes()  # a round has no zeros
+        assert inverse.dtype == ref_inverse.dtype
+        assert np.array_equal(inverse, ref_inverse.reshape(-1))
+        assert np.array_equal(uniq[inverse], pts)
+        shared += len(pts) - len(uniq)
+    assert shared > 100  # jobs on one edge share midpoints
+
+
 def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_path):
     from relaydyn import cli
     from relaydyn import oscillator as osc
