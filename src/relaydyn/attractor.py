@@ -38,7 +38,7 @@ __all__ = [
     "on_plus_image_manifold",
 ]
 
-DEFAULT_RADIUS = 0.5
+DEFAULT_RADIUS = 3.0  # past tau = 4.45 the attractor reaches beyond 0.5 from the corner
 MIN_SAMPLES = 200   # fewest samples a circle map or polygon is extracted from
 
 
@@ -213,7 +213,7 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     if y is None:
         y = default_seed
     for alpha in alphas:
-        ctx = oscillator_context(zeta, float(alpha), tau, epsilon, y_ref)
+        ctx = oscillator_context(zeta, float(alpha), tau, epsilon, y_ref, delta=0.45 * tau)
         # the iteration is deterministic: rerunning the default seed cannot help
         seeds = (y,) if np.array_equal(y, default_seed) else (y, default_seed)
         run = None

@@ -245,7 +245,7 @@ def cmd_unfold(config: dict, out_dir: Path, seed: int) -> list[str]:
     branch = continuation.continue_ns_curve(
         zeta, eps, nsc=(tau_ns, alpha_ns),
         tau_span=(_NS_TAU_MIN, float(config["tau_max"])))
-    ns_rows = [(p.data["tau"], p.data["alpha"], p.data["t0"], p.data["trace"])
+    ns_rows = [[float(p.data[k]) for k in ("tau", "alpha", "t0", "trace")]
                for p in branch.points]
     coll_rows = oscillator.collision_curve(
         zeta, eps, np.linspace(math.pi + 0.05, float(config["tau_max"]),
@@ -314,7 +314,7 @@ def cmd_polygon(config: dict, out_dir: Path, seed: int) -> list[str]:
     zeta, tau = config["zeta"], config["tau"]
     y_ref = oscillator.surface_corner(zeta, tau)
     ctx = reduced.oscillator_context(zeta, config["alpha"], tau,
-                                     config["epsilon"], y_ref)
+                                     config["epsilon"], y_ref, delta=0.45 * tau)
     run = attractor.iterate_attractor(ctx, y_ref + np.array([1e-3, 0.0]),
                                       n_transient=int(config["n_transient"]),
                                       n_total=int(config["n_total"]))
@@ -327,7 +327,7 @@ def cmd_polygon(config: dict, out_dir: Path, seed: int) -> list[str]:
             "corner_count": len(desc.corner_indices),
             "monotone": desc.monotone,
             "locking_period": desc.locking_period,
-            "centroid": list(desc.centroid),
+            "centroid": desc.centroid.tolist(),
             "visited_plus": run.visited_plus,
             "visited_minus": run.visited_minus,
         }),

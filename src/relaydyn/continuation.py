@@ -83,29 +83,29 @@ class ResidualProblem:
 
 @dataclass(frozen=True)
 class _Bordered:
-    """``problem`` with the scalar equation ``extra(z) = 0`` appended."""
+    """``problem`` with the linear equation ``normal @ (z - point) = 0`` appended."""
 
     problem: ResidualProblem
-    extra: Callable[[np.ndarray], float]
+    normal: np.ndarray
+    point: np.ndarray
 
     def residual(self, z: np.ndarray) -> np.ndarray:
-        return np.append(self.problem.residual(z), self.extra(z))
+        return np.append(self.problem.residual(z), self.normal @ (z - self.point))
 
     def jac(self, z: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
-        """``problem.jac`` over the forward-difference row of ``extra``.
+        """``problem.jac`` over the forward-difference row of the border.
 
         Entry for entry this is what ``fd_jacobian(self.residual, z, f0)``
-        computes, while a problem with its own ``jacobian`` keeps using it.
+        computes, while a problem with its own ``jacobian`` keeps using it:
+        the stacked ``np.matmul`` takes each perturbed row's dot product on
+        its own, as the residual does (a 2-D ``@`` is a gemv, whose bits
+        differ).
         """
         z = np.asarray(z, dtype=float)
         if f0 is None:
             f0 = self.residual(z)
-        zp = z.copy()
-        row = np.empty(z.size)
-        for j in range(z.size):
-            zp[j] += FD_STEP
-            row[j] = (self.extra(zp) - f0[-1]) / FD_STEP
-            zp[j] = z[j]
+        border = np.matmul((_perturbed(z) - self.point)[:, None, :], self.normal[:, None])
+        row = (border[:, 0, 0] - f0[-1]) / FD_STEP
         return np.vstack([self.problem.jac(z, f0[:-1]), row])
 
 
@@ -219,7 +219,7 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     k = n - 1 if fix_index is None else fix_index
 
     try:
-        w, f = newton(_Bordered(problem, lambda w: w[k] - w0[k]), w0, max_iter=12)
+        w, f = newton(_Bordered(problem, np.eye(1, n, k)[0], w0), w0, max_iter=12)
     except RelayDynError as exc:
         raise InitialPointFailed(f"seed correction failed: {exc}") from exc
 
@@ -249,8 +249,7 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     while len(branch.points) < max_points:
         pred = w + step * t
         try:
-            w_new, f = newton(_Bordered(problem, lambda z: t @ (z - pred)), pred,
-                              max_iter=12)
+            w_new, f = newton(_Bordered(problem, t, pred), pred, max_iter=12)
         except (RelayDynError, np.linalg.LinAlgError) as exc:
             step *= 0.5
             if step < ds_min:

@@ -621,10 +621,11 @@ def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.
     def key(p):
         return (round(p[0] / tol), round(p[1] / tol))
 
+    keys = [(key(p), key(q)) for p, q in segments]
     links: dict[tuple, list[int]] = {}
-    for idx, (p, q) in enumerate(segments):
-        links.setdefault(key(p), []).append(idx)
-        links.setdefault(key(q), []).append(idx)
+    for idx, (kp, kq) in enumerate(keys):
+        links.setdefault(kp, []).append(idx)
+        links.setdefault(kq, []).append(idx)
 
     used = [False] * len(segments)
     polylines = []
@@ -634,15 +635,16 @@ def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.
         used[start] = True
         chain = list(segments[start])
         for endpos in (0, -1):
+            end_key = keys[start][endpos]
             while True:
-                end = chain[endpos]
-                nxt = [i for i in links.get(key(end), []) if not used[i]]
+                nxt = [i for i in links.get(end_key, []) if not used[i]]
                 if not nxt:
                     break
                 i = nxt[0]
                 used[i] = True
                 p, q = segments[i]
-                other = q if key(p) == key(end) else p
+                kp, kq = keys[i]
+                other, end_key = (q, kq) if kp == end_key else (p, kp)
                 if endpos == 0:
                     chain.insert(0, other)
                 else:

@@ -17,31 +17,26 @@ BUILD_ID = "relaydyn-0.1.0"
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # the common case, ahead of the isinstance chain
+    """One CSV cell: a float by repr, a bool as 1/0, anything else by str.
+
+    The writers pass Python natives, so a float cell takes the first test.
+    """
+    if type(value) is float:
         return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _native(obj):
+    """``json.dumps`` default: numpy scalars and arrays as Python natives.
+
+    ``np.float64`` is a ``float`` subclass, which json already prints by
+    ``float.__repr__``.
+    """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_csv(path, header, rows) -> Path:
@@ -55,13 +50,13 @@ def write_csv(path, header, rows) -> Path:
 
 def write_json(path, obj) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_native) + "\n")
     return path
 
 
 def write_json_lines(path, objs) -> Path:
     path = Path(path)
-    lines = [json.dumps(_jsonable(o), sort_keys=True) for o in objs]
+    lines = [json.dumps(o, sort_keys=True, default=_native) for o in objs]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     return path
 
@@ -87,7 +82,7 @@ def write_trajectory_csv(path, traj) -> Path:
 
 
 def write_sweep_csv(path, records) -> Path:
-    rows = [(r.alpha, r.env_min[0], r.env_max[0], r.visited_plus,
+    rows = [(r.alpha, float(r.env_min[0]), float(r.env_max[0]), r.visited_plus,
              r.visited_minus, r.escaped) for r in records]
     return write_csv(
         path, ["alpha", "env_min_x", "env_max_x", "visited_plus",
@@ -96,17 +91,13 @@ def write_sweep_csv(path, records) -> Path:
 
 def write_polygon_csv(path, description) -> Path:
     ids = description.arc_ids
-    if ids is None:
-        ids = np.zeros(description.points.shape[0], dtype=int)
-    rows = [(description.angles[k], description.points[k, 0],
-             description.points[k, 1], int(ids[k]))
-            for k in range(description.points.shape[0])]
+    ids = [0] * len(description.points) if ids is None else ids.tolist()
+    rows = zip(description.angles.tolist(), *description.points.T.tolist(), ids)
     return write_csv(path, ["phi", "x", "xdot", "arc_id"], rows)
 
 
 def write_circle_map_csv(path, description) -> Path:
-    rows = [(p[0], p[1]) for p in description.pairs]
-    return write_csv(path, ["phi_k", "phi_next"], rows)
+    return write_csv(path, ["phi_k", "phi_next"], description.pairs.tolist())
 
 
 def write_curve_points_csv(path, points) -> Path:
@@ -120,8 +111,8 @@ def write_curve_points_csv(path, points) -> Path:
 def write_curve_snapshot_csv(path, curve) -> Path:
     phis = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
     r, eta, t, y = curve.tabulate(phis)
-    rows = zip(phis, r, eta, t, y[:, 0], y[:, 1])
-    return write_csv(path, ["phi", "r", "eta", "t", "x", "xdot"], rows)
+    return write_csv(path, ["phi", "r", "eta", "t", "x", "xdot"],
+                     np.column_stack((phis, r, eta, t, y)).tolist())
 
 
 def family_records(branch, n_modes: int):
@@ -135,7 +126,7 @@ def family_records(branch, n_modes: int):
             "omega": pt.data["omega"],
             "t0": pt.data["t0"],
             "n_modes": n_modes,
-            "unknowns": list(pt.w),
+            "unknowns": pt.w.tolist(),
             "residual": pt.residual_norm,
             "error_estimate": pt.data["error"],
             "flags": {"step": pt.step},

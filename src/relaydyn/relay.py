@@ -52,7 +52,8 @@ __all__ = [
 RESID_TOL = 1e-12
 DEGEN_TOL = 1e-8
 DEFAULT_SCAN_DT = 0.02
-# nodes in the first chunk of the head-crossing scan; each later chunk doubles
+# nodes in the first chunk of a scan over a window longer than one delay (and
+# of every hysteron scan); each later chunk doubles
 _SCAN_CHUNK = 32
 
 
@@ -142,17 +143,17 @@ def _grid(a: float, b: float, dt: float) -> np.ndarray:
 
 def _first_crossing(values: Callable[[np.ndarray], np.ndarray],
                     value: Callable[[float], float], ts: np.ndarray, rho: int,
-                    epsilon: float) -> float | None:
+                    epsilon: float, chunk: int) -> float | None:
     """Earliest s in (ts[0], ts[-1]] where ``rho * signal - epsilon`` reaches 0.
 
     ``values`` gives the signal on an array of nodes and is read only for the
-    sign tests, chunk by chunk (``_SCAN_CHUNK`` nodes, doubling) up to the
+    sign tests, chunk by chunk (``chunk`` nodes first, doubling) up to the
     first chunk that holds a hit; node 0 is never a hit.  ``value`` gives the
     exact signal at one time, and Brent's method runs on it in the first cell
     that holds a hit.
     """
     n = len(ts)
-    a, b = 0, min(n, _SCAN_CHUNK)
+    a, b = 0, min(n, chunk)
     while True:
         hs = values(ts[a:b])
         if np.shape(hs) != (b - a,):
@@ -194,7 +195,7 @@ def hysteron(signal: Callable[[float], float], interval: tuple[float, float], u0
     values = [state]
     ts = np.linspace(a, b, samples)
     while (s := _first_crossing(lambda ss: np.array([signal(x) for x in ss]), signal,
-                                ts, state, epsilon)) is not None:
+                                ts, state, epsilon, _SCAN_CHUNK)) is not None:
         state = -state
         times.append(s)
         values.append(state)
@@ -246,10 +247,11 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     # its switch, one delay later, lies ahead
     u = rho = _init_relay_state(sigma(-tau), state.u, eps)
     crossings: list[CrossingRecord] = []
+    # each piece lies in [-tau, 0], so it is scanned in one stacked call
     for (a, b) in hist.pieces(-tau):
         ts = _grid(a, b, scan_dt)
         while (s := _first_crossing(lambda ss: system.h(hist(ss)), sigma,
-                                    ts, rho, eps)) is not None:
+                                    ts, rho, eps, len(ts))) is not None:
             slope = float(system.dh(hist(s)) @ hist.derivative(s))
             crossings.append(_crossing(system, s, slope, rho))
             rho = -rho
@@ -293,7 +295,9 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     """Earliest time in (t, t_stop] where the watched threshold is reached.
 
     :func:`_first_crossing` on the grid over [t, t_stop], its sign tests on
-    one stacked ``h`` call per chunk of the path, then a Newton polish.
+    one stacked ``h`` call per chunk of the path, then a Newton polish.  A
+    window of at most one delay (always so while a switch is pending) is one
+    chunk; a longer one starts at ``_SCAN_CHUNK`` nodes.
     """
     if t_stop <= t:
         return None
@@ -302,8 +306,10 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     def value(s: float) -> float:
         return system.h(flow.apply(y, u, s - t))
 
-    s_hit = _first_crossing(lambda ts: system.h(flow.apply_path(y, u, ts - t)), value,
-                            _grid(t, t_stop, scan_dt), rho, eps)
+    ts = _grid(t, t_stop, scan_dt)
+    chunk = len(ts) if t_stop - t <= system.tau else _SCAN_CHUNK
+    s_hit = _first_crossing(lambda ss: system.h(flow.apply_path(y, u, ss - t)), value,
+                            ts, rho, eps, chunk)
     if s_hit is None:
         return None
     # polish until the signal residual itself is tiny

@@ -337,6 +337,20 @@ def test_family_alpha_at_tau_4_2_lies_past_the_sweep_visit_window(family):
     assert edge < alpha <= edge + 1e-3, (alpha, edge)
 
 
+@pytest.mark.parametrize("tau", [4.45, 4.55])
+def test_family_alpha_past_tau_4_45_lies_within_a_step_of_the_sweep_edge(family, tau):
+    # past tau = 4.45 the attractor reaches beyond a 0.1 tau crossing window
+    # and 0.5 from the corner; sweep's wider neighbourhood still sees its
+    # last D+ visit within one grid step (0.005) below the family's alpha
+    taus, alphas = family["branch"].values("tau"), family["branch"].values("alpha")
+    i = int(np.flatnonzero(taus > tau)[0])
+    assert taus[i - 1] <= tau
+    alpha = float(np.interp(tau, taus[i - 1:i + 1], alphas[i - 1:i + 1]))
+    records = sweep(ZETA, tau, EPS, np.linspace(-0.5, 0.0, 101))
+    edge = visit_window(records)[1]
+    assert edge <= alpha < edge + 0.005, (alpha, edge)
+
+
 def test_family_starts_one_step_past_the_ns_point(family):
     assert family["branch"].values("tau")[0] == family["nsc"][0] + 1e-3
 

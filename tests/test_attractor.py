@@ -394,7 +394,7 @@ def test_sweep_does_not_rerun_the_default_seed(iterate_calls):
 
 def test_sweep_marks_retried_warm_starts(iterate_calls):
     y_ref = collision_point(ZETA, 4.2)
-    far = y_ref + np.array([1.0, 0.0])
+    far = y_ref + np.array([4.0, 0.0])  # beyond DEFAULT_RADIUS
     records = sweep(ZETA, 4.2, EPS, [-0.45, -0.44], y0=far)
     # the far start leaves, the default seed holds, and its attractor warm
     # starts the next value

@@ -611,8 +611,10 @@ def test_bordered_jacobian_equals_fd_jacobian(case):
     problem, w, t = list(corrector_problems())[case]
     pred = w + 1e-2 * t
     z = pred + 1e-3 * np.cos(np.arange(w.size))
-    for extra in (lambda z: t @ (z - pred), lambda z: z[-1] - w[-1]):
-        bordered = _Bordered(problem, extra)
+    last = np.eye(1, w.size, w.size - 1)[0]
+    for normal, point, extra in ((t, pred, lambda z: t @ (z - pred)),
+                                 (last, w, lambda z: z[-1] - w[-1])):
+        bordered = _Bordered(problem, normal, point)
 
         def corrector(z):
             return np.append(problem.residual(z), extra(z))

@@ -404,6 +404,25 @@ def test_head_crossing_scan_matches_full_grid_at_chunk_edges():
     system = clock_system(clock_signal([t_stop]) + 1e-3)
     assert relay._next_head_crossing(system, y, t, 1, 1, t_stop, scan_dt) is None
     assert full_grid_head_crossing(system, y, t, 1, 1, t_stop, scan_dt) is None
+    # a window of at most one delay (tau = 1) is one stacked call, though it
+    # holds more than one chunk's nodes
+    t_stop = t + 1.0
+    n = max(8, int(math.ceil((t_stop - t) / scan_dt)) + 1)
+    ts = np.linspace(t, t_stop, n)
+    assert n > c
+    for name, k in {"window start": 1, "window middle": n // 2, "last node": n - 1}.items():
+        ndims = []
+
+        def h(p):
+            ndims.append(np.ndim(p))
+            return clock_signal(p)
+
+        eps = clock_signal([0.5 * (ts[k - 1] + ts[k])])
+        system = dataclasses.replace(clock_system(eps), h=h)
+        got = relay._next_head_crossing(system, y, t, 1, 1, t_stop, scan_dt)
+        assert ndims.count(2) == 1, name
+        assert got == full_grid_head_crossing(system, y, t, 1, 1, t_stop, scan_dt), name
+        assert ts[k - 1] < got < ts[k], name
 
 
 def test_head_crossing_scan_matches_full_grid_from_the_threshold():
@@ -477,10 +496,11 @@ def test_simulate_scan_makes_one_h_call_per_chunk():
     # calls, and a full-grid scan evaluates thousands of states per crossing
     base = oscillator_system(-0.1, -0.5, 4.2, 0.1)
     state = HybridState(SampledHistory.constant([0.5, 0.0], 4.2), 1)
-    calls, states = [0], [0]
+    calls, stacked, states = [0], [0], [0]
 
     def h(y):
         calls[0] += 1
+        stacked[0] += np.ndim(y) == 2
         states[0] += np.atleast_2d(y).shape[0]
         return base.h(y)
 
@@ -488,6 +508,9 @@ def test_simulate_scan_makes_one_h_call_per_chunk():
     assert len(traj.crossings) > 100
     assert calls[0] < 2000
     assert calls[0] / len(traj.crossings) < 20
+    # a window of at most one delay is one stacked call: about two per
+    # crossing, where chunks of 32, 64 and 128 nodes made four
+    assert stacked[0] / len(traj.crossings) <= 2.6
     assert states[0] / len(traj.crossings) < 400
 
 
