@@ -542,31 +542,13 @@ class BifurcationMap:
 _RESONANCES = ((math.pi, "1:2"), (2.0 * math.pi / 3.0, "1:3"), (math.pi / 2.0, "1:4"))
 
 
-class _Corners:
-    """Corner rows by delay for one map run; each delay is solved once.
-
-    The grid rows, the constant-tau edges and the midpoints of a run share
-    them.  New delays are solved together, by one stacked solve per call.
-    A batch looks up its distinct delays once, gathering by ``np.unique``'s inverse.
-    """
-
-    def __init__(self, zeta: float):
-        self.zeta = zeta
-        self._index: dict[float, int] = {}
-        self._rows = np.empty((0, 6, 2))
-
-    def evaluate(self, taus: np.ndarray, alphas: np.ndarray):
-        """:func:`_surface_batch` at the (tau, alpha) pairs."""
-        uniq, inverse = np.unique(taus, return_inverse=True)
-        keys = uniq.tolist()
-        new = [t for t in keys if t not in self._index]
-        if new:
-            self._index.update(zip(new, range(len(self._index), len(self._index) + len(new))))
-            self._rows = np.concatenate([self._rows, _corner_rows(self.zeta, new)])
-        return _surface_batch(self._rows[[self._index[t] for t in keys]][inverse], alphas)
+def _evaluate(zeta: float, taus: np.ndarray, alphas: np.ndarray):
+    """:func:`_surface_batch` at the (tau, alpha) pairs, each distinct delay solved once."""
+    uniq, inverse = np.unique(taus, return_inverse=True)
+    return _surface_batch(_corner_rows(zeta, uniq)[inverse], alphas)
 
 
-def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
+def _refine_edges(zeta: float, labels, p0, p1, f0, tol):
     """Bisect every (label, edge) job in lockstep, one evaluation per round.
 
     Job n bisects the test function ``BIFURCATION_LABELS[labels[n]]`` along
@@ -574,9 +556,8 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
     the rule of a scalar bisection: halve at m = (a + b) / 2, stop once the
     value there is below tol or NaN (the sign test brackets nothing past a
     NaN), else keep the half whose ends differ in sign; at most 80
-    steps.  Jobs on one edge share their midpoints until they part, and
-    each distinct point of a round is evaluated once: :func:`_distinct_rows`
-    groups the midpoints equal by value in both coordinates, by one lexsort.
+    steps.  A round evaluates the midpoint of every active job by one
+    :func:`_evaluate` call.
 
     Returns each job's last point (k, 2) and, at it, the job's test value,
     eps and all :func:`_tests` values (NaN off the surface).
@@ -592,12 +573,11 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
         m = 0.5 * (a[active] + b[active])
         start = p0[active]
         pts = start + m[:, None] * (p1[active] - start)
-        uniq, inverse = _distinct_rows(pts)
-        u_eps, _, u_tests, _ = corners.evaluate(uniq[:, 0], uniq[:, 1])
-        fm = np.stack([u_tests[lb] for lb in BIFURCATION_LABELS])[labels[active], inverse]
-        point[active], value[active], eps[active] = pts, fm, u_eps[inverse]
-        for key, v in u_tests.items():
-            tests.setdefault(key, np.full(k, np.nan))[active] = v[inverse]
+        m_eps, _, m_tests, _ = _evaluate(zeta, pts[:, 0], pts[:, 1])
+        fm = np.choose(labels[active], [m_tests[lb] for lb in BIFURCATION_LABELS])
+        point[active], value[active], eps[active] = pts, fm, m_eps
+        for key, v in m_tests.items():
+            tests.setdefault(key, np.full(k, np.nan))[active] = v
         go = ~(np.isnan(fm) | (np.abs(fm) < tol))
         left = go & ((fa[active] < 0) != (fm < 0))
         right = go & ~left
@@ -607,25 +587,16 @@ def _refine_edges(corners: _Corners, labels, p0, p1, f0, tol):
     return point, value, eps, tests
 
 
-def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(pts, axis=0, return_inverse=True)`` by one lexsort, not a sort of records."""
-    order = np.lexsort(pts.T[::-1])
-    srt = pts[order]
-    first = np.concatenate(([True], (srt[1:] != srt[:-1]).any(axis=1)))
-    return srt[first], np.cumsum(first)[np.argsort(order)] - 1
+def _chain_segments(segments: list[tuple[tuple, tuple]]) -> list[np.ndarray]:
+    """Join segments sharing an endpoint into polylines.
 
-
-def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.ndarray]:
-    """Join segments sharing endpoints (within tol) into polylines."""
-
-    def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
-
-    keys = [(key(p), key(q)) for p, q in segments]
+    Two cells that share an edge hold the same refined point, so shared
+    endpoints are equal tuples.
+    """
     links: dict[tuple, list[int]] = {}
-    for idx, (kp, kq) in enumerate(keys):
-        links.setdefault(kp, []).append(idx)
-        links.setdefault(kq, []).append(idx)
+    for idx, (p, q) in enumerate(segments):
+        links.setdefault(p, []).append(idx)
+        links.setdefault(q, []).append(idx)
 
     used = [False] * len(segments)
     polylines = []
@@ -635,20 +606,19 @@ def _chain_segments(segments: list[tuple[tuple, tuple]], tol: float) -> list[np.
         used[start] = True
         chain = list(segments[start])
         for endpos in (0, -1):
-            end_key = keys[start][endpos]
+            end = segments[start][endpos]
             while True:
-                nxt = [i for i in links.get(end_key, []) if not used[i]]
+                nxt = [i for i in links.get(end, []) if not used[i]]
                 if not nxt:
                     break
                 i = nxt[0]
                 used[i] = True
                 p, q = segments[i]
-                kp, kq = keys[i]
-                other, end_key = (q, kq) if kp == end_key else (p, kp)
+                end = q if p == end else p
                 if endpos == 0:
-                    chain.insert(0, other)
+                    chain.insert(0, end)
                 else:
-                    chain.append(other)
+                    chain.append(end)
         polylines.append(np.array(chain))
     return polylines
 
@@ -674,9 +644,7 @@ def bifurcation_map(zeta: float,
                          f"got {n_tau}, {n_alpha}")
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
-    tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6
-    corners = _Corners(zeta)
-    _, _, tests, _ = corners.evaluate(np.repeat(taus, alphas.size), np.tile(alphas, taus.size))
+    _, _, tests, _ = _evaluate(zeta, np.repeat(taus, alphas.size), np.tile(alphas, taus.size))
     grid = np.stack([tests[lb] for lb in BIFURCATION_LABELS]).reshape(-1, taus.size, alphas.size)
 
     # one job per (label, grid edge) with a sign change: edges (i, j)-(i+1, j)
@@ -690,7 +658,7 @@ def bifurcation_map(zeta: float,
         jobs.append((lab, i, j, i + di, j + dj))
     lab, i0, j0, i1, j1 = (np.concatenate(parts) for parts in zip(*jobs))
     point, value, eps, final = _refine_edges(
-        corners, lab, np.stack((taus[i0], alphas[j0]), axis=1),
+        zeta, lab, np.stack((taus[i0], alphas[j0]), axis=1),
         np.stack((taus[i1], alphas[j1]), axis=1), grid[lab, i0, j0], residual_tol)
 
     # Cells (i, j) are met in row-major order, and each lists its edges as
@@ -723,7 +691,7 @@ def bifurcation_map(zeta: float,
         for cell in sorted(cells[label]):
             kept = [pt for _, pt in sorted(cells[label][cell])]
             segments.extend(zip(kept[0::2], kept[1::2]))
-        result.polylines[label] = _chain_segments(segments, tol)
+        result.polylines[label] = _chain_segments(segments)
     return result
 
 

@@ -47,9 +47,7 @@ __all__ = [
     "SwitchBoundReport",
 ]
 
-# crossing times are refined until the signal residual is below RESID_TOL;
 # slopes below DEGEN_TOL at a crossing count as tangent
-RESID_TOL = 1e-12
 DEGEN_TOL = 1e-8
 DEFAULT_SCAN_DT = 0.02
 # nodes in the first chunk of a scan over a window longer than one delay (and
@@ -66,10 +64,10 @@ class RelaySystem:
     states of shape (n, dim) and returns one value per row.  A stacked value
     may differ from the one-state value of that row in the last bits.
     :func:`evolve` reads stacked values only for the sign tests of its scans
-    of the history window and the head path, and refines (and on the head
-    path polishes) every crossing on one-state values, so its
-    crossing and switch times do not depend on those bits; the margins of
-    :func:`check_weak_transversality` are built on stacked values.
+    of the history window and the head path, and refines every crossing on
+    one-state values, so its crossing and switch times do not depend on
+    those bits; the margins of :func:`check_weak_transversality` are built
+    on stacked values.
     ``lipschitz_f`` and ``sup_dh`` (optional) feed the switching-rate
     diagnostics of :func:`switch_bound_report`.
     """
@@ -295,9 +293,11 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
     """Earliest time in (t, t_stop] where the watched threshold is reached.
 
     :func:`_first_crossing` on the grid over [t, t_stop], its sign tests on
-    one stacked ``h`` call per chunk of the path, then a Newton polish.  A
-    window of at most one delay (always so while a switch is pending) is one
-    chunk; a longer one starts at ``_SCAN_CHUNK`` nodes.
+    one stacked ``h`` call per chunk of the path.  A window of at most one
+    delay is one chunk; a longer one starts at ``_SCAN_CHUNK`` nodes.  While
+    a switch is pending the window is at most one delay: the switch falls
+    due at its crossing time s plus tau, and ``t_stop <= t + tau`` holds
+    exactly where ``t_stop - t <= tau`` can fail by rounding.
     """
     if t_stop <= t:
         return None
@@ -307,22 +307,9 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
         return system.h(flow.apply(y, u, s - t))
 
     ts = _grid(t, t_stop, scan_dt)
-    chunk = len(ts) if t_stop - t <= system.tau else _SCAN_CHUNK
-    s_hit = _first_crossing(lambda ss: system.h(flow.apply_path(y, u, ss - t)), value,
-                            ts, rho, eps, chunk)
-    if s_hit is None:
-        return None
-    # polish until the signal residual itself is tiny
-    for _ in range(3):
-        r = rho * value(s_hit) - eps
-        if abs(r) <= RESID_TOL:
-            break
-        z = flow.apply(y, u, s_hit - t)
-        d = rho * float(system.dh(z) @ flow.velocity(z, u))
-        if d == 0.0:
-            break
-        s_hit -= r / d
-    return s_hit
+    chunk = len(ts) if t_stop <= t + system.tau else _SCAN_CHUNK
+    return _first_crossing(lambda ss: system.h(flow.apply_path(y, u, ss - t)), value,
+                           ts, rho, eps, chunk)
 
 
 def check_weak_transversality(system: RelaySystem, traj: Trajectory,

@@ -94,6 +94,34 @@ def test_modules_use_no_private_name_of_another_module():
     assert found == []
 
 
+def _orphaned_helpers(trees):
+    """Each ``_``-prefixed module-level function or class of the given
+    modules that no name, attribute or import in any of them refers to.
+
+    A definition is not a reference, and nor is a mention in a docstring.
+    """
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    named |= {alias.name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(name for name in defined if name not in named)
+
+
+def test_no_private_helper_is_orphaned():
+    # a helper that only its own definition names is dead code, such as a
+    # deletion leaves behind
+    probe = ast.parse('def _a():\n    "see _b"\ndef _b():\n    return _c()\n'
+                      'def _c():\n    pass\nclass _D:\n    pass\nx = m._D\n')
+    assert _orphaned_helpers([probe]) == ["_a", "_b"]
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+    assert _orphaned_helpers(trees) == []
+
+
 def _defaulted_parameters(tree):
     """(callee name, parameter, position) for each defaulted parameter.
 

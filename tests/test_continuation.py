@@ -52,6 +52,16 @@ def test_newton_failure_modes():
         newton(lambda z: np.array([0.0 * z[0] + 1.0]), np.array([1.0]))
 
 
+def test_newton_refuses_a_non_finite_residual_or_step():
+    with pytest.raises(NoConvergence, match="residual is not finite"):
+        newton(lambda z: np.array([math.nan * z[0]]), np.array([1.0]))
+    # a subnormal pivot passes the solve, but the step overflows
+    problem = ResidualProblem(lambda z: np.array([z[0] - 1.0]),
+                              lambda z, f0: np.array([[1e-320]]))
+    with pytest.raises(SingularJacobian, match="non-finite step"):
+        newton(problem, np.array([3.0]))
+
+
 def test_fd_jacobian_on_polynomial():
     def fn(z):
         return np.array([z[0] ** 2 + z[1], 3.0 * z[0] * z[1]])
@@ -129,6 +139,50 @@ def test_continue_branch_seed_failure():
     with pytest.raises(InitialPointFailed):
         continue_branch(lambda w: np.array([w[0] ** 2 + 1.0]),
                         np.array([1.0, 0.0]), ds=0.1)
+
+
+def circle_jacobian(w, f0):
+    return np.array([2.0 * w])
+
+
+def test_continue_branch_stops_at_the_seed():
+    branch = continue_branch(circle_residual, np.array([1.0, 0.0]), ds=0.05,
+                             stop=lambda point: "seed")
+    assert (len(branch), branch.termination, branch.message) == (1, "seed", "")
+    assert branch.points[0].step == 0.0
+
+
+def test_continue_branch_halves_its_step_down_to_the_floor():
+    # the residual turns NaN past the angle 0.3, so every corrector that
+    # starts beyond it fails and the step halves until it is below ds_min
+    def residual(w):
+        return circle_residual(w) if math.atan2(w[1], w[0]) <= 0.3 else np.array([math.nan])
+
+    branch = continue_branch(ResidualProblem(residual, circle_jacobian), np.array([1.0, 0.0]),
+                             ds=0.05, ds_min=1e-3, max_points=100,
+                             direction=np.array([0.0, 1.0]))
+    assert branch.termination == "step-floor"
+    assert branch.message == "residual is not finite"
+    angles = [math.atan2(p.w[1], p.w[0]) for p in branch.points]
+    assert 0.3 - 2e-3 < angles[-1] <= 0.3
+    steps = [p.step for p in branch.points[1:]]
+    assert any(b < a for a, b in zip(steps, steps[1:]))  # a step was halved
+
+
+def test_continue_branch_ends_where_the_tangent_fails():
+    # the Jacobian refuses a converged point past the angle 0.3: there the
+    # corrector has returned, and only the tangent asks for it
+    def jacobian(w, f0):
+        if math.atan2(w[1], w[0]) > 0.3 and np.max(np.abs(f0)) <= 1e-10:
+            raise SingularJacobian("no tangent past 0.3")
+        return circle_jacobian(w, f0)
+
+    branch = continue_branch(ResidualProblem(circle_residual, jacobian), np.array([1.0, 0.0]),
+                             ds=0.05, max_points=100, direction=np.array([0.0, 1.0]))
+    assert branch.termination == "tangent-failure"
+    assert branch.message == "no tangent past 0.3"
+    angles = [math.atan2(p.w[1], p.w[0]) for p in branch.points]
+    assert max(angles[:-1]) <= 0.3 < angles[-1]
 
 
 # -- fixed points of the minus branch and the NS locus ---------------------

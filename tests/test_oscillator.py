@@ -329,8 +329,7 @@ def reference_bifurcation_map(zeta, tau_range, alpha_range, n_tau, n_alpha,
                 for a, b in zip(kept[0::2], kept[1::2]):
                     segments.append((a, b))
         points[label] = list(accepted.values())
-        tol = max(taus[1] - taus[0], alphas[1] - alphas[0]) * 1e-6
-        polylines[label] = osc._chain_segments(segments, tol)
+        polylines[label] = osc._chain_segments(segments)
     return vals, points, polylines
 
 
@@ -367,13 +366,13 @@ def recorded_evaluations(monkeypatch, zeta, grid):
     """The (tau, alpha) batches one bifurcation_map run hands its evaluator."""
     from relaydyn import oscillator as osc
     batches = []
-    real = osc._Corners.evaluate
+    real = osc._evaluate
 
-    def counted(self, taus, alphas):
+    def counted(zeta, taus, alphas):
         batches.append(list(zip(taus.tolist(), alphas.tolist())))
-        return real(self, taus, alphas)
+        return real(zeta, taus, alphas)
 
-    monkeypatch.setattr(osc._Corners, "evaluate", counted)
+    monkeypatch.setattr(osc, "_evaluate", counted)
     bmap = bifurcation_map(zeta, **grid)
     monkeypatch.undo()
     return bmap, batches
@@ -387,48 +386,12 @@ def test_bifurcation_map_evaluates_grid_and_midpoints_only(monkeypatch):
     taus = np.linspace(*grid["tau_range"], grid["n_tau"])
     alphas = np.linspace(*grid["alpha_range"], grid["n_alpha"])
     assert batches[0] == [(t, a) for t in taus for a in alphas]
-    # then one batch per bisection round: the predecessor's midpoints as a
-    # set, each evaluated once, though labels crossing on one edge shared
-    # them and it evaluated every accepted crossing again once per cell
+    # then one batch per bisection round: the midpoint of every job and
+    # step, exactly the predecessor's, though it evaluated every accepted
+    # crossing again once per cell
     midpoints = [p for batch in batches[1:] for p in batch]
-    assert len(set(midpoints)) == len(midpoints)
-    assert set(midpoints) == set(counts["midpoints"])
-    assert len(midpoints) < len(counts["midpoints"])
+    assert sorted(midpoints) == sorted(counts["midpoints"])
     assert counts["reevaluations"] >= len(bmap.all_points()) > 0
-
-
-def test_midpoint_grouping_equals_unique_rows(monkeypatch):
-    # every bisection round of the default map, recorded as
-    # recorded_evaluations records its batches
-    from relaydyn import cli
-    from relaydyn import oscillator as osc
-    cfg = cli.DEFAULTS["bifmap"]
-    rounds = []
-    real = osc._distinct_rows
-
-    def recorded(pts):
-        rounds.append(pts.copy())
-        return real(pts)
-
-    monkeypatch.setattr(osc, "_distinct_rows", recorded)
-    bifurcation_map(ZETA, tau_range=tuple(cfg["tau_range"]), alpha_range=tuple(cfg["alpha_range"]),
-                    n_tau=cfg["n_tau"], n_alpha=cfg["n_alpha"])
-    monkeypatch.undo()
-    assert len(rounds) == 31
-    rng = np.random.default_rng(23)
-    ties = rng.integers(0, 3, size=(60, 2)).astype(float)
-    ties[rng.random(ties.shape) < 0.3] *= -1.0  # -0.0 groups with 0.0
-    shared = 0
-    for pts in rounds + [ties]:
-        uniq, inverse = osc._distinct_rows(pts)
-        ref, ref_inverse = np.unique(pts, axis=0, return_inverse=True)
-        assert uniq.dtype == ref.dtype and np.array_equal(uniq, ref)
-        assert pts is ties or uniq.tobytes() == ref.tobytes()  # a round has no zeros
-        assert inverse.dtype == ref_inverse.dtype
-        assert np.array_equal(inverse, ref_inverse.reshape(-1))
-        assert np.array_equal(uniq[inverse], pts)
-        shared += len(pts) - len(uniq)
-    assert shared > 100  # jobs on one edge share midpoints
 
 
 def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_path):
@@ -448,13 +411,15 @@ def test_bifurcation_map_and_surface_solve_one_corner_per_tau(monkeypatch, tmp_p
         return real(zeta, taus)
 
     monkeypatch.setattr(osc, "_corner_rows", counted)
-    # back-to-back runs each solve every corner once: nothing is kept across
-    # calls, and a bisection round solves only the delays it adds
+    # each evaluation solves its distinct delays once, by one stacked call:
+    # the grid's first, then each bisection round's.  Nothing is kept across
+    # calls, so back-to-back runs solve the same delays
     for _ in range(2):
         calls.clear()
         bifurcation_map(ZETA, **grid)
-        assert sorted(t for batch in calls for t in batch) == distinct
         assert calls[0] == taus.tolist()
+        assert all(batch == sorted(set(batch)) for batch in calls)
+        assert sorted({t for batch in calls for t in batch}) == distinct
     config = dict(cli.DEFAULTS["surface"], tau_range=[2.9, 5.5], n_tau=7, n_alpha=6)
     rows = np.linspace(2.9, 5.5, 7)
     for _ in range(2):

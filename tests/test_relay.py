@@ -333,21 +333,7 @@ def full_grid_head_crossing(system, y, t, u, rho, t_stop, scan_dt):
         return rho * system.h(flow.apply(y, u, s - t)) - eps
 
     lo = ts[i - 1] if ws[i - 1] < 0.0 else ts[0]
-    s_hit = float(brentq(w, lo, ts[i], xtol=1e-14, rtol=8.9e-16))
-
-    def dw(s):
-        z = flow.apply(y, u, s - t)
-        return rho * float(system.dh(z) @ flow.velocity(z, u))
-
-    for _ in range(3):
-        r = w(s_hit)
-        if abs(r) <= relay.RESID_TOL:
-            break
-        d = dw(s_hit)
-        if d == 0.0:
-            break
-        s_hit -= r / d
-    return s_hit
+    return float(brentq(w, lo, ts[i], xtol=1e-14, rtol=8.9e-16))
 
 
 class ClockFlow:
@@ -509,8 +495,11 @@ def test_simulate_scan_makes_one_h_call_per_chunk():
     assert calls[0] < 2000
     assert calls[0] / len(traj.crossings) < 20
     # a window of at most one delay is one stacked call: about two per
-    # crossing, where chunks of 32, 64 and 128 nodes made four
-    assert stacked[0] / len(traj.crossings) <= 2.6
+    # crossing, where chunks of 32, 64 and 128 nodes made four.  The window
+    # from a crossing to the switch it arms is one delay, though
+    # (s + tau) - s may exceed tau by rounding: treated as longer, such
+    # windows took 2.39 stacked calls per crossing
+    assert stacked[0] / len(traj.crossings) <= 2.1
     assert states[0] / len(traj.crossings) < 400
 
 
