@@ -266,8 +266,9 @@ class PolygonDescription:
 
     ``points`` are the attractor samples sorted by angle; ``orbit_next``
     maps each sorted point to the angle of its image, giving the circle
-    map pairs.  Arc data is filled by :func:`polygon_arcs` and empty for a
-    plain circle-map extraction.
+    map pairs.  ``arc_ids`` numbers the arc of each sorted point; a plain
+    circle-map extraction is one arc with no corners, and
+    :func:`polygon_arcs` fills in the arcs and corners of a polygon.
     """
 
     points: np.ndarray
@@ -276,13 +277,11 @@ class PolygonDescription:
     pairs: np.ndarray                   # (m, 2) circle-map graph (phi_k, phi_{k+1})
     monotone: bool
     locking_period: int | None
+    arc_ids: np.ndarray
     corner_indices: tuple[int, ...] = ()
-    arc_ids: np.ndarray | None = None
 
     @property
     def arc_count(self) -> int:
-        if self.arc_ids is None:
-            return 1 if not self.corner_indices else len(self.corner_indices)
         return int(np.unique(self.arc_ids).size)
 
 
@@ -345,6 +344,7 @@ def extract_circle_map(samples: np.ndarray) -> PolygonDescription:
         pairs=pairs,
         monotone=_circular_monotone(pairs[:, 0], pairs[:, 1]),
         locking_period=_locking_period(phi),
+        arc_ids=np.zeros(samples.shape[0], dtype=int),
     )
 
 

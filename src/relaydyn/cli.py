@@ -382,7 +382,10 @@ def run(argv=None) -> int:
     created = not Path(args.out).exists()
     out_dir = _prepare_out(args.out)
     try:
-        names = COMMANDS[args.command](config, out_dir, int(args.seed))
+        # an overflow or invalid operation fails the run in one line (exit 3);
+        # underflow of exp is benign and stays quiet
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            names = COMMANDS[args.command](config, out_dir, int(args.seed))
     except BaseException:  # leave no empty directory of this run's making
         if created and not any(out_dir.iterdir()):
             out_dir.rmdir()

@@ -12,13 +12,14 @@ delay) with the current relay output.  Two history representations:
   data, random initial conditions).
 
 Both evaluate at any s in [-horizon, 0] and report a path derivative, which
-is what the event engine needs to assess crossing transversality.
+is what the event engine needs to assess crossing transversality.  A
+breakpoint history and an evolved :class:`Trajectory` are both chains of
+constant-input flows, evaluated by one piece rule (:func:`_piece`, :func:`_rows`).
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,31 @@ __all__ = [
 _EDGE_TOL = 1e-9
 
 
+def _clip(s, lo: float, hi: float, what: str) -> np.ndarray:
+    """Times ``s`` as floats clipped onto [lo, hi]; a NaN, or a time past an
+    end by more than the edge tolerance, raises."""
+    s = np.asarray(s, dtype=float)
+    if s.size and not lo - _EDGE_TOL <= s.min() <= s.max() <= hi + _EDGE_TOL:
+        raise ValueError(f"{what} evaluated at {s.min()} to {s.max()}, outside [{lo}, {hi}]")
+    return np.clip(s, lo, hi)
+
+
+def _piece(starts, s):
+    """Index of the piece holding each time: ``bisect_right`` on the piece
+    starts, less one, so a piece holds its start (right-continuous)."""
+    return np.searchsorted(starts, s, side="right") - 1
+
+
+def _rows(flow, starts, states, labels, s: np.ndarray) -> np.ndarray:
+    """States of a chain of constant-input flows at the times ``s``: piece i
+    starts at ``starts[i]`` in ``states[i]`` under input ``labels[i]``, and
+    each row is the backend's scalar ``apply`` from the start of its piece."""
+    rows = np.empty((s.size, len(states[0])))
+    for n, (si, i) in enumerate(zip(s.tolist(), _piece(starts, s).tolist())):
+        rows[n] = flow.apply(states[i], labels[i], si - starts[i])
+    return rows
+
+
 class _Window:
     """Evaluation window [-horizon, 0] shared by both history kinds."""
 
@@ -43,17 +69,9 @@ class _Window:
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
 
-    def _check(self, s: float) -> float:
-        if not -self.horizon - _EDGE_TOL <= s <= _EDGE_TOL:  # NaN fails too
-            raise ValueError(f"history evaluated at {s} outside [{-self.horizon}, 0]")
-        return min(max(s, -self.horizon), 0.0)
-
-    def _check_all(self, s: np.ndarray) -> np.ndarray:
-        """:meth:`_check` on an array of times; a NaN makes min and max NaN."""
-        if s.size:
-            self._check(float(s.min()))
-            self._check(float(s.max()))
-        return np.clip(s, -self.horizon, 0.0)
+    def _check(self, s) -> np.ndarray:
+        """Times clipped onto the window; see :func:`_clip`."""
+        return _clip(s, -self.horizon, 0.0, "history")
 
     def head(self) -> np.ndarray:
         return self(0.0)
@@ -99,25 +117,19 @@ class BreakpointHistory(_Window):
     def dim(self) -> int:
         return self._starts[0].shape[0]
 
-    def _segment(self, s):
-        """Piece index of each time: ``bisect_right`` on the switch times."""
-        return np.searchsorted(self.times, s, side="right")
-
     def __call__(self, s):
         """State at s; an array of times gives one row per (flattened) time."""
-        ss = self._check_all(np.asarray(s, dtype=float).ravel())
-        rows = np.empty((ss.size, self.dim))
-        for n, (si, i) in enumerate(zip(ss.tolist(), self._segment(ss).tolist())):
-            rows[n] = self.flow.apply(self._starts[i], self.labels[i], si - self._start_times[i])
+        ss = self._check(s).ravel()
+        rows = _rows(self.flow, self._start_times, self._starts, self.labels, ss)
         return rows if np.ndim(s) > 0 else rows[0]
 
     def derivative(self, s: float) -> np.ndarray:
         """Path velocity; uses the label right-continuous at s."""
-        s = self._check(float(s))
+        s = self._check(s)
         return self.flow.velocity(self(s), self.label_at(s))
 
     def label_at(self, s: float) -> int:
-        return self.labels[self._segment(self._check(float(s)))]
+        return self.labels[_piece(self._start_times, self._check(s))]
 
     def pieces(self, lo: float) -> list[tuple[float, float]]:
         """Smooth subintervals covering [lo, 0]."""
@@ -177,15 +189,14 @@ class SampledHistory(_Window):
         self.values = values
         self.grid = np.linspace(-self.horizon, 0.0, values.shape[0])
         self._coef = _not_a_knot(values, self.horizon / (values.shape[0] - 1))
-        self._nodes = self.grid.tolist()  # plain floats keep scalar lookups cheap
 
-    def _piece(self, s: float):
-        """Coefficients of the interval holding s, and the offset into it.
+    def _at(self, s):
+        """Coefficients of the interval holding each time, and the offset into it.
 
         Interval i is [grid[i], grid[i+1]), the last one closed, as in scipy.
         """
-        i = bisect.bisect_right(self._nodes, s, 1, len(self._nodes) - 1) - 1
-        return self._coef[:, i], s - self._nodes[i]
+        i = _piece(self.grid[:-1], s)
+        return self._coef[:, i], s - self.grid[i]
 
     @classmethod
     def constant(cls, y0, horizon: float, n: int = 9) -> "SampledHistory":
@@ -203,16 +214,13 @@ class SampledHistory(_Window):
         return self.values.shape[1]
 
     def __call__(self, s):
-        if np.ndim(s) > 0:
-            s = self._check_all(np.asarray(s, dtype=float))
-            i = np.searchsorted(self.grid[1:-1], s, side="right")
-            (y, c1, c2, c3), dx = self._coef[:, i], (s - self.grid[i])[..., None]
-        else:
-            (y, c1, c2, c3), dx = self._piece(self._check(float(s)))
+        """State at s; an array of times gives an array of rows in its shape."""
+        (y, c1, c2, c3), dx = self._at(self._check(s))
+        dx = dx[..., None]
         return y + dx * (c1 + dx * (c2 + dx * c3))
 
     def derivative(self, s: float) -> np.ndarray:
-        (_, c1, c2, c3), dx = self._piece(self._check(float(s)))
+        (_, c1, c2, c3), dx = self._at(self._check(s))
         return c1 + dx * (2.0 * c2 + dx * (3.0 * c3))
 
     def pieces(self, lo: float) -> list[tuple[float, float]]:
@@ -265,7 +273,9 @@ class Trajectory:
 
     Supports evaluation on [-horizon, T]: non-positive times delegate to the
     initial history, positive times are reconstructed from the recorded
-    constant-input segments (exactly, for a closed-form backend).
+    constant-input segments (exactly, for a closed-form backend).  The relay
+    output is read off one label timeline: the initial history's pieces, when
+    it records them, then the segments.
     """
 
     def __init__(self, flow, initial_history, segments: list[Segment],
@@ -277,42 +287,42 @@ class Trajectory:
         self.crossings = crossings
         self.switches = switches
         self.T = float(T)
-        self._seg_times = [s.t0 for s in segments]
+        self._start_times = [s.t0 for s in segments]
+        self._starts = [s.y0 for s in segments]
+        self._labels = [s.u for s in segments]
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
-        """State at time t; an array of times gives one row per (flattened) time.
-
-        Segments are found by the ``bisect_right`` rule on their start times,
-        and every row comes from the backend's scalar ``apply``.
-        """
-        rows = self._rows(np.asarray(t, dtype=float).ravel())
-        return rows if np.ndim(t) > 0 else rows[0]
-
-    def _rows(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, self.initial_history.dim))
+        """State at time t; an array of times gives one row per (flattened) time."""
+        ts = _clip(t, -self.initial_history.horizon, self.T, "trajectory").ravel()
+        rows = np.empty((ts.size, self.initial_history.dim))
         past = ts <= 0.0
         if past.any():
-            out[past] = self.initial_history(ts[past])
-        ahead = ts[~past]
-        if ahead.size:
-            if ahead.max() > self.T + _EDGE_TOL:
-                raise ValueError(f"trajectory evaluated at {ahead.max()} beyond T={self.T}")
-            ahead = np.minimum(ahead, self.T)
-            apply, segs = self.flow.apply, self.segments
-            out[~past] = [apply(segs[i].y0, segs[i].u, s - segs[i].t0)
-                          for s, i in zip(ahead.tolist(), self._segment(ahead).tolist())]
-        return out
+            rows[past] = self.initial_history(ts[past])
+        if not past.all():
+            rows[~past] = _rows(self.flow, self._start_times, self._starts,
+                                self._labels, ts[~past])
+        return rows if np.ndim(t) > 0 else rows[0]
 
-    def _segment(self, ts: np.ndarray) -> np.ndarray:
-        """Segment index of each time: ``bisect_right`` on the segment starts, less one."""
-        return np.searchsorted(self._seg_times, ts, side="right") - 1
+    def _timeline(self) -> tuple[list[float], list[int]]:
+        """Piece starts and input labels of the whole path, in time order; a
+        history piece that starts at 0 gives way to the first segment."""
+        hist = self.initial_history
+        if not isinstance(hist, BreakpointHistory):
+            return self._start_times, self._labels
+        n = int(np.searchsorted(hist._start_times, 0.0))
+        return hist._start_times[:n] + self._start_times, hist.labels[:n] + self._labels
 
     def u_at(self, t):
-        """Relay output at time t (right-continuous); an array of times gives a list."""
-        idx = np.maximum(self._segment(np.asarray(t, dtype=float).ravel()), 0)
-        us = [self.segments[k].u for k in idx.tolist()]
+        """Relay output at time t (right-continuous); an array of times gives a list.
+
+        Before 0 it is the initial history's label; a :class:`SampledHistory`
+        records none, so there a negative time raises.
+        """
+        starts, labels = self._timeline()
+        ts = _clip(t, starts[0], self.T, "trajectory").ravel()
+        us = [labels[i] for i in _piece(starts, ts).tolist()]
         return us if np.ndim(t) > 0 else us[0]
 
     def head(self) -> np.ndarray:
@@ -330,36 +340,20 @@ class Trajectory:
     # -- tail extraction -----------------------------------------------------
 
     def tail_history(self, horizon: float):
-        """History segment covering [T - horizon, T], shifted so the head is 0."""
+        """History segment covering [T - horizon, T], shifted so the head is 0.
+
+        Its switches are the label changes after T - horizon on the label
+        timeline.  A sampled past inside the window is resampled instead.
+        """
         lo = self.T - horizon
         if lo < -self.initial_history.horizon - _EDGE_TOL:
             raise ValueError("requested horizon reaches beyond the recorded past")
-        if lo >= 0.0 or isinstance(self.initial_history, BreakpointHistory):
-            times, labels = self._tail_events(lo)
-            return BreakpointHistory(self.flow, horizon, self(lo), times, labels)
-        n = max(129, self.initial_history.values.shape[0])
-        grid = np.linspace(lo, self.T, n)
-        return SampledHistory(horizon, self(grid))
-
-    def _tail_events(self, lo: float) -> tuple[list[float], list[int]]:
-        """Label-change times in (lo, T] shifted by -T, plus per-interval labels."""
-        # (time, label) pairs, label active from that time onward
-        pairs: list[tuple[float, int]] = []
-        if lo < 0.0:
-            hist = self.initial_history
-            pairs.append((lo, hist.label_at(lo)))
-            for t, u in zip([-hist.horizon] + hist.times, hist.labels):
-                if lo < t <= 0.0:
-                    pairs.append((t, u))
-        for seg in self.segments:
-            if seg.t0 >= lo:
-                pairs.append((seg.t0, seg.u))
-        if not pairs or pairs[0][0] > lo:
-            pairs.insert(0, (lo, self.u_at(lo)))
-        cleaned = [pairs[0]]
-        for t, u in pairs[1:]:
-            if u != cleaned[-1][1] and t > lo:
-                cleaned.append((t, u))
-        times = [t - self.T for t, _ in cleaned[1:]]
-        labels = [u for _, u in cleaned]
-        return times, labels
+        if lo < 0.0 and isinstance(self.initial_history, SampledHistory):
+            n = max(129, self.initial_history.values.shape[0])
+            return SampledHistory(horizon, self(np.linspace(lo, self.T, n)))
+        times, labels = [], [self.u_at(lo)]
+        for t, u in zip(*self._timeline()):
+            if t > lo and u != labels[-1]:
+                times.append(t - self.T)
+                labels.append(u)
+        return BreakpointHistory(self.flow, horizon, self(lo), times, labels)

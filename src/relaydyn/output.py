@@ -90,9 +90,8 @@ def write_sweep_csv(path, records) -> Path:
 
 
 def write_polygon_csv(path, description) -> Path:
-    ids = description.arc_ids
-    ids = [0] * len(description.points) if ids is None else ids.tolist()
-    rows = zip(description.angles.tolist(), *description.points.T.tolist(), ids)
+    rows = zip(description.angles.tolist(), *description.points.T.tolist(),
+               description.arc_ids.tolist())
     return write_csv(path, ["phi", "x", "xdot", "arc_id"], rows)
 
 

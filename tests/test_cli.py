@@ -238,6 +238,22 @@ def test_numerical_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zeta", [-5, -50])
+def test_overflow_is_one_numerical_error_line(tmp_path, zeta):
+    # strongly negative damping overflows the flow; a child process keeps
+    # numpy's RuntimeWarnings, which the run must not print, on its stderr
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"zeta": zeta, "horizon": 500}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaydyn", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical error:")
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"horizon": 12.0, "history": "random"}))

@@ -211,9 +211,68 @@ def test_trajectory_rows_equal_one_time_values(flow, kind):
     assert rows.shape == (ts.size, 2)
     assert np.array_equal(rows, expect)
     assert all(np.array_equal(traj(t), row) for t, row in zip(ts.tolist(), expect))
-    us = [seg.u for seg in segs]
+    # before 0 the relay output is the history's label, which a sampled
+    # history does not record
+    if kind == "sampled":
+        with pytest.raises(ValueError):
+            traj.u_at(ts)
+        ts, segs = ts[ts >= 0.0], [seg for t, seg in zip(ts.tolist(), segs) if t >= 0.0]
+    us = [hist.label_at(t) if t < 0.0 else seg.u for t, seg in zip(ts.tolist(), segs)]
     assert traj.u_at(ts) == us
     assert [traj.u_at(t) for t in ts.tolist()] == us
     assert traj(np.array([])).shape == (0, 2)
     with pytest.raises(ValueError):
         traj(np.array([1.0, traj.T + 1e-6]))
+
+
+def test_trajectory_u_at_reads_the_history_label_before_0(flow):
+    from relaydyn.relay import evolve, oscillator_system
+
+    system = oscillator_system(-0.1, -0.5, 4.2, 0.1)
+    hist = BreakpointHistory(flow, 4.2, [0.3, 0.0], times=[-2.0], labels=[-1, 1])
+    _, traj = evolve(system, HybridState(hist, -1), 1.0)
+    assert traj.u_at(-1.0) == hist.label_at(-1.0) == 1
+    assert traj.u_at([-3.0, -2.0, 0.0]) == [-1, 1, traj.segments[0].u]
+    for bad in (-4.2 - 1e-6, traj.T + 1e-6, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            traj.u_at(bad)
+    # a sampled history records no relay output
+    _, traj = evolve(system, HybridState(SampledHistory.constant([0.3, 0.0], 4.2), 1), 1.0)
+    assert traj.u_at(0.0) == traj.segments[0].u
+    with pytest.raises(ValueError, match="outside"):
+        traj.u_at(-1.0)
+
+
+@pytest.mark.parametrize("last", [-1, 1], ids=["agrees", "overridden"])
+def test_tail_history_cuts_the_label_timeline(flow, last):
+    # switches at T - 9.6, T - 8.7 and T - 7.1 (so lo can land on them
+    # exactly) and at 0, where the relay output evolve starts from is -1;
+    # with last = 1 the history's label from 0 on gives way to it
+    from relaydyn.relay import evolve, oscillator_system
+
+    T = 6.0
+    hist = BreakpointHistory(flow, 4.2, [0.3, -0.1], times=[T - 9.6, T - 8.7, T - 7.1, 0.0],
+                             labels=[1, -1, 1, -1, last])
+    _, traj = evolve(oscillator_system(-0.1, -0.5, 4.2, 0.1), HybridState(hist, -1), T)
+    starts = [seg.t0 for seg in traj.segments]
+    assert len(starts) > 2 and traj.segments[0].u == -1
+
+    def label(t):  # read pointwise from the old state
+        return hist.label_at(t) if t < 0.0 else traj.segments[bisect.bisect_right(starts, t) - 1].u
+
+    seg_start = next(t for t in starts if T / 2 <= t < T)
+    horizons = {"below 0": 8.0, "on a history switch": 8.7, "on a segment start": T - seg_start,
+                "on 0": T}
+    assert T - horizons["on a segment start"] == seg_start
+    breaks = hist.times + starts
+    rng = np.random.default_rng(5)
+    for case, horizon in horizons.items():
+        lo = T - horizon
+        tail = traj.tail_history(horizon)
+        assert isinstance(tail, BreakpointHistory) and tail.horizon == horizon, case
+        assert all(a != b for a, b in zip(tail.labels, tail.labels[1:])), case
+        ts = [lo] + [t for t in breaks if lo < t] + rng.uniform(lo, T, 200).tolist()
+        assert [tail.label_at(t - T) for t in ts] == [label(t) for t in ts], case
+        assert set(tail.times) <= {t - T for t in breaks}, case
+        ss = np.array([t - T for t in ts])
+        np.testing.assert_allclose(tail(ss), traj(T + ss), rtol=0, atol=1e-12, err_msg=case)
