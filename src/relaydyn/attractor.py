@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import fused_dot, split_factor
 from .errors import (CentroidOnCurve, DegenerateDerivative, InsufficientSamples,
                      LeftNeighborhood, NoConvergence, NoRootInBracket)
 from .oscillator import surface_corner
@@ -91,15 +90,12 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
     context's :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is
     taken once per run and solves each map's crossing directly.  The
-    threshold h = c . y is read once per iterate; it serves as the kernel's
-    value at t = 0, the next step's branch and the D+/D- flags.  Each dot
-    product that sets a bit of an iterate is a :func:`fused_dot` on floats,
-    equal to ``ndarray.dot`` (the BLAS ddot's fused multiply-add) bit for
-    bit, so the iterates equal map_F's.  The escape test takes
-    ``np.linalg.norm``'s sqrt of a :func:`fused_dot` only within a relative
-    1e-14 of radius**2, or for a radius outside (1e-150, 1e150); elsewhere
-    the plain sum of squares decides alike, since it lies within 3u of the
-    fused one and radius**2 and the sqrt round by u each (u = 2**-53).
+    threshold h = c . y is read once per iterate, by the kernel's ``dot``,
+    which rounds it as map_F's ``c @ y`` (the BLAS ddot's fused multiply-add)
+    bit for bit, so the iterates equal map_F's; it serves as the kernel's
+    value at t = 0, the next step's branch and the D+/D- flags.  An iterate
+    escapes when its squared distance to the corner, a plain float sum of
+    squares, exceeds ``radius * radius``.
 
     Every step is a pure function of (x, x'): h, the branch, the crossing
     solve, the image and the escape test read nothing else.  So once the
@@ -130,16 +126,12 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         raise ValueError(f"y0 must be finite, got {y.tolist()}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    solve, advance = ctx.crossing_kernel.solve, ctx.flow._advance
-    eps, tau = ctx.epsilon, ctx.tau
-    c0, c1 = ctx.c.tolist()
-    c1_split = split_factor(c1)
+    solve, dot, advance = ctx.crossing_kernel.solve, ctx.crossing_kernel.dot, ctx.flow._advance
+    eps, tau, r2 = ctx.epsilon, ctx.tau, radius * radius
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
-    r2_lo, r2_hi = ((radius * radius * (1.0 - 1e-14), radius * radius * (1.0 + 1e-14))
-                    if 1e-150 < radius < 1e150 else (0.0, math.inf))
     orbit = []                      # x, x', h of every iterate, flat
     x, xdot = float(y[0]), float(y[1])
-    h = fused_dot(c0, c1_split, x, xdot)
+    h = dot(x, xdot)
     x_cp, xdot_cp, k_cp, k_next = x, xdot, -1, 0    # checkpoint: y0 is iterate -1
     period = 0
     for k in range(n_total):
@@ -151,11 +143,9 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         x, xdot = advance(x, xdot, 1, tau + t)
         x, xdot = -x, -xdot
         dx, dxdot = x - x_ref, xdot - xdot_ref
-        s = dx * dx + dxdot * dxdot
-        if s > r2_hi or s >= r2_lo and \
-                math.sqrt(fused_dot(dx, split_factor(dxdot), dx, dxdot)) > radius:
+        if dx * dx + dxdot * dxdot > r2:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
-        h = fused_dot(c0, c1_split, x, xdot)
+        h = dot(x, xdot)
         orbit += (x, xdot, h)
         if x == x_cp and xdot == xdot_cp and x and xdot:
             period = k - k_cp
@@ -312,8 +302,6 @@ def _circular_monotone(phi_in: np.ndarray, phi_out: np.ndarray) -> bool:
 def _locking_period(angles_in_orbit_order: np.ndarray) -> int | None:
     phi = angles_in_orbit_order
     for q in range(1, 65):
-        if phi.size <= q:
-            break
         d = np.mod(phi[q:] - phi[:-q] + math.pi, 2.0 * math.pi) - math.pi
         if np.max(np.abs(d)) < 1e-6:
             return q

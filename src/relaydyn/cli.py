@@ -409,9 +409,6 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         code = 3
-    except RelayDynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 3
     except Exception as exc:  # last resort: one line, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 1

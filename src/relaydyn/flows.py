@@ -122,5 +122,5 @@ class AffineOscillatorFlow:
         B = np.array([[0.0, 1.0], [-self._omsq, -2.0 * self.zeta]])
         return float(np.linalg.norm(B, 2))
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"AffineOscillatorFlow(zeta={self.zeta})"

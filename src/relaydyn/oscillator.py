@@ -28,7 +28,7 @@ import numpy as np
 
 from ._roots import brentq
 from .errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
-                     RelayDynError, SingularSurface)
+                     RelayDynError, SingularSurface, ValidationError)
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, oscillator_context
 
@@ -226,11 +226,7 @@ def _positive_epsilon(eps: float, tau: float, alpha: float) -> float:
 
 def collision_orbit(zeta: float, tau: float, alpha: float) -> CollisionOrbit:
     """Collision orbit data at a surface point, with transversality scalars."""
-    return _orbit(zeta, tau, _corner(zeta, tau), alpha)
-
-
-def _orbit(zeta: float, tau: float, rows: np.ndarray, alpha: float) -> CollisionOrbit:
-    alpha = float(alpha)
+    rows, alpha = _corner(zeta, tau), float(alpha)
     eps, _, g = _orbit_scalars(rows[None], np.array([alpha]))
     eps = _positive_epsilon(float(eps[0]), tau, alpha)
     g_plus, g_minus = float(g[0, 0]), float(g[0, 1])
@@ -351,28 +347,16 @@ def _surface_batch(rows: np.ndarray, alphas: np.ndarray):
     return eps, q, tests, valid
 
 
-def _branch_jacobians(rows: np.ndarray, orbit: CollisionOrbit) -> tuple[np.ndarray, np.ndarray]:
-    """Both branch Jacobians at one corner (see :func:`_jacobians`)."""
-    alpha = orbit.params.alpha
-    g = np.array([[orbit.g_plus, orbit.g_minus]])
-    if (np.abs(g) < _G_MIN).any():
-        raise DegenerateDerivative(f"threshold met tangentially at tau={orbit.params.tau:.6g}, "
-                                   f"alpha={alpha:.6g}")
-    j_plus, j_minus = _jacobians(rows[None], _normals(np.array([alpha])), g)
-    return j_plus[0], j_minus[0]
-
-
-def _test_values(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, float]:
-    """:func:`_tests` at one Jacobian pair, as floats."""
-    return {k: float(v[0]) for k, v in _tests(j_plus[None], j_minus[None]).items()}
-
-
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
     """Classify the corner: branch spectra plus bifurcation residuals."""
     p = orbit.params
-    j_plus, j_minus = _branch_jacobians(_corner(p.zeta, p.tau), orbit)
-    ev = np.linalg.eigvals(j_minus)
-    vals = _test_values(j_plus, j_minus)
+    g = np.array([[orbit.g_plus, orbit.g_minus]])
+    if (np.abs(g) < _G_MIN).any():
+        raise DegenerateDerivative(f"threshold met tangentially at tau={p.tau:.6g}, "
+                                   f"alpha={p.alpha:.6g}")
+    j_plus, j_minus = _jacobians(_corner(p.zeta, p.tau)[None], _normals(np.array([p.alpha])), g)
+    ev = np.linalg.eigvals(j_minus[0])
+    vals = {k: float(v[0]) for k, v in _tests(j_plus, j_minus).items()}
     lam = vals.pop("trace_plus")
     tr = vals.pop("trace_minus")
     if abs(tr) >= 2.0:
@@ -449,63 +433,68 @@ def _slice_alpha_near(y: np.ndarray, tau: float, epsilon: float, hint: float | N
     return min(roots, key=lambda a: abs(a - hint))
 
 
-def collision_curve(zeta: float, epsilon: float, taus) -> list[tuple[float, float, float]]:
-    """Points (tau, alpha, epsilon) of the fixed-eps slice of the surface.
+def _slice_walk(zeta: float, epsilon: float, taus):
+    """(tau, corner rows, alpha) along the eps slice, from one stacked corner solve.
 
-    Follows the first root of the first delay, then the root nearest the last;
-    delays without a corner or a root are skipped.
+    alpha is the first root of the first delay, then the root nearest the last,
+    or None where a delay has no corner (NaN rows have no root), no root, or
+    a root solve that raised.
     """
-    curve, hint = [], None
+    hint = None
     for tau, rows in zip(np.asarray(taus, dtype=float).tolist(), _corner_rows(zeta, taus)):
-        if np.isnan(rows[0, 0]):  # no corner at this delay
-            continue
         try:
             hint = _slice_alpha_near(rows[0], tau, epsilon, hint)
         except RelayDynError:
+            yield tau, rows, None
             continue
-        curve.append((tau, hint, epsilon))
-    return curve
+        yield tau, rows, hint
+
+
+def collision_curve(zeta: float, epsilon: float, taus) -> list[tuple[float, float, float]]:
+    """Points (tau, alpha, epsilon) of the fixed-eps slice of the surface:
+    the delays of ``taus`` where :func:`_slice_walk` finds a root."""
+    return [(tau, alpha, epsilon) for tau, _, alpha in _slice_walk(zeta, epsilon, taus)
+            if alpha is not None]
 
 
 def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
     """Locate the Neimark-Sacker point on a fixed-eps slice of the surface.
 
-    Walks 60 delays over [pi + 0.2, 5.8] along the slice (following the
-    alpha root continuously from the first root of the first slice),
-    finds a sign change of det(DF_minus) - 1 and bisects it down to a tau
-    interval of 1e-12.  Scan points off the surface or at a tangential
-    corner are skipped.  Returns (tau, alpha).
+    Walks 60 delays over [pi + 0.2, 5.8] as :func:`collision_curve` does, reads
+    det(DF_minus) - 1 from :func:`_surface_batch`, skipping points it masks, and
+    bisects the first sign change down to a tau interval of 1e-12; a bisection
+    point the kernel masks raises :class:`ValidationError`.  Returns (tau, alpha).
     """
 
-    def ns_value(tau: float, hint: float | None) -> tuple[float, float]:
+    def ns_value(rows: np.ndarray, alpha: float) -> float:
+        return float(_surface_batch(rows[None], np.array([alpha]))[2]["ns_minus"][0])
+
+    def ns_at(tau: float, hint: float) -> tuple[float, float]:
         rows = _corner(zeta, tau)
         alpha = _slice_alpha_near(rows[0], tau, epsilon, hint)
-        orbit = _orbit(zeta, tau, rows, alpha)
-        return _test_values(*_branch_jacobians(rows, orbit))["ns_minus"], alpha
+        val = ns_value(rows, alpha)
+        if math.isnan(val):
+            raise ValidationError(f"no transversal corner on the slice at tau={tau:.6g}")
+        return val, alpha
 
-    taus = np.linspace(math.pi + 0.2, 5.8, 60)
-    hint = prev = None
-    for tau in taus:
-        try:
-            val, hint = ns_value(float(tau), hint)
-        except (NegativeEpsilon, SingularSurface, NonTransversalCorner,
-                DegenerateDerivative, ValueError):
+    prev = None
+    for tau, rows, hint in _slice_walk(zeta, epsilon, np.linspace(math.pi + 0.2, 5.8, 60)):
+        val = math.nan if hint is None else ns_value(rows, hint)
+        if math.isnan(val):
             prev = None
             continue
         if prev is not None and prev[1] * val < 0:
-            lo, hi = prev[0], float(tau)
-            flo = prev[1]
+            (lo, flo), hi = prev, tau
             while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
-                fmid, hint = ns_value(mid, hint)
+                fmid, hint = ns_at(mid, hint)
                 if flo * fmid <= 0:
                     hi = mid
                 else:
                     lo, flo = mid, fmid
             tau_ns = 0.5 * (lo + hi)
-            _, alpha_ns = ns_value(tau_ns, hint)
-            return tau_ns, alpha_ns
-        prev = (float(tau), val)
+            return tau_ns, ns_at(tau_ns, hint)[1]
+        prev = (tau, val)
     raise NegativeEpsilon("no Neimark-Sacker point on this slice of the surface")
 
 

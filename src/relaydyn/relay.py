@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import brentq
-from .errors import DegenerateCrossing, WindowTooLarge
+from .errors import DegenerateCrossing, NumericalError, WindowTooLarge
 from .flows import AffineOscillatorFlow
 from .history import (BreakpointHistory, CrossingRecord, HybridState,
                       Segment, SwitchRecord, Trajectory)
@@ -224,8 +224,10 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     regardless of ``state.u``.  T and ``scan_dt`` must be positive and finite.
 
     Raises :class:`DegenerateCrossing` when the switching signal meets a
-    threshold line with slope smaller than 1e-8 in magnitude.  Histories
-    shorter than the delay are rejected.
+    threshold line with slope smaller than 1e-8 in magnitude, and
+    :class:`NumericalError`, naming the last time reached and the flow, where
+    a state is not finite or advancing raises ``FloatingPointError`` or
+    ``OverflowError``.  Histories shorter than the delay are rejected.
     """
 
     if not 0.0 < T < math.inf:
@@ -263,25 +265,27 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     segments = [Segment(0.0, y, u)]
     switches: list[SwitchRecord] = []
 
-    while t < T - 1e-13:
-        t_stop = min(T, pending[0].switch_time) if pending else T
-        s_hit = _next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
-        if s_hit is not None:
-            z = flow.apply(y, u, s_hit - t)
-            c = _crossing(system, s_hit, float(system.dh(z) @ flow.velocity(z, u)), rho)
-            crossings.append(c)
-            pending.append(c)
-            rho = -rho
-            y = z
-            t = s_hit
-            continue
-        y = flow.apply(y, u, t_stop - t)
-        t = t_stop
-        if pending and pending[0].switch_time <= t + 1e-13:
-            c = pending.popleft()
-            u = -u
-            switches.append(SwitchRecord(time=c.switch_time, new_u=u, crossing_time=c.time))
-            segments.append(Segment(c.switch_time, y, u))
+    try:
+        while t < T - 1e-13:
+            t_stop = min(T, pending[0].switch_time) if pending else T
+            s_hit = _next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
+            t_next = t_stop if s_hit is None else s_hit
+            z = flow.apply(y, u, t_next - t)
+            if not all(map(math.isfinite, z.tolist())):
+                raise FloatingPointError("the state is not finite")
+            y, t = z, t_next
+            if s_hit is not None:
+                c = _crossing(system, s_hit, float(system.dh(y) @ flow.velocity(y, u)), rho)
+                crossings.append(c)
+                pending.append(c)
+                rho = -rho
+            elif pending and pending[0].switch_time <= t + 1e-13:
+                c = pending.popleft()
+                u = -u
+                switches.append(SwitchRecord(time=c.switch_time, new_u=u, crossing_time=c.time))
+                segments.append(Segment(c.switch_time, y, u))
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError(f"state overflowed after t={t:.6g} under {flow!r}") from exc
 
     traj = Trajectory(flow, hist, segments, crossings, switches, T)
     new_state = HybridState(history=traj.tail_history(hist.horizon), u=u)

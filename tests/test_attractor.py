@@ -304,9 +304,10 @@ def cycle_context(states, eps):
         return -nx, -nxdot
 
     return SimpleNamespace(
-        crossing_kernel=SimpleNamespace(solve=lambda x, xdot, g0, u: 0.0),
+        crossing_kernel=SimpleNamespace(solve=lambda x, xdot, g0, u: 0.0,
+                                        dot=lambda x, xdot: x),
         flow=SimpleNamespace(_advance=advance), epsilon=eps, tau=1.0,
-        c=np.array([1.0, 0.0]), y_ref=np.array([0.0, 0.1]))
+        y_ref=np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("c_x, period", [(0.03, 4), (-0.0, 0)])
@@ -410,7 +411,9 @@ def test_sweep_marks_retried_warm_starts(iterate_calls):
 
 def map_F_iterates(ctx, y0, n_transient=40, n_total=400, radius=attractor.DEFAULT_RADIUS):
     """iterate_attractor written on map_F and array arithmetic: the oracle
-    of its float loop, raising the same LeftNeighborhood at the same k."""
+    of its float loop, raising the same LeftNeighborhood at the same k.
+    An iterate escapes where its squared distance to the corner exceeds
+    radius**2."""
     y = np.asarray(y0, dtype=float)
     kept, plus, minus = [], False, False
     for k in range(n_total):
@@ -419,7 +422,8 @@ def map_F_iterates(ctx, y0, n_transient=40, n_total=400, radius=attractor.DEFAUL
         except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
-        if np.linalg.norm(y - ctx.y_ref) > radius:
+        d = y - ctx.y_ref
+        if d[0] * d[0] + d[1] * d[1] > radius * radius:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
         if k >= n_transient:
             kept.append(y)
@@ -491,24 +495,24 @@ def test_iterate_attractor_escapes_where_the_map_F_loop_does(radius, k, cause):
 
 
 def test_iterate_attractor_escapes_at_the_radius_edge(fig_ctx):
-    # a radius equal to the first image's distance keeps it and the next
-    # float below loses it, as in the map_F loop, including where the plain
-    # sum of squares alone would decide otherwise
+    # the least radius whose square reaches the first image's squared
+    # distance keeps it and the next float below loses it, as in the map_F loop
     rng = np.random.default_rng(47)
-    misjudged = 0
     for y0 in fig_ctx.y_ref + rng.normal(scale=1e-2, size=(40, 2)):
         d = map_F(fig_ctx, y0) - fig_ctx.y_ref
-        radius = float(np.linalg.norm(d))
+        s = float(d[0] * d[0] + d[1] * d[1])
+        radius = math.sqrt(s)
+        while radius * radius < s:
+            radius = math.nextafter(radius, math.inf)
+        while math.nextafter(radius, 0.0) ** 2 >= s:
+            radius = math.nextafter(radius, 0.0)
         assert_equals_map_F_loop(fig_ctx, y0, 0, 1, radius)
-        below = float(np.nextafter(radius, 0.0))
+        below = math.nextafter(radius, 0.0)
         with pytest.raises(LeftNeighborhood) as want:
             map_F_iterates(fig_ctx, y0, 0, 1, below)
         with pytest.raises(LeftNeighborhood) as got:
             iterate_attractor(fig_ctx, y0, 0, 1, below)
         assert str(got.value) == str(want.value) == "iterate 0 left the working neighborhood"
-        s = float(d[0] * d[0] + d[1] * d[1])
-        misjudged += (s > radius * radius) + (s <= below * below)
-    assert misjudged > 0
 
 
 def test_iterate_attractor_takes_few_exact_sums(monkeypatch):
@@ -531,23 +535,18 @@ def test_iterate_attractor_takes_few_exact_sums(monkeypatch):
 
 
 def test_float_loop_rests_on_equal_dot_products():
-    # the loop reads h, and the distance to the corner near the radius, with
-    # fused_dot on floats, where map_F reads c @ y and np.linalg.norm; both
-    # must round alike on every default sweep iterate
+    # the loop reads h with the crossing kernel's fused_dot on floats, where
+    # map_F reads c @ y; both must round alike on every default sweep iterate
     config = DEFAULTS["sweep"]
     alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
     records = sweep(config["zeta"], config["tau"], config["epsilon"], alphas,
                     keep=config["n_total"])
-    y_ref = collision_point(config["zeta"], config["tau"])
     checked = 0
     for r in records:
         c = np.array([math.cos(r.alpha), math.sin(r.alpha)])
         c_split = split_factor(float(c[1]))
         for y in r.sample:
             assert float(c @ y) == fused_dot(float(c[0]), c_split, *y.tolist())
-            d = y - y_ref
-            d0, d1 = d.tolist()
-            assert math.sqrt(fused_dot(d0, split_factor(d1), d0, d1)) == np.linalg.norm(d)
             checked += 1
     assert checked == 121 * 360
 

@@ -2,10 +2,12 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -254,6 +256,99 @@ def test_overflow_is_one_numerical_error_line(tmp_path, zeta):
     assert len(lines) == 1 and lines[0].startswith("numerical error:")
 
 
+def test_overflow_names_the_time_and_the_flow(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"zeta": -5, "horizon": 500}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical error: state overflowed after t=[0-9.]+ "
+                        r"under AffineOscillatorFlow\(zeta=-5\.0\)\n", err), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--config", "{dir}/missing.json", "--out", "{dir}/o"],
+     "cannot read config file"),
+    (["simulate", "--config", "{dir}/array.json", "--out", "{dir}/o"],
+     "config must be a JSON object"),
+    (["simulate", "--out", "{dir}/file/o"], "output directory not writable"),
+    (["print-config", "banana"], "unknown command 'banana'"),
+])
+def test_unusable_config_or_out_is_one_exit_2_line(tmp_path, capsys, args, message):
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "file").write_text("")
+    assert run_cli([a.format(dir=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_family_stops_at_tau_stop(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tau_stop": 4.136, "n_modes": 16}))
+    assert run_cli(["family", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["termination"] == "tau-stop"
+    taus = [json.loads(line)["parameters"]["tau"]
+            for line in (tmp_path / "o" / "family.jsonl").read_text().splitlines()]
+    assert len(taus) == summary["n_points"] > 2
+    assert taus[-2] < 4.136 <= taus[-1] == summary["tau_last"]
+
+
+# sha256 of every file the commands write at their defaults.  family is left
+# out: its bits follow the OpenBLAS thread count.  A change that moves an
+# output on purpose updates these pins and says so in CHANGES.md.
+DEFAULT_OUTPUT_SHA256 = {
+    "bifmap/manifest.json":
+        "66819f22820e6051d4653bf9a40a06b617e71840e12b7a06aea900548ec62a73",
+    "bifmap/points.csv":
+        "c01b2bf131a6f9732990af449ff8b4ea9f52c29a611cb1e26c0626b190ccdeb3",
+    "bifmap/polylines.json":
+        "6d5002c5d203dd2fecf2bd6158ae46b80dc7d3a655dc1833801ddb970e6f72cc",
+    "polygon/circle_map.csv":
+        "25a084bd17fa110a67fe75f0aaa05b6ca1a622b26b8e513d063269e68c9c973f",
+    "polygon/manifest.json":
+        "6a6b06162f05a31a7452c80311ccae87172838122fcc8c79935a18949be78ab8",
+    "polygon/polygon.csv":
+        "c08c81115c4e7f88d9d1ef1785c408403eba48ce92dcbd2a1558d381aea026ee",
+    "polygon/summary.json":
+        "4468132679a0877d50d6f8cf00e5a3f4e9e2272ff4834d296cb263fec303ef9e",
+    "simulate/events.json":
+        "253fc19d38c13bb84bd2bf4ae7ff2a54c6a84c59702b95f763e69d147c899c84",
+    "simulate/manifest.json":
+        "aaf1d471f4ef5d8d4df3062009e16bd7ab8dd8ec04ae0c344d67f47b8836258c",
+    "simulate/trajectory.csv":
+        "7fac0323161bbdb0e7fbe6601bba9872810cbbbe46b88b9db1c54099f5de50f9",
+    "surface/manifest.json":
+        "3896a874362e0b7f2091cb0359d85c1feceb2b68129e312f34e120d8f9e5284d",
+    "surface/surface.csv":
+        "b7b24c20f573fd322b34967c93b03873cec3eef1e0ef9bd7de701d59bbf0a454",
+    "sweep/manifest.json":
+        "55aff8aceaba79d97dce35c3a62cc1e72d4f243538ecd15ea3700b540977ff62",
+    "sweep/marks.json":
+        "63e102bf7e45b8e04d54a87c3da932d19bb8d536fb8578b150a3b1ccc0174f0b",
+    "sweep/sweep.csv":
+        "0e78d773a30fa1c67425815ac8e4aa1ad22e743f50734074164f20e172fb328d",
+    "unfold/collision_curve.csv":
+        "78ad15a9a431644b0b8593d5d043231b5497b1c19ed251b29151cf91ca2dae74",
+    "unfold/manifest.json":
+        "d0085e3ed0facb6286e8af8b46f415fc17eeacfb45769ff4b70ee0136987c3f8",
+    "unfold/ns_curve.csv":
+        "cddc25bf57910f96af778849bae503b44379bc82f531c47fa399c0a60bd69536",
+    "unfold/nsc.json":
+        "d5cb1837da015a95837178263a781dce8847fa353036a57b7797aba2edaf72dd",
+}
+
+
+def test_default_outputs_keep_their_pinned_bytes(tmp_path, capsys):
+    commands = sorted({name.split("/")[0] for name in DEFAULT_OUTPUT_SHA256})
+    for command in commands:
+        assert run_cli([command, "--out", str(tmp_path / command)]) == 0
+    got = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert got == DEFAULT_OUTPUT_SHA256
+
+
 def test_simulate_outputs_are_byte_identical(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"horizon": 12.0, "history": "random"}))
@@ -464,8 +559,8 @@ def test_unfold_span_must_hold_the_ns_point(tmp_path, capsys, tau_max, code):
 
 
 def test_unfold_collision_curve_skips_delays_without_a_corner(tmp_path, monkeypatch):
-    # one stacked corner solve for the collision curve; a NaN row is skipped
-    # as a raised error at that delay used to be
+    # one stacked corner solve for find_nsc's scan and one for the collision
+    # curve; a NaN row is skipped as a raised error at that delay used to be
     real = oscillator._corner_rows
     calls = []
 
@@ -480,7 +575,7 @@ def test_unfold_collision_curve_skips_delays_without_a_corner(tmp_path, monkeypa
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n_collision": 9}))
     assert run_cli(["unfold", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert [n for n in calls if n > 1] == [9]
+    assert [n for n in calls if n > 1] == [60, 9]
     lines = (tmp_path / "o" / "collision_curve.csv").read_text().splitlines()
     taus = np.linspace(math.pi + 0.05, 5.0, 9)
     assert [float(line.split(",")[0]) for line in lines[1:]] == \

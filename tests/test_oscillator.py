@@ -132,16 +132,14 @@ def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
     # each slice crosses a non-transversal corner (q < 0) inside the scan;
     # skipped, it shows the slice has no NS sign change at all
     from relaydyn import oscillator as osc
-    real, tangential = osc._orbit, []
+    real, tangential = osc._surface_batch, []
 
-    def recorded(zeta, tau, rows, alpha):
-        try:
-            return real(zeta, tau, rows, alpha)
-        except NonTransversalCorner:
-            tangential.append(tau)
-            raise
+    def recorded(rows, alphas):
+        eps, q, tests, valid = real(rows, alphas)
+        tangential.extend(q[(eps > 0) & (q <= 0)].tolist())
+        return eps, q, tests, valid
 
-    monkeypatch.setattr(osc, "_orbit", recorded)
+    monkeypatch.setattr(osc, "_surface_batch", recorded)
     with pytest.raises(NegativeEpsilon, match="no Neimark-Sacker point on this slice"):
         find_nsc(zeta, epsilon)
     assert tangential
@@ -150,15 +148,19 @@ def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
 def test_find_nsc_skips_degenerate_scan_points(monkeypatch):
     # a tangential crossing at the first scan point leaves the NS point as is
     from relaydyn import oscillator as osc
-    real, first = osc._branch_jacobians, math.pi + 0.2
+    real, calls = osc._surface_batch, []
 
-    def degenerate_at_first(rows, orbit):
-        if orbit.params.tau == first:
-            raise DegenerateDerivative("tangential crossing")
-        return real(rows, orbit)
+    def degenerate_at_first(rows, alphas):
+        eps, q, tests, valid = real(rows, alphas)
+        if not calls:  # masked as at |g_b| < 1e-8
+            tests = {k: np.full_like(v, np.nan) for k, v in tests.items()}
+            valid = np.zeros_like(valid)
+        calls.append(alphas)
+        return eps, q, tests, valid
 
-    monkeypatch.setattr(osc, "_branch_jacobians", degenerate_at_first)
+    monkeypatch.setattr(osc, "_surface_batch", degenerate_at_first)
     assert find_nsc(ZETA, EPS) == NSC
+    assert len(calls) > 1
 
 
 def test_stability_at_nsc():
@@ -181,6 +183,44 @@ def test_stability_spectra_match_numpy_eigendecomposition():
     got = sorted(stab.eigs_minus, key=lambda z: z.imag)
     ref = sorted(np.linalg.eigvals(jm), key=lambda z: z.imag)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_stability_drops_ns_minus_where_the_pair_is_real():
+    # at tau = 5.1 the minus branch has trace -2.26, where det(DF_minus) = 1
+    # would mean a real pair, not a Neimark-Sacker point
+    stab = stability_at_collision(collision_orbit(ZETA, 5.1, -0.4))
+    assert set(stab.residuals) == {"fold_plus", "flip_plus", "fold_minus", "flip_minus"}
+    assert sum(stab.eigs_minus).real == pytest.approx(-2.2588860136508955, rel=1e-12)
+    assert "ns_minus" in stability_at_collision(collision_orbit(ZETA, 4.2, SPC_42)).residuals
+
+
+@pytest.mark.parametrize("target, name", [
+    (math.pi, "1:2"), (2 * math.pi / 3, "1:3"), (math.pi / 2, "1:4")])
+def test_curve_point_tags_strong_resonances(target, name):
+    from relaydyn.oscillator import _curve_point
+
+    def tags(angle):
+        tv = {"trace_minus": 2 * math.cos(angle), "fold_minus": 1.0, "flip_minus": 1.0}
+        cp = _curve_point("ns_minus", (4.0, -0.4), 1e-9, 0.1, tv, 1e-8)
+        return None if cp is None else cp.tags
+
+    # at 1:2 itself the trace is -2 and the pair is real
+    assert tags(target) == (None if name == "1:2" else (name,))
+    for off in (-9e-4, 9e-4):
+        assert tags(target + off) == (name,)
+    for off in (-1.1e-3, 1.1e-3):
+        assert tags(target + off) == ()
+
+
+@pytest.mark.parametrize("label", ["fold_minus", "flip_minus", "fold_plus"])
+def test_curve_point_tags_pd_sn_where_fold_and_flip_both_vanish(label):
+    from relaydyn.oscillator import _curve_point
+    for fold, flip, tagged in [(9e-5, -9e-5, True), (1.1e-4, 9e-5, False),
+                               (-9e-5, -1.1e-4, False)]:
+        tv = {"trace_minus": 0.5, "fold_minus": fold, "flip_minus": flip}
+        cp = _curve_point(label, (4.0, -0.4), 1e-9, 0.1, tv, 1e-8)
+        assert cp.tags == (("pd-sn",) if tagged and label != "fold_plus" else ())
+        assert (cp.label, cp.tau, cp.alpha, cp.epsilon) == (label, 4.0, -0.4, 0.1)
 
 
 def test_bifurcation_map_small_grid():
@@ -242,7 +282,8 @@ def reference_bifurcation_map(zeta, tau_range, alpha_range, n_tau, n_alpha,
 
     def tests_at(tau, alpha):
         orbit = osc.collision_orbit(zeta, tau, alpha)
-        return orbit, osc._test_values(*generic_branch_jacobians(orbit))
+        j_plus, j_minus = generic_branch_jacobians(orbit)
+        return orbit, {k: float(v[0]) for k, v in osc._tests(j_plus[None], j_minus[None]).items()}
 
     taus = np.linspace(tau_range[0], tau_range[1], n_tau)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
@@ -440,14 +481,23 @@ def closed_and_generic(points):
     for large |y*|.
     """
     from relaydyn import oscillator as osc
+
+    def closed_form(orbit):
+        g = np.array([[orbit.g_plus, orbit.g_minus]])
+        if (np.abs(g) < osc._G_MIN).any():
+            raise DegenerateDerivative("threshold met tangentially")
+        p = orbit.params
+        j_plus, j_minus = osc._jacobians(osc._corner(p.zeta, p.tau)[None],
+                                         osc._normals(np.array([p.alpha])), g)
+        return j_plus[0], j_minus[0]
+
     for zeta, tau, alpha in points:
         try:
-            corner = osc._corner(zeta, tau)
-            orbit = osc._orbit(zeta, tau, corner, alpha)
+            orbit = osc.collision_orbit(zeta, tau, alpha)
         except (RelayDynError, ValueError):
             continue
         sides = []
-        for jacobians in (lambda: osc._branch_jacobians(corner, orbit),
+        for jacobians in (lambda: closed_form(orbit),
                           lambda: generic_branch_jacobians(orbit)):
             try:
                 sides.append(jacobians())
@@ -490,16 +540,25 @@ def test_closed_form_jacobians_on_the_default_bifmap_grid():
 
 
 def test_closed_form_jacobians_on_find_nsc_slices(monkeypatch):
-    # every point find_nsc evaluates, its bisection included, on the default
-    # slice and on three slices that cross a tangential corner
+    # every point find_nsc hands the surface kernel, its bisection included,
+    # on the default slice and on three slices that cross a tangential
+    # corner; each corner row is traced back to the delay it was solved at
     from relaydyn import oscillator as osc
-    real, points = osc._orbit, []
+    real_rows, real_batch = osc._corner_rows, osc._surface_batch
+    delay_of, points = {}, []
 
-    def recorded(zeta, tau, rows, alpha):
-        points.append((zeta, tau, alpha))
-        return real(zeta, tau, rows, alpha)
+    def rows_recorded(zeta, taus):
+        rows = real_rows(zeta, taus)
+        delay_of.update((r.tobytes(), (zeta, t))
+                        for r, t in zip(rows, np.asarray(taus, dtype=float).tolist()))
+        return rows
 
-    monkeypatch.setattr(osc, "_orbit", recorded)
+    def batch_recorded(rows, alphas):
+        points.extend((*delay_of[r.tobytes()], a) for r, a in zip(rows, alphas.tolist()))
+        return real_batch(rows, alphas)
+
+    monkeypatch.setattr(osc, "_corner_rows", rows_recorded)
+    monkeypatch.setattr(osc, "_surface_batch", batch_recorded)
     assert find_nsc(ZETA, EPS) == NSC
     for zeta, epsilon in [(-0.2, 0.1), (-0.3, 0.1), (-0.1, 0.5)]:
         with pytest.raises(NegativeEpsilon):

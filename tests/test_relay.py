@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from relaydyn import relay
-from relaydyn.errors import DegenerateCrossing, NoRootInBracket, WindowTooLarge
+from relaydyn.errors import (DegenerateCrossing, NoRootInBracket, NumericalError,
+                             WindowTooLarge)
 from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import BreakpointHistory, HybridState, SampledHistory
 from relaydyn.oscillator import (OscillatorParams, collision_orbit, collision_context,
@@ -579,3 +580,27 @@ def test_sizes_refuse_nan_and_non_positive_values(bad):
     for call, message in refusals:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_evolve_names_an_overflow_under_raising_errstate():
+    system = oscillator_system(-5.0, -0.5, TAU, EPS)
+    state = HybridState(SampledHistory.constant(np.array([0.5, 0.0]), TAU), 1)
+    with np.errstate(all="raise"), pytest.raises(NumericalError) as info:
+        evolve(system, state, 500.0)
+    assert str(info.value) == \
+        "state overflowed after t=139.18 under AffineOscillatorFlow(zeta=-5.0)"
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_evolve_refuses_a_state_that_is_not_finite():
+    # no crossing within 0.5 of the start, so the first step is the only one
+    class Overflowing(AffineOscillatorFlow):
+        def apply(self, y, u, t):
+            return np.full(2, math.inf)
+
+    system = dataclasses.replace(oscillator_system(ZETA, -0.5, TAU, EPS),
+                                 flow=Overflowing(ZETA))
+    state = HybridState(SampledHistory.constant(np.array([0.5, 0.0]), TAU), 1)
+    with pytest.raises(NumericalError, match=r"^state overflowed after t=0 under "
+                                             r"AffineOscillatorFlow\(zeta=-0\.1\)$"):
+        evolve(system, state, 0.5)
