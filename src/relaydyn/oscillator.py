@@ -28,7 +28,7 @@ import numpy as np
 
 from ._roots import brentq
 from .errors import (DegenerateDerivative, NegativeEpsilon, NonTransversalCorner,
-                     RelayDynError, SingularSurface, ValidationError)
+                     RelayDynError, SingularSurface)
 from .flows import AffineOscillatorFlow
 from .reduced import CollisionContext, oscillator_context
 
@@ -443,11 +443,10 @@ def _slice_walk(zeta: float, epsilon: float, taus):
     hint = None
     for tau, rows in zip(np.asarray(taus, dtype=float).tolist(), _corner_rows(zeta, taus)):
         try:
-            hint = _slice_alpha_near(rows[0], tau, epsilon, hint)
+            alpha = hint = _slice_alpha_near(rows[0], tau, epsilon, hint)
         except RelayDynError:
-            yield tau, rows, None
-            continue
-        yield tau, rows, hint
+            alpha = None
+        yield tau, rows, alpha
 
 
 def collision_curve(zeta: float, epsilon: float, taus) -> list[tuple[float, float, float]]:
@@ -463,7 +462,8 @@ def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
     Walks 60 delays over [pi + 0.2, 5.8] as :func:`collision_curve` does, reads
     det(DF_minus) - 1 from :func:`_surface_batch`, skipping points it masks, and
     bisects the first sign change down to a tau interval of 1e-12; a bisection
-    point the kernel masks raises :class:`ValidationError`.  Returns (tau, alpha).
+    point the kernel masks raises what :func:`collision_orbit` or
+    :func:`stability_at_collision` raise there.  Returns (tau, alpha).
     """
 
     def ns_value(rows: np.ndarray, alpha: float) -> float:
@@ -473,8 +473,8 @@ def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
         rows = _corner(zeta, tau)
         alpha = _slice_alpha_near(rows[0], tau, epsilon, hint)
         val = ns_value(rows, alpha)
-        if math.isnan(val):
-            raise ValidationError(f"no transversal corner on the slice at tau={tau:.6g}")
+        if math.isnan(val):  # masked: the single-point route raises its reason
+            stability_at_collision(collision_orbit(zeta, tau, alpha))
         return val, alpha
 
     prev = None

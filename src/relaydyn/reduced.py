@@ -116,13 +116,11 @@ class CollisionContext:
     def crossing_kernel(self) -> CrossingKernel:
         """Solver of :func:`crossing_time`: h = eps within (-delta, delta) of 0."""
         d = self.delta
-        kernel = CrossingKernel(
+        return CrossingKernel(
             self.flow, normal=self.c.tolist(), point=(0.0, 0.0), level=self.epsilon,
             start=0.0, box=(-d, d), bracket=(-d, d), floor_scale=32.0 * _EPS, min_slope=1e-8,
             no_root=partial(NoRootInBracket,
                             f"no threshold crossing within {d:.4g} of the switch point"))
-        kernel.dot = partial(fused_dot, kernel._n0, kernel._n1)  # x - 0.0 == x for all floats
-        return kernel
 
     @cached_property
     def section_kernel(self) -> CrossingKernel:

@@ -225,9 +225,10 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
 
     Raises :class:`DegenerateCrossing` when the switching signal meets a
     threshold line with slope smaller than 1e-8 in magnitude, and
-    :class:`NumericalError`, naming the last time reached and the flow, where
-    a state is not finite or advancing raises ``FloatingPointError`` or
-    ``OverflowError``.  Histories shorter than the delay are rejected.
+    :class:`NumericalError`, naming a time and the flow, where advancing the
+    state raises ``FloatingPointError`` or ``OverflowError`` or gives a state
+    or a signal value that is not finite; an error raised by ``system.h``
+    itself passes unchanged.  Histories shorter than the delay are rejected.
     """
 
     if not 0.0 < T < math.inf:
@@ -265,27 +266,27 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     segments = [Segment(0.0, y, u)]
     switches: list[SwitchRecord] = []
 
-    try:
-        while t < T - 1e-13:
-            t_stop = min(T, pending[0].switch_time) if pending else T
-            s_hit = _next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
-            t_next = t_stop if s_hit is None else s_hit
+    while t < T - 1e-13:
+        t_stop = min(T, pending[0].switch_time) if pending else T
+        s_hit = _next_head_crossing(system, y, t, u, rho, t_stop, scan_dt)
+        t_next = t_stop if s_hit is None else s_hit
+        try:
             z = flow.apply(y, u, t_next - t)
-            if not all(map(math.isfinite, z.tolist())):
-                raise FloatingPointError("the state is not finite")
-            y, t = z, t_next
-            if s_hit is not None:
-                c = _crossing(system, s_hit, float(system.dh(y) @ flow.velocity(y, u)), rho)
-                crossings.append(c)
-                pending.append(c)
-                rho = -rho
-            elif pending and pending[0].switch_time <= t + 1e-13:
-                c = pending.popleft()
-                u = -u
-                switches.append(SwitchRecord(time=c.switch_time, new_u=u, crossing_time=c.time))
-                segments.append(Segment(c.switch_time, y, u))
-    except (FloatingPointError, OverflowError) as exc:
-        raise NumericalError(f"state overflowed after t={t:.6g} under {flow!r}") from exc
+        except (FloatingPointError, OverflowError) as exc:
+            raise _overflow(flow, t) from exc
+        if not all(map(math.isfinite, z.tolist())):
+            raise _overflow(flow, t)
+        y, t = z, t_next
+        if s_hit is not None:
+            c = _crossing(system, s_hit, float(system.dh(y) @ flow.velocity(y, u)), rho)
+            crossings.append(c)
+            pending.append(c)
+            rho = -rho
+        elif pending and pending[0].switch_time <= t + 1e-13:
+            c = pending.popleft()
+            u = -u
+            switches.append(SwitchRecord(time=c.switch_time, new_u=u, crossing_time=c.time))
+            segments.append(Segment(c.switch_time, y, u))
 
     traj = Trajectory(flow, hist, segments, crossings, switches, T)
     new_state = HybridState(history=traj.tail_history(hist.horizon), u=u)
@@ -307,13 +308,27 @@ def _next_head_crossing(system: RelaySystem, y, t: float, u: int, rho: int,
         return None
     flow, eps = system.flow, system.epsilon
 
+    def values(ss: np.ndarray) -> np.ndarray:
+        try:
+            path = flow.apply_path(y, u, ss - t)
+        except (FloatingPointError, OverflowError) as exc:
+            raise _overflow(flow, t) from exc
+        return system.h(path)
+
     def value(s: float) -> float:
-        return system.h(flow.apply(y, u, s - t))
+        v = system.h(flow.apply(y, u, s - t))
+        if not math.isfinite(v):
+            raise NumericalError(f"signal is not finite at t={s:.6g} under {flow!r}")
+        return v
 
     ts = _grid(t, t_stop, scan_dt)
     chunk = len(ts) if t_stop <= t + system.tau else _SCAN_CHUNK
-    return _first_crossing(lambda ss: system.h(flow.apply_path(y, u, ss - t)), value,
-                           ts, rho, eps, chunk)
+    return _first_crossing(values, value, ts, rho, eps, chunk)
+
+
+def _overflow(flow, t: float) -> NumericalError:
+    """The error of a flow that overflowed while advancing from time t."""
+    return NumericalError(f"state overflowed after t={t:.6g} under {flow!r}")
 
 
 def check_weak_transversality(system: RelaySystem, traj: Trajectory,

@@ -163,6 +163,21 @@ def test_find_nsc_skips_degenerate_scan_points(monkeypatch):
     assert len(calls) > 1
 
 
+def test_find_nsc_bisection_point_off_the_kernel_raises_its_reason(monkeypatch):
+    # the scan solves its corners stacked and bisection one at a time, so
+    # from the first bisection point on every corner counts as tangential
+    from relaydyn import oscillator as osc
+    real = osc._corner
+
+    def tangential_from_here(zeta, tau):
+        monkeypatch.setattr(osc, "_G_MIN", math.inf)
+        return real(zeta, tau)
+
+    monkeypatch.setattr(osc, "_corner", tangential_from_here)
+    with pytest.raises(DegenerateDerivative, match="threshold met tangentially at tau="):
+        find_nsc(ZETA, EPS)
+
+
 def test_stability_at_nsc():
     stab = stability_at_collision(collision_orbit(ZETA, *NSC))
     assert stab.lambda_plus == pytest.approx(LAMBDA_PLUS_NSC, abs=1e-12)

@@ -592,6 +592,31 @@ def test_evolve_names_an_overflow_under_raising_errstate():
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
+def test_evolve_names_an_overflow_under_quiet_errstate():
+    # the one-state route overflows inside the hit cell of a finite stacked scan
+    system = oscillator_system(-5.0, -0.5, TAU, EPS)
+    state = HybridState(SampledHistory.constant(np.array([0.5, 0.0]), TAU), 1)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as info:
+        evolve(system, state, 500.0)
+    assert str(info.value) == \
+        "signal is not finite at t=141.248 under AffineOscillatorFlow(zeta=-5.0)"
+
+
+def test_evolve_passes_an_error_of_h_unchanged():
+    base = oscillator_system(ZETA, -0.5, TAU, EPS)
+
+    def h(y):
+        if np.ndim(y) == 1 and y[0] < 0.0:
+            raise FloatingPointError("divide by zero in h")
+        return base.h(y)
+
+    system = dataclasses.replace(base, h=h)
+    state = HybridState(SampledHistory.constant(np.array([0.5, 0.0]), TAU), 1)
+    with np.errstate(all="raise"), \
+            pytest.raises(FloatingPointError, match="^divide by zero in h$"):
+        evolve(system, state, 20.0)
+
+
 def test_evolve_refuses_a_state_that_is_not_finite():
     # no crossing within 0.5 of the start, so the first step is the only one
     class Overflowing(AffineOscillatorFlow):
