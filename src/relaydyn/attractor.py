@@ -177,6 +177,12 @@ def sweep(zeta: float, tau: float, epsilon: float, alphas, *,
     set (NaN envelope).  ``sample`` holds the last ``keep`` points of the
     window, none for ``keep = 0``.
 
+    A warm-started record's ``visited_plus`` (the D+ flag) is good only to
+    the warm-start step: it reads iterates that started from the previous
+    value's attractor.  At tau = 4.2 a 101-value sweep over
+    alpha in [-0.5, 0] sets it at alpha = -0.430, 9.4e-4 past the family's
+    alpha, where the 0.001 grid and a cold start leave it unset.
+
     Escapes never raise.  The inputs do, before any iteration: a ``keep``
     not a non-negative integer, or a non-finite zeta, tau, eps, alpha or ``y0``, raises
     ``ValueError``, and a delay the collision surface does not cover
@@ -237,7 +243,9 @@ def visit_window(records: list[SweepRecord]) -> tuple[float, float] | None:
 
     Returns (first, last) alpha with the D+ flag set, or None if the flag
     never fires.  The upper edge estimates where the attractor detaches
-    from the threshold (the grazing end of the polygon regime).
+    from the threshold (the grazing end of the polygon regime).  From a
+    warm-started :func:`sweep` the edge is good only to the warm-start
+    step, since the D+ flag is (see :func:`sweep`).
     """
 
     flagged = [r.alpha for r in records if r.visited_plus]
@@ -272,13 +280,27 @@ class PolygonDescription:
 
     @property
     def arc_count(self) -> int:
-        return int(np.unique(self.arc_ids).size)
+        return len(set(self.arc_ids.tolist()))  # np.unique would import numpy.ma
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of a non-empty 1-D array, bit for bit: the
+    middle sorted value, or the mean of the middle two, NaN if any value is.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, which costs every
+    ``polygon`` process about 8 ms.
+    """
+    s = np.sort(values).tolist()
+    n = len(s)
+    if math.isnan(s[-1]):
+        return math.nan
+    return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2.0
 
 
 def _angles_about(samples: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     rel = samples - centroid
     radii = np.hypot(rel[:, 0], rel[:, 1])
-    scale = float(np.median(radii))
+    scale = _median(radii)
     if scale <= 0.0 or np.min(radii) < 1e-6 * scale:
         raise CentroidOnCurve("a sample (nearly) coincides with the attractor mean")
     return np.arctan2(rel[:, 1], rel[:, 0])
@@ -345,7 +367,7 @@ def _turning_corners(points: np.ndarray) -> tuple[int, ...]:
     ang = np.abs(np.arctan2(
         sec_in[:, 0] * sec_out[:, 1] - sec_in[:, 1] * sec_out[:, 0],
         (sec_in * sec_out).sum(axis=1)))
-    med = float(np.median(ang))
+    med = _median(ang)
     if med <= 0.0:
         return ()
     return tuple(int(i) for i in np.flatnonzero(ang > 10.0 * med))

@@ -102,9 +102,37 @@ class AffineOscillatorFlow:
         x = e * ((c + z * s) * ys[..., 0] + s * ys[..., 1]) + u * (e * (-z * s - c) + 1.0)
         xdot = e * (-self._omsq * s * ys[..., 0] + (c - z * s) * ys[..., 1]) \
             + u * e * self._omsq * s
-        return np.stack([x, xdot], axis=-1)
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = x
+        out[..., 1] = xdot
+        return out
 
     apply_path = apply_batch  # one state, one row per entry of ts
+
+    def apply_rows(self, ys, us, ts) -> np.ndarray:
+        """Row-paired :meth:`apply`, one input per row: ys[i] under us[i] by ts[i].
+
+        Each row equals :meth:`apply` bit for bit: :meth:`_advance`'s
+        arithmetic in its association, with ``math.exp`` per element because
+        ``np.exp`` can differ from libm in the last bit.
+        """
+        ys = np.asarray(ys, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        z = self.zeta
+        e = np.array(list(map(math.exp, (-z * ts).tolist())))
+        c = np.cos(ts)
+        s = np.sin(ts)
+        a11 = e * (c + z * s)
+        a12 = e * s
+        a21 = -e * self._omsq * s
+        a22 = e * (c - z * s)
+        v1 = e * (-z * s - c) + 1.0
+        v2 = e * self._omsq * s
+        x, xdot = ys[:, 0], ys[:, 1]
+        out = np.empty((ts.size, 2))
+        out[:, 0] = a11 * x + a12 * xdot + us * v1
+        out[:, 1] = a21 * x + a22 * xdot + us * v2
+        return out
 
     def velocity(self, y, u: int) -> np.ndarray:
         """Vector field f(y, u)."""

@@ -51,14 +51,14 @@ def _piece(starts, s):
     return np.searchsorted(starts, s, side="right") - 1
 
 
-def _rows(flow, starts, states, labels, s: np.ndarray) -> np.ndarray:
+def _rows(flow, starts, states: np.ndarray, labels, s: np.ndarray) -> np.ndarray:
     """States of a chain of constant-input flows at the times ``s``: piece i
     starts at ``starts[i]`` in ``states[i]`` under input ``labels[i]``, and
-    each row is the backend's scalar ``apply`` from the start of its piece."""
-    rows = np.empty((s.size, len(states[0])))
-    for n, (si, i) in enumerate(zip(s.tolist(), _piece(starts, s).tolist())):
-        rows[n] = flow.apply(states[i], labels[i], si - starts[i])
-    return rows
+    each row is the backend's ``apply`` from the start of its piece, all rows
+    in one ``apply_rows`` call."""
+    starts = np.asarray(starts)
+    i = _piece(starts, s)
+    return flow.apply_rows(states[i], np.asarray(labels)[i], s - starts[i])
 
 
 class _Window:
@@ -82,7 +82,7 @@ class BreakpointHistory(_Window):
 
     Parameters
     ----------
-    flow : backend with ``apply``/``apply_path``/``velocity``.
+    flow : backend with ``apply``/``apply_rows``/``velocity``.
     horizon : positive window length.
     anchor : state at s = -horizon.
     times : strictly increasing switch times inside (-horizon, 0].
@@ -107,11 +107,12 @@ class BreakpointHistory(_Window):
                 raise ValueError("switch times must be increasing inside (-horizon, 0]")
             lo = t
         # propagate the anchor across the breakpoints once
-        self._starts = [np.asarray(anchor, dtype=float)]
+        starts = [np.asarray(anchor, dtype=float)]
         self._start_times = [-self.horizon] + self.times
         for i, t in enumerate(self.times):
-            y = self.flow.apply(self._starts[i], self.labels[i], t - self._start_times[i])
-            self._starts.append(y)
+            starts.append(self.flow.apply(starts[i], self.labels[i],
+                                          t - self._start_times[i]))
+        self._starts = np.array(starts)
 
     @property
     def dim(self) -> int:
@@ -288,7 +289,7 @@ class Trajectory:
         self.switches = switches
         self.T = float(T)
         self._start_times = [s.t0 for s in segments]
-        self._starts = [s.y0 for s in segments]
+        self._starts = np.array([s.y0 for s in segments])
         self._labels = [s.u for s in segments]
 
     # -- evaluation --------------------------------------------------------

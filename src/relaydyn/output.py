@@ -39,11 +39,23 @@ def _native(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# _fmt's rule for a column whose cells all have one of these exact types
+_SAME_TYPE_FMT = {float: float.__repr__, int: int.__repr__}
+
+
+def _column(cells: tuple) -> list[str]:
+    """One CSV column's cells by :func:`_fmt`, mapped in C where every cell
+    has the same exact type, ``float`` or ``int``."""
+    kinds = set(map(type, cells))
+    fmt = _SAME_TYPE_FMT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _fmt, cells))
+
+
 def write_csv(path, header, rows) -> Path:
+    """Header line, then one line per row, its cells formatted column by column."""
     path = Path(path)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+    lines += map(",".join, zip(*map(_column, zip(*rows))))
     path.write_text("\n".join(lines) + "\n")
     return path
 

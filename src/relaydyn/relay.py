@@ -135,8 +135,23 @@ def _init_relay_state(sigma0: float, u0: int, epsilon: float) -> int:
 
 
 def _grid(a: float, b: float, dt: float) -> np.ndarray:
-    """Scan nodes on [a, b], at most ``dt`` apart and never fewer than 8."""
-    return np.linspace(a, b, max(8, int(math.ceil((b - a) / dt)) + 1))
+    """Scan nodes on [a, b], at most ``dt`` apart and never fewer than 8.
+
+    ``np.linspace(a, b, n)`` bit for bit, by its own arithmetic: node k is
+    ``k * ((b - a) / (n - 1)) + a``, or ``k / (n - 1) * (b - a) + a`` where
+    that step is 0, and the last node is b.
+    """
+    delta = b - a
+    n = max(8, int(math.ceil(delta / dt)) + 1)
+    ts = np.arange(n, dtype=float)
+    if (step := delta / (n - 1)) == 0:
+        ts /= n - 1
+        ts *= delta
+    else:
+        ts *= step
+    ts += a
+    ts[-1] = b
+    return ts
 
 
 def _first_crossing(values: Callable[[np.ndarray], np.ndarray],

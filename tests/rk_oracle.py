@@ -48,6 +48,11 @@ class NumericalFlow:
         out[ts == 0.0] = np.asarray(y, float)
         return out
 
+    def apply_rows(self, ys, us, ts):
+        rows = [self.apply(y, u, t) for y, u, t in
+                zip(ys, np.asarray(us).tolist(), np.asarray(ts, dtype=float).tolist())]
+        return np.array(rows).reshape(len(rows), self.dim)
+
     def velocity(self, y, u):
         return np.asarray(self.field(y, u), dtype=float)
 

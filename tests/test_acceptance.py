@@ -14,7 +14,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from relaydyn import cli
-from relaydyn.attractor import iterate_attractor, polygon_arcs, sweep, visit_window
+from relaydyn.attractor import (DEFAULT_RADIUS, iterate_attractor, polygon_arcs, sweep,
+                                visit_window)
 from relaydyn.continuation import (FourierCurve, _ns_alpha_at, continue_colliding_family,
                                    continue_ns_curve, curve_radial_mismatch,
                                    solve_colliding_curve)
@@ -23,7 +24,7 @@ from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.history import HybridState, SampledHistory
 from relaydyn.oscillator import (bifurcation_map, collision_epsilon, collision_orbit,
                                  collision_context, collision_point, find_nsc,
-                                 surface_alpha, surface_table)
+                                 surface_alpha, surface_corner, surface_table)
 from relaydyn.reduced import (branch_of, jacobian_F_branch, map_F, map_F_branch,
                               oscillator_context, reconstruct_history)
 from relaydyn.relay import evolve, oscillator_system, switch_bound_report
@@ -349,6 +350,30 @@ def test_family_alpha_past_tau_4_45_lies_within_a_step_of_the_sweep_edge(family,
     records = sweep(ZETA, tau, EPS, np.linspace(-0.5, 0.0, 101))
     edge = visit_window(records)[1]
     assert edge <= alpha < edge + 0.005, (alpha, edge)
+
+
+def test_attractor_past_tau_4_6_matches_the_delayed_system():
+    # sweep's neighbourhood (0.45 tau window, radius 3) at tau = 4.65, where
+    # the attractor spans 0.99 x 0.61 and visits both D+ and D-: the full
+    # evolve from the history that each of 9 of its points reconstructs
+    # switches where the reduced map's iterates say, as criterion 3 checks
+    # near the corner at tau = 4.2
+    tau, alpha = 4.65, -0.0875
+    y_ref = surface_corner(ZETA, tau)
+    ctx = oscillator_context(ZETA, alpha, tau, EPS, y_ref, delta=0.45 * tau)
+    run = iterate_attractor(ctx, y_ref + np.array([1e-3, 0.0]), 40, 400, DEFAULT_RADIUS)
+    assert np.all(run.env_max - run.env_min > 0.6)
+    assert run.visited_plus and run.visited_minus
+    system = oscillator_system(ZETA, alpha, tau, EPS)
+    for y0 in run.points[::40]:
+        _, traj = evolve(system, reconstruct_history(ctx, y0), 6.6 * tau)
+        pts = traj.switch_points()
+        assert pts.shape[0] >= 6
+        expected = y0
+        for k in range(6):
+            expected = map_F(ctx, expected)
+            err = float(np.max(np.abs(pts[k] - (-1) ** (k + 1) * expected)))
+            assert err <= 1e-12, (y0, k, err)
 
 
 def test_family_starts_one_step_past_the_ns_point(family):

@@ -79,6 +79,18 @@ def fig_ctx():
     return oscillator_context(ZETA, -0.44, 4.25, EPS, y_ref)
 
 
+def test_median_equals_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 399, 400):
+        for values in (rng.normal(size=n), np.abs(rng.normal(size=n)),
+                       np.round(rng.normal(size=n), 1), np.full(n, 0.1)):
+            want = np.float64(np.median(values))
+            assert np.float64(attractor._median(values)).tobytes() == want.tobytes()
+    assert attractor._median(np.array([1.7e308, 1.7e308, 0.0, 2e308])) == math.inf
+    assert math.isnan(attractor._median(np.array([0.3, np.nan, 0.1])))
+    assert np.isnan(np.median(np.array([0.3, np.nan, 0.1])))
+
+
 def test_iterate_attractor_polygon_regime(fig_ctx):
     run = iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]))
     assert run.points.shape == (360, 2)

@@ -40,6 +40,20 @@ def test_import_loads_no_scipy_fractions_or_decimal():
     assert out.strip() == "[]"
 
 
+def test_polygon_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call, about 8 ms of every
+    # polygon process; the attractor's medians sort instead
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from relaydyn import cli; "
+         f"code = cli.main(['polygon', '--out', {str(tmp_path / 'o')!r}]); "
+         "print(code, 'numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_package_source_imports_no_scipy():
     # the subprocess check above sees module-level imports only; this one
     # also catches an import inside a function body
@@ -347,6 +361,23 @@ def test_default_outputs_keep_their_pinned_bytes(tmp_path, capsys):
     got = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert got == DEFAULT_OUTPUT_SHA256
+
+
+# sha256 of the simulate files at the benchmark's horizon, 500, where the
+# scan meets about 240 windows and the trajectory table spans 237 segments
+HORIZON_500_SHA256 = {
+    "events.json": "c60de2f72f2a55f84bcee99ec601170744cc72eb34d5e18fece3748a69a54a9a",
+    "trajectory.csv": "fd9fb5ec721086fe1a68521fa115e2782eaf19a59f30f9cf3b4f88b3b3ce51eb",
+}
+
+
+def test_simulate_at_horizon_500_keeps_its_pinned_bytes(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"horizon": 500}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    got = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+           for name in HORIZON_500_SHA256}
+    assert got == HORIZON_500_SHA256
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path):

@@ -204,3 +204,50 @@ def test_apply_and_velocity_equal_the_array_formulas_bit_for_bit():
                 assert np.array_equal(flow.velocity(y, u), array_velocity(flow, y, u))
                 assert flow._advance(float(y[0]), float(y[1]), u, t) == \
                     tuple(array_apply(flow, y, u, t))
+
+
+def stacked_apply_batch(flow, ys, u, ts):
+    """The batch formula with its two components joined by ``np.stack``."""
+    ys = np.asarray(ys, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    z, omsq = flow.zeta, 1.0 + flow.zeta * flow.zeta
+    e, c, s = np.exp(-z * ts), np.cos(ts), np.sin(ts)
+    x = e * ((c + z * s) * ys[..., 0] + s * ys[..., 1]) + u * (e * (-z * s - c) + 1.0)
+    xdot = e * (-omsq * s * ys[..., 0] + (c - z * s) * ys[..., 1]) + u * e * omsq * s
+    return np.stack([x, xdot], axis=-1)
+
+
+def test_apply_batch_equals_the_stacked_formula_bit_for_bit():
+    rng = np.random.default_rng(43)
+    flow = AffineOscillatorFlow(-0.1)
+    ts = rng.uniform(-8.0, 8.0, size=(5, 7))
+    cases = [(rng.normal(size=2), ts[0]),            # one state broadcast
+             (rng.normal(size=(7, 2)), ts[1]),        # a (k, 2) stack
+             (rng.normal(size=(5, 7, 2)), ts),        # a (k, m, 2) stack
+             (rng.normal(size=2), ts)]                # one state on a (k, m) grid
+    for ys, t in cases:
+        for u in (-1, 1):
+            got = flow.apply_batch(ys, u, t)
+            want = stacked_apply_batch(flow, ys, u, t)
+            assert got.shape == want.shape == np.shape(t) + (2,)
+            assert np.array_equal(got, want)
+
+
+def test_apply_rows_equals_apply_bit_for_bit():
+    # np.exp differs from libm in the last bit on some arguments; the rows
+    # must not, here over times far past one period too
+    rng = np.random.default_rng(44)
+    n = 3000
+    ys = rng.normal(scale=2.0, size=(n, 2))
+    us = rng.choice([-1, 1], size=n)
+    ts = np.concatenate([rng.uniform(-8.0, 8.0, n // 2), rng.uniform(0.0, 500.0, n - n // 2)])
+    for zeta in (-0.1, -0.3, 0.05):
+        flow = AffineOscillatorFlow(zeta)
+        want = np.array([flow.apply(y, u, t)
+                         for y, u, t in zip(ys, us.tolist(), ts.tolist())])
+        assert np.array_equal(flow.apply_rows(ys, us, ts), want)
+    assert flow.apply_rows(ys[:0], us[:0], ts[:0]).shape == (0, 2)
+    num = NumericalFlow(lambda y, u: [y[1], -y[0] + u], 2)
+    np.testing.assert_array_equal(num.apply_rows(ys[:3], us[:3], ts[:3] / 8.0),
+                                  [num.apply(y, u, t) for y, u, t in
+                                   zip(ys[:3], us[:3].tolist(), (ts[:3] / 8.0).tolist())])

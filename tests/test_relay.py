@@ -504,6 +504,28 @@ def test_simulate_scan_makes_one_h_call_per_chunk():
     assert states[0] / len(traj.crossings) < 400
 
 
+def test_grid_equals_linspace_bit_for_bit():
+    rng = np.random.default_rng(28)
+    n = 20000
+    starts = np.concatenate([rng.uniform(-5.0, 5.0, n // 2),     # history pieces and early windows
+                             rng.uniform(495.0, 500.0, n - n // 2)])  # near the horizon
+    widths = 10.0 ** rng.uniform(-12.0, 1.0, n)  # down to 1e-12: the 8-node floor
+    dts = np.where(rng.random(n) < 0.5, relay.DEFAULT_SCAN_DT, 10.0 ** rng.uniform(-3, 0, n))
+    windows = list(zip(starts.tolist(), (starts + widths).tolist(), dts.tolist()))
+    # the head scan's windows end at a switch time, one delay after a crossing
+    windows += [(a, a + 4.2, 0.02) for a in starts[:100].tolist()]
+    windows += [(0.0, 5e-324, 0.02),  # a step of 0: numpy's step-zero branch
+                (-1e-320, 1e-320, 0.02),  # a subnormal step
+                (-4.2, 0.0, 0.02), (0.0, 500.0, 0.02), (499.9, 500.0, 1.0)]
+    floor = 0
+    for a, b, dt in windows:
+        got = relay._grid(a, b, dt)
+        want = np.linspace(a, b, max(8, int(math.ceil((b - a) / dt)) + 1))
+        assert got.dtype == want.dtype and np.array_equal(got, want), (a, b, dt)
+        floor += got.size == 8
+    assert floor > n // 4
+
+
 @pytest.mark.parametrize("one_state_h", [
     lambda y: y[0] - 0.1,
     lambda y: math.cos(-0.5) * y[0] + math.sin(-0.5) * y[1],
