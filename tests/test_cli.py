@@ -41,8 +41,8 @@ def test_import_loads_no_scipy_fractions_or_decimal():
 
 
 def test_polygon_leaves_numpy_ma_unloaded(tmp_path):
-    # np.median imports numpy.ma on its first call, about 8 ms of every
-    # polygon process; the attractor's medians sort instead
+    # np.median and np.unique import numpy.ma on their first call, about
+    # 8 ms of every polygon process; the attractor sorts and counts a set
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -364,7 +364,7 @@ def test_default_outputs_keep_their_pinned_bytes(tmp_path, capsys):
 
 
 # sha256 of the simulate files at the benchmark's horizon, 500, where the
-# scan meets about 240 windows and the trajectory table spans 237 segments
+# scan builds 237 grids and the trajectory table spans 118 segments
 HORIZON_500_SHA256 = {
     "events.json": "c60de2f72f2a55f84bcee99ec601170744cc72eb34d5e18fece3748a69a54a9a",
     "trajectory.csv": "fd9fb5ec721086fe1a68521fa115e2782eaf19a59f30f9cf3b4f88b3b3ce51eb",
