@@ -15,9 +15,10 @@ Numer. Math. 18, 1971, on Veltkamp's splitting) and rounds
 ``q + err + fl(c0*x)`` once with ``math.fsum``, which rounds correctly
 (Shewchuk, Discrete Comput. Geom. 18, 1997).  The tests compare it with
 ``ndarray.dot``, so a BLAS that rounds otherwise fails them.  Its one user,
-``reduced.CrossingKernel``, reads h = c . y through it (the attractor loop
-included) and writes the same arithmetic out, with :data:`SPLITTER`, for the
-dot products that set a bit of a root, so a change here belongs there too.
+``reduced.CrossingKernel``, reads h = c . y through it, each map iterate's h
+included, and its one Newton body writes the same arithmetic out, with
+:data:`SPLITTER`, for the dot products that set a bit of a root, so a change
+here belongs there too.
 """
 
 from __future__ import annotations

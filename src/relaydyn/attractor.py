@@ -87,15 +87,17 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
     with 0 <= n_transient < n_total, ``y0`` is one finite state of shape (2,)
     and ``radius`` is positive.
 
-    Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'): the
-    context's :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is
-    taken once per run and solves each map's crossing directly.  The
-    threshold h = c . y is read once per iterate, by the kernel's ``dot``,
-    which rounds it as map_F's ``c @ y`` (the BLAS ddot's fused multiply-add)
-    bit for bit, so the iterates equal map_F's; it serves as the kernel's
-    value at t = 0, the next step's branch and the D+/D- flags.  An iterate
-    escapes when its squared distance to the corner, a plain float sum of
-    squares, exceeds ``radius * radius``.
+    Each step is :func:`relaydyn.reduced.map_F` on the floats (x, x'), in
+    one call: the context's
+    :attr:`~relaydyn.reduced.CollisionContext.crossing_kernel` is primed once
+    per run (:meth:`~relaydyn.reduced.CrossingKernel.map_steps`) and maps
+    (x, x', h, branch) to the next (x, x', h), solving the crossing and
+    evaluating the image inline.  The threshold h = c . y is read once per
+    iterate, by the kernel, which rounds it as map_F's ``c @ y`` (the BLAS
+    ddot's fused multiply-add) bit for bit, so the iterates equal map_F's;
+    it serves as the kernel's value at t = 0, the next step's branch and the
+    D+/D- flags.  An iterate escapes when its squared distance to the
+    corner, a plain float sum of squares, exceeds ``radius * radius``.
 
     Every step is a pure function of (x, x'): h, the branch, the crossing
     solve, the image and the escape test read nothing else.  So once the
@@ -126,26 +128,24 @@ def iterate_attractor(ctx: CollisionContext, y0, n_transient: int = 40,
         raise ValueError(f"y0 must be finite, got {y.tolist()}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    solve, dot, advance = ctx.crossing_kernel.solve, ctx.crossing_kernel.dot, ctx.flow._advance
-    eps, tau, r2 = ctx.epsilon, ctx.tau, radius * radius
+    kernel = ctx.crossing_kernel
+    step = kernel.map_steps(ctx.tau).send
+    eps, r2 = ctx.epsilon, radius * radius
     x_ref, xdot_ref = float(ctx.y_ref[0]), float(ctx.y_ref[1])
     orbit = []                      # x, x', h of every iterate, flat
     x, xdot = float(y[0]), float(y[1])
-    h = dot(x, xdot)
+    h = kernel.dot(x, xdot)
     x_cp, xdot_cp, k_cp, k_next = x, xdot, -1, 0    # checkpoint: y0 is iterate -1
     period = 0
     for k in range(n_total):
         try:
-            t = solve(x, xdot, h, -1 if h >= eps else 1)
+            x, xdot, h = step((x, xdot, h, -1 if h >= eps else 1))
         except (NoRootInBracket, DegenerateDerivative, NoConvergence) as exc:
             raise LeftNeighborhood(
                 f"iterate {k} lost the threshold crossing: {exc}") from exc
-        x, xdot = advance(x, xdot, 1, tau + t)
-        x, xdot = -x, -xdot
         dx, dxdot = x - x_ref, xdot - xdot_ref
         if dx * dx + dxdot * dxdot > r2:
             raise LeftNeighborhood(f"iterate {k} left the working neighborhood")
-        h = dot(x, xdot)
         orbit += (x, xdot, h)
         if x == x_cp and xdot == xdot_cp and x and xdot:
             period = k - k_cp

@@ -26,8 +26,11 @@ hybrid state so the event-driven engine can serve as an oracle.
 The crossing time t(y) and the phase :func:`theta` are roots of one kind
 of signal, a fixed normal dotted with the closed-form flow from y.  One
 :class:`CrossingKernel` solves both, by Newton with a Brent fallback on
-Python floats; each context builds its two kernels once, and the attractor
-loop of :mod:`relaydyn.attractor` calls the crossing kernel directly.
+Python floats; each context builds its two kernels once.  The crossing
+kernel also steps the map itself: the attractor loop of
+:mod:`relaydyn.attractor` sends it each iterate and gets the next one back,
+through the same Newton body that :func:`crossing_time`, :func:`theta` and
+:func:`map_F` run.
 
 The context watches the +eps line and propagates with input +1 after the
 switch.  For odd fields and linear h the opposite half-cycle is its
@@ -166,25 +169,31 @@ class CrossingKernel:
     z(t) is the closed-form flow from a state (x, x') under a frozen input
     u, n a fixed normal and p a fixed point; the slope n . f(z(t), u) comes
     from the same flow evaluation.  Everything fixed per context is bound
-    once, at construction: :attr:`CollisionContext.crossing_kernel` watches
-    the threshold line, :attr:`CollisionContext.section_kernel` the phase
+    at construction: :attr:`CollisionContext.crossing_kernel` watches the
+    threshold line, :attr:`CollisionContext.section_kernel` the phase
     section of :func:`theta`.
 
-    :meth:`solve` runs Newton from ``start``.  It accepts an iterate whose
-    residual is below max(1e-13, ``floor_scale`` * max(|x|, |x'|)) and that
-    lies inside ``bracket``, and stops once an iterate leaves ``box`` or
-    meets a zero slope; Brent's method then searches the bracket.  A root
-    whose slope is below ``min_slope`` in magnitude raises
-    :class:`DegenerateDerivative`; a bracket without a sign change raises
-    ``no_root()``.
+    One Newton body serves two callers.  :meth:`solve` returns the root for
+    one state; :meth:`map_steps` returns the half-return map's next iterate
+    per ``send``, so a loop over the map makes one kernel call per map.  The
+    body is a generator: priming it binds its constants once, for one solve
+    or for a whole orbit.
 
-    The state comes from ``flow._advance`` and the field from
-    ``flow._accel``'s expression, on floats.  At t = 0 the flow is the
-    identity on finite states bit for bit, so the Newton start reads the
-    state itself and the dot product the caller passes in.  A Newton step's
-    residual and slope, and :meth:`signal` for the bracket search, round as
+    Newton runs from ``start``.  It accepts an iterate whose residual is
+    below max(1e-13, ``floor_scale`` * max(|x|, |x'|)) and that lies inside
+    ``bracket``, and stops once an iterate leaves ``box`` or meets a zero
+    slope; Brent's method then searches the bracket.  A root whose slope is
+    below ``min_slope`` in magnitude raises :class:`DegenerateDerivative`;
+    a bracket without a sign change raises ``no_root()``.
+
+    The Newton loop evaluates the flow inline, in ``flow._advance``'s exact
+    association, and the field in ``flow._accel``'s; the bracket search
+    calls ``flow._advance``.  At t = 0 the flow is the identity on finite
+    states bit for bit, so the Newton start reads the state itself and the
+    dot product the caller passes in.  A Newton step's residual and slope,
+    the image's h and :meth:`signal` for the bracket search round as
     :func:`fused_dot`, equal to ``ndarray.dot`` (the BLAS ddot's fused
-    multiply-add) bit for bit; the loop writes that arithmetic out (Dekker's
+    multiply-add) bit for bit; the body writes that arithmetic out (Dekker's
     product and ``math.fsum``).  The accepted iterate's residual and the
     slope tested against ``min_slope`` are plain float sums, rounded exactly
     only inside a certified margin about their thresholds, so roots and
@@ -197,16 +206,17 @@ class CrossingKernel:
                  start: float, box: tuple[float, float], bracket: tuple[float, float],
                  floor_scale: float, min_slope: float,
                  no_root: Callable[[], RelayDynError]):
-        self._advance = flow._advance
+        self._flow = flow
         self._m2z, self._omsq = -2.0 * flow.zeta, flow._omsq  # flow._accel's factors
         n0, n1 = normal
         self._n0, self._n1 = float(n0), split_factor(float(n1))
         self._p0, self._p1 = float(point[0]), float(point[1])
-        self._level, self._start = float(level), float(start)
-        self._box, self._bracket = box, bracket
-        self._floor_scale, self._min_slope = floor_scale, min_slope
-        self._no_root = no_root
+        self._level, self._bracket, self._no_root = float(level), bracket, no_root
         assert box[0] <= bracket[0] <= bracket[1] <= box[1], "bracket must lie in box"
+        # the Newton body's constants, unpacked in one step whenever it is primed
+        self._constants = (flow.zeta, self._m2z, self._omsq, self._n0, self._n1, *self._n1,
+                           self._p0, self._p1, self._level, float(start), floor_scale,
+                           min_slope, *box, *bracket)
 
     def dot(self, x: float, xdot: float) -> float:
         """n . ((x, x') - p): the signal plus ``level`` at t = 0."""
@@ -217,7 +227,7 @@ class CrossingKernel:
         if t == 0.0:
             zx, zv, g = x, xdot, g0
         else:
-            zx, zv = self._advance(x, xdot, u, t)
+            zx, zv = self._flow._advance(x, xdot, u, t)
             g = self.dot(zx, zv)
         return (g - self._level,
                 fused_dot(self._n0, self._n1, zv, self._m2z * zv - self._omsq * (zx - u)))
@@ -227,63 +237,94 @@ class CrossingKernel:
 
         ``g0`` is :meth:`dot` at (x, x'); a caller that holds it passes it in.
         """
-        advance, n0, n1_split, p0, p1 = self._advance, self._n0, self._n1, self._p0, self._p1
-        n1, n1_hi, n1_lo = n1_split
-        level, m2z, omsq = self._level, self._m2z, self._omsq
-        box_lo, box_hi = self._box
-        a, b = self._bracket
-        tol = max(1e-13, self._floor_scale * max(abs(x), abs(xdot)))
-        t, converged = self._start, False
-        for _ in range(30):
-            if not box_lo <= t <= box_hi:
-                break
-            if t == 0.0:
-                zx, zv, r = x, xdot, g0 - level
-            else:
-                zx, zv = advance(x, xdot, u, t)
-                w0, w1 = zx - p0, zv - p1
-                # plain r is within 5u(|p| + |q| + |level|) of the fused r (u = 2**-53)
-                # and tol - B rounds by u*tol < u(|p| + |q| + |level|) where |r| can
-                # reach tol, so B = 1e-15(...) > 9u(...) certifies |fused r| < tol
-                p, q = n0 * w0, n1 * w1
-                r = p + q - level
-                if not (abs(r) < tol and abs(r) < tol - 1e-15 * (abs(p) + abs(q) + abs(level))):
-                    err = math.nan
-                    if 1e-250 < abs(q) < 1e250:
-                        s = SPLITTER * w1
-                        hi = s - (s - w1)
-                        lo = w1 - hi
-                        err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
-                    r = (math.fsum((q, err, p)) if err == err
-                         else fused_dot(n0, n1_split, w0, w1)) - level
-            acc = m2z * zv - omsq * (zx - u)
-            if abs(r) < tol:
-                converged = a <= t <= b
-                break
-            q, err = n1 * acc, math.nan
-            if 1e-250 < abs(q) < 1e250:
-                s = SPLITTER * acc
-                hi = s - (s - acc)
-                lo = acc - hi
-                err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
-            d = math.fsum((q, err, n0 * zv)) if err == err \
-                else fused_dot(n0, n1_split, zv, acc)
-            if d == 0.0:
-                break
-            t -= r / d
-        if not converged:
-            t, d = self._bracket_root(x, xdot, g0, u)
-        elif self._min_slope:
-            # the plain slope lies within 3u(|p| + |q|) of the fused one
-            p, q = n0 * zv, n1 * acc
-            d = p + q
-            if abs(abs(d) - self._min_slope) <= 1e-15 * (abs(p) + abs(q)):
-                d = fused_dot(n0, n1_split, zv, acc)
-        else:
-            return t
-        if abs(d) < self._min_slope:
-            raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
-        return t
+        newton = self._newton(None)
+        next(newton)
+        return newton.send((x, xdot, g0, u))
+
+    def map_steps(self, tau: float):
+        """The half-return map F(y) = -Y_+^(tau + t(y)) y, one ``send`` per iterate.
+
+        Returns a primed generator.  Sending (x, x', h, u), with h = :meth:`dot`
+        at (x, x') and u the branch, returns (x1, x1', h1): x1 and x1' are
+        ``-flow._advance(x, x', 1, tau + t)`` with t what :meth:`solve`
+        returns, bit for bit, and h1 is :meth:`dot` at (x1, x1').  Errors
+        raise from ``send`` as from :meth:`solve`, and end the generator.
+        """
+        steps = self._newton(tau)
+        next(steps)
+        return steps
+
+    def _newton(self, tau: float | None):
+        """The Newton body: receives (x, x', g0, u) and yields the root t,
+        or with ``tau`` the map iterate of :meth:`map_steps`."""
+        (z, m2z, omsq, n0, n1_split, n1, n1_hi, n1_lo, p0, p1, level, start, floor_scale,
+         min_slope, box_lo, box_hi, a, b) = self._constants
+        exp, cos, sin, fsum, nan = math.exp, math.cos, math.sin, math.fsum, math.nan
+        out = None
+        while True:
+            x, xdot, g0, u = yield out
+            tol = max(1e-13, floor_scale * max(abs(x), abs(xdot)))
+            t, converged = start, False
+            for _ in range(30):
+                if not box_lo <= t <= box_hi:
+                    break
+                if t == 0.0:
+                    zx, zv, r = x, xdot, g0 - level
+                else:
+                    e = exp(-z * t)
+                    c = cos(t)
+                    s = sin(t)
+                    zx = e * (c + z * s) * x + e * s * xdot + u * (e * (-z * s - c) + 1.0)
+                    zv = -e * omsq * s * x + e * (c - z * s) * xdot + u * (e * omsq * s)
+                    w0, w1 = zx - p0, zv - p1
+                    # plain r is within 5u(|p| + |q| + |level|) of the fused r (u = 2**-53)
+                    # and tol - B rounds by u*tol < u(|p| + |q| + |level|) where |r| can
+                    # reach tol, so B = 1e-15(...) > 9u(...) certifies |fused r| < tol
+                    p, q = n0 * w0, n1 * w1
+                    r = p + q - level
+                    if not (abs(r) < tol and abs(r) < tol - 1e-15 * (abs(p) + abs(q) + abs(level))):
+                        err = nan
+                        if 1e-250 < abs(q) < 1e250:
+                            sp = SPLITTER * w1
+                            hi = sp - (sp - w1)
+                            lo = w1 - hi
+                            err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
+                        r = (fsum((q, err, p)) if err == err
+                             else fused_dot(n0, n1_split, w0, w1)) - level
+                acc = m2z * zv - omsq * (zx - u)
+                if abs(r) < tol:
+                    converged = a <= t <= b
+                    break
+                q, err = n1 * acc, nan
+                if 1e-250 < abs(q) < 1e250:
+                    sp = SPLITTER * acc
+                    hi = sp - (sp - acc)
+                    lo = acc - hi
+                    err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
+                d = fsum((q, err, n0 * zv)) if err == err else fused_dot(n0, n1_split, zv, acc)
+                if d == 0.0:
+                    break
+                t -= r / d
+            if not converged:
+                t, d = self._bracket_root(x, xdot, g0, u)
+            elif min_slope:
+                # the plain slope lies within 3u(|p| + |q|) of the fused one
+                p, q = n0 * zv, n1 * acc
+                d = p + q
+                if abs(abs(d) - min_slope) <= 1e-15 * (abs(p) + abs(q)):
+                    d = fused_dot(n0, n1_split, zv, acc)
+            if min_slope and abs(d) < min_slope:
+                raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
+            if tau is None:
+                out = t
+                continue
+            t = tau + t
+            e = exp(-z * t)
+            c = cos(t)
+            s = sin(t)
+            x, xdot = (-(e * (c + z * s) * x + e * s * xdot + (e * (-z * s - c) + 1.0)),
+                       -(-e * omsq * s * x + e * (c - z * s) * xdot + e * omsq * s))
+            out = x, xdot, fused_dot(n0, n1_split, x - p0, xdot - p1)
 
     def _bracket_root(self, x: float, xdot: float, g0: float, u: int) -> tuple[float, float]:
         """Root and slope by Brent's method over the bracket, else ``no_root()``."""

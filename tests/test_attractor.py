@@ -178,15 +178,14 @@ def test_sweep_records_escape_without_raising():
 def test_crossing_failures_count_as_leaving(monkeypatch, fig_ctx, error):
     # every crossing-time failure of the map ends the run as an escape, so a
     # sweep records it instead of raising
-    real, calls = reduced.CrossingKernel.solve, []
+    calls = []
 
-    def failing(kernel, x, xdot, g0, u):
-        calls.append((x, xdot))
+    def failing(state):
+        calls.append(state[:2])
         if len(calls) > 5:
             raise error("crossing-time failure")
-        return real(kernel, x, xdot, g0, u)
 
-    monkeypatch.setattr(reduced.CrossingKernel, "solve", failing)
+    route_map_steps(monkeypatch, failing)
     with pytest.raises(LeftNeighborhood) as info:
         iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]))
     assert isinstance(info.value.__cause__, error)
@@ -264,20 +263,32 @@ def locking_ctx():
     return oscillator_context(ZETA, -0.5, 4.2, EPS, collision_point(ZETA, 4.2))
 
 
+def route_map_steps(monkeypatch, on_step):
+    """Pass every state sent to a crossing kernel's map steps, (x, x', h, u),
+    to ``on_step`` before the kernel maps it."""
+    real = reduced.CrossingKernel.map_steps
+
+    def map_steps(kernel, tau):
+        send = real(kernel, tau).send
+
+        def routed(state):
+            on_step(state)
+            return send(state)
+
+        return SimpleNamespace(send=routed)
+
+    monkeypatch.setattr(reduced.CrossingKernel, "map_steps", map_steps)
+
+
 @pytest.fixture
-def solves(monkeypatch):
+def steps(monkeypatch):
+    """The branch of every map step, one kernel call each."""
     calls = []
-    real = reduced.CrossingKernel.solve
-
-    def counting(kernel, x, xdot, g0, u):
-        calls.append(u)
-        return real(kernel, x, xdot, g0, u)
-
-    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting)
+    route_map_steps(monkeypatch, lambda state: calls.append(state[3]))
     return calls
 
 
-def test_iterate_attractor_stops_at_the_first_float_cycle(locking_ctx, solves):
+def test_iterate_attractor_stops_at_the_first_float_cycle(locking_ctx, steps):
     y0 = locking_ctx.y_ref + np.array([1e-3, 0.0])
     points, _, _ = map_F_iterates(locking_ctx, y0, 0, 400)
     first = {}
@@ -287,20 +298,20 @@ def test_iterate_attractor_stops_at_the_first_float_cycle(locking_ctx, solves):
         first[y] = k
     assert (k, k - first[y]) == (58, 5)
     assert_equals_map_F_loop(locking_ctx, y0)
-    solves.clear()
+    steps.clear()
     assert iterate_attractor(locking_ctx, y0).period == 5
     # the checkpoint at iterate 62 meets its copy five maps later
-    assert len(solves) == 68
+    assert len(steps) == 68
 
 
-def test_iterate_attractor_copies_a_cycle_closed_before_the_window(locking_ctx, solves):
+def test_iterate_attractor_copies_a_cycle_closed_before_the_window(locking_ctx, steps):
     # the window holds copies only, and so do its flags
     y0 = locking_ctx.y_ref + np.array([1e-3, 0.0])
     run = assert_equals_map_F_loop(locking_ctx, y0, 200, 400)
     assert run.points.shape == (200, 2)
-    solves.clear()
+    steps.clear()
     assert iterate_attractor(locking_ctx, y0, 200, 400).period == 5
-    assert len(solves) == 68
+    assert len(steps) == 68
 
 
 def cycle_context(states, eps):
@@ -311,15 +322,15 @@ def cycle_context(states, eps):
     """
     keys = [(math.copysign(1.0, x), x, xdot) for x, xdot in states]
 
-    def advance(x, xdot, u, t):
+    def step(state):
+        x, xdot, h, u = state
         nx, nxdot = states[(keys.index((math.copysign(1.0, x), x, xdot)) + 1) % len(states)]
-        return -nx, -nxdot
+        return nx, nxdot, nx
 
     return SimpleNamespace(
-        crossing_kernel=SimpleNamespace(solve=lambda x, xdot, g0, u: 0.0,
+        crossing_kernel=SimpleNamespace(map_steps=lambda tau: SimpleNamespace(send=step),
                                         dot=lambda x, xdot: x),
-        flow=SimpleNamespace(_advance=advance), epsilon=eps, tau=1.0,
-        y_ref=np.array([0.0, 0.1]))
+        epsilon=eps, tau=1.0, y_ref=np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("c_x, period", [(0.03, 4), (-0.0, 0)])
@@ -339,7 +350,7 @@ def test_iterate_attractor_copies_only_exact_repeats(c_x, period):
         assert run.visited_plus and run.visited_minus
 
 
-def test_sweep_at_the_defaults_skips_the_maps_of_locked_orbits(solves):
+def test_sweep_at_the_defaults_skips_the_maps_of_locked_orbits(steps):
     # 121 x 400 = 48,400 maps without the cycle shortcut; 39,737 with it
     config = DEFAULTS["sweep"]
     alphas = np.linspace(*config["alpha_range"], config["n_alpha"])
@@ -347,7 +358,36 @@ def test_sweep_at_the_defaults_skips_the_maps_of_locked_orbits(solves):
                     warm_start=config["warm_start"], n_transient=config["n_transient"],
                     n_total=config["n_total"])
     assert not any(r.escaped or r.retried for r in records)
-    assert len(solves) <= 40_500
+    assert len(steps) <= 40_500
+
+
+def sweep_digest(records):
+    """sha256 of every field of a sweep's records."""
+    from test_reduced import pin_digest
+
+    return pin_digest(value for r in records for value in (
+        r.alpha, r.env_min, r.env_max, r.visited_plus, r.visited_minus, r.sample,
+        r.escaped, r.retried))
+
+
+@pytest.mark.parametrize("alphas, flags, digest", [
+    (np.linspace(-0.15, -0.07, 5), ["", "ER", "E", "", ""],
+     "c02b18da49e636b05edeadafe4ac02c6008717c72a0d1cd86bce6640cd8d401d"),
+    # the same range shifted by 2e-3, as the bench's nonzero seeds shift it
+    (np.linspace(-0.148, -0.068, 5), ["", "ER", "E", "", ""],
+     "10ced17c778e024cca172adbb5a481b4f456b3bf16f5193d9d1511153ccb44b8"),
+    ([-0.15, -0.08], ["", "R"],
+     "325f8bf810911b04905e70228b9fa2f61b299c3a8393f539cc9d660783a986bc"),
+])
+def test_sweep_past_tau_4_6_keeps_its_escapes_and_retries(alphas, flags, digest):
+    # at tau = 4.65 a warm start from alpha = -0.15 loses the crossing; the
+    # default seed then escapes too (E) or holds (R), and each escaped value
+    # sends the next one back to the default seed; the default pins reach
+    # none of this
+    records = sweep(ZETA, 4.65, EPS, alphas)
+    assert [("E" if r.escaped else "") + ("R" if r.retried else "")
+            for r in records] == flags
+    assert sweep_digest(records) == digest
 
 
 @pytest.mark.parametrize("n_transient, n_total", [
@@ -563,7 +603,7 @@ def test_float_loop_rests_on_equal_dot_products():
     assert checked == 121 * 360
 
 
-def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx, solves):
+def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx, steps):
     from relaydyn.flows import AffineOscillatorFlow
 
     def forbidden(name):
@@ -575,9 +615,11 @@ def test_iterate_attractor_solves_one_crossing_per_map(monkeypatch, fig_ctx, sol
                          (reduced, "branch_of"), (attractor, "branch_of")):
         monkeypatch.setattr(module, name, forbidden(name))
     monkeypatch.setattr(AffineOscillatorFlow, "apply", forbidden("flow.apply"))
+    # the kernel's Newton loop and image evaluate the flow inline
+    monkeypatch.setattr(AffineOscillatorFlow, "_advance", forbidden("flow._advance"))
     run = iterate_attractor(fig_ctx, fig_ctx.y_ref + np.array([1e-3, 0.0]), 40, 250)
-    assert len(solves) == 250
-    assert set(solves) == {1, -1}
+    assert len(steps) == 250
+    assert set(steps) == {1, -1}
     assert run.points.shape == (210, 2)
     assert run.period == 0  # the polygon orbit never repeats a state
 

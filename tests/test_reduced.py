@@ -1,15 +1,19 @@
 """Reduced half-return map: crossing times, branches, Jacobians, lifting."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from relaydyn import reduced
-from relaydyn.errors import (DegenerateDerivative, NoRootInBracket,
+from relaydyn.attractor import iterate_attractor
+from relaydyn.errors import (DegenerateDerivative, LeftNeighborhood, NoRootInBracket,
                              NoRootInInterval, RelayDynError)
-from relaydyn.oscillator import collision_orbit, collision_context, surface_alpha
+from relaydyn.oscillator import (collision_context, collision_orbit, surface_alpha,
+                                 surface_corner)
 from relaydyn.reduced import (DomainTag, branch_of, classify, crossing_time,
                               jacobian_F, jacobian_F_branch, map_F,
                               map_F_branch, oscillator_context,
@@ -527,16 +531,123 @@ def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
     assert branches == {1, -1}
 
     # iterate_attractor takes the image from the scalar closed form too: one
-    # kernel solve per map and no array evaluation at all
-    solves = []
-    real_solve = reduced.CrossingKernel.solve
+    # kernel step per map, evaluating the flow inline, and no array
+    # evaluation at all
+    steps, advances = [], []
+    real_map_steps, real_advance = reduced.CrossingKernel.map_steps, AffineOscillatorFlow._advance
 
-    def counting_solve(kernel, x, xdot, g0, u):
-        solves.append(u)
-        return real_solve(kernel, x, xdot, g0, u)
+    def counting_map_steps(kernel, tau):
+        send = real_map_steps(kernel, tau).send
 
-    monkeypatch.setattr(reduced.CrossingKernel, "solve", counting_solve)
+        def counting_send(state):
+            steps.append(state[3])
+            return send(state)
+
+        return SimpleNamespace(send=counting_send)
+
+    def counting_advance(self, *args):
+        advances.append(args)
+        return real_advance(self, *args)
+
+    monkeypatch.setattr(reduced.CrossingKernel, "map_steps", counting_map_steps)
+    monkeypatch.setattr(AffineOscillatorFlow, "_advance", counting_advance)
     applies.clear()
     attractor.iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 10, 60)
-    assert len(solves) == 60
-    assert applies == []
+    assert len(steps) == 60
+    assert applies == [] and advances == []
+
+
+# ---------------------------------------------------------------------------
+# the crossing kernel's output bits, pinned
+
+
+def pin_digest(results) -> str:
+    """sha256 of a run of results: floats and arrays by their bytes, a
+    refusal by its error type and message."""
+    digest = hashlib.sha256()
+    for r in results:
+        if isinstance(r, BaseException):
+            digest.update(f"{type(r).__name__}: {r}".encode())
+        else:
+            digest.update(np.asarray(r, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def result(fn, *args):
+    """Return value, or the error itself when the call refuses."""
+    try:
+        return fn(*args)
+    except RelayDynError as exc:
+        return exc
+
+
+def wide_context(alpha):
+    """sweep's neighborhood at tau = 4.65: the 0.45 tau window."""
+    tau = 4.65
+    return oscillator_context(ZETA, alpha, tau, EPS, surface_corner(ZETA, tau),
+                              delta=0.45 * tau)
+
+
+def kernel_outputs(ctx, seed):
+    """crossing_time on both branches, theta and map_F over a seeded set of
+    states, and iterate_attractor from some of them."""
+    rng = np.random.default_rng(seed)
+    near = ctx.y_ref + rng.normal(scale=5e-3, size=(60, 2))
+    far = ctx.y_ref + rng.normal(scale=0.3, size=(60, 2))
+    states = [*near, *far, *rare_path_states(ctx)]
+    outputs = {"crossing_time": [], "theta": [], "map_F": [], "iterate_attractor": []}
+    for y in states:
+        for branch in (1, -1):
+            outputs["crossing_time"].append(result(crossing_time, ctx, y, branch))
+        outputs["theta"].append(result(theta, ctx, y))
+        outputs["map_F"].append(result(map_F, ctx, y))
+    for y0 in [ctx.y_ref + np.array([1e-3, 0.0]), *near[:4], *far[:6]]:
+        run = result(iterate_attractor, ctx, y0, 20, 120)
+        outputs["iterate_attractor"] += ([run] if isinstance(run, BaseException) else
+                                         [run.points, run.final, run.period,
+                                          run.visited_plus, run.visited_minus])
+    return states, outputs
+
+
+KERNEL_PINS = {
+    "default": {
+        "crossing_time": "05c137c983c912ceb6e4dd808017e1be496f41154144e89261351ebd498e4371",
+        "theta": "909c980bf74dbec02b3fecc7da662765daf97e466785719848ae3ccfc50ac728",
+        "map_F": "fc9e73de0b2142919198c9023ac41125469276cd3200b7f4515423bfe2d82185",
+        "iterate_attractor": "eb869b968d81b569c70e88f99aeb7a28520f79632909ecde65e01b48a8f487d1",
+    },
+    "wide -0.0875": {
+        "crossing_time": "1723ecb1a717430e93e9bafb383a13f595ff8aa31443d5f19f8c36d5e5421528",
+        "theta": "ee0116ca978bfbbf95f53fc4091fe0dcd3b864133c666829493f31eab0c79b30",
+        "map_F": "49e7140505a6de9243109855a0ca061ba7595e9abaad4811e91bb81da1e61f80",
+        "iterate_attractor": "42205d3e3bb6a05f09c8901345d68fc3b41237f112ffd44ad1ffc3aa620f8c38",
+    },
+    "wide -0.1": {
+        "crossing_time": "85d695817bc607bea3a0d7f8307d3532975f7072d96a7289d3428001b4925bbb",
+        "theta": "5f88d1fdd548eb9c307b73b815ea3751a68bb581d7127a22bc9939f4dc03c69a",
+        "map_F": "04d13b6736f81a9eeed844c416efd89566f89c52cb6d0f61e613ba38f7b3d703",
+        "iterate_attractor": "f62d60ae00c81106ac261d14c279653b7fb5855b2de6623cddaea08b0a75f124",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_PINS))
+def test_crossing_kernel_keeps_its_pinned_bits(ctx, brentq_calls, name):
+    # every output the crossing kernel sets a bit of, over both branches,
+    # |y| > 14 where the residual floor scales with |y|, states 0.3 from
+    # the corner where Newton hands over to Brent's method, and sweep's
+    # 0.45 tau window at tau = 4.65, where cold starts lose the crossing
+    context = {"default": ctx, "wide -0.0875": wide_context(-0.0875),
+               "wide -0.1": wide_context(-0.1)}[name]
+    states, outputs = kernel_outputs(context, 48)
+    assert {branch_of(context, y) for y in states} == {1, -1}
+    solved_far_out = [t for y, t in zip(np.repeat(states, 2, axis=0), outputs["crossing_time"])
+                      if np.max(np.abs(y)) > 14.0 and not isinstance(t, BaseException)]
+    assert solved_far_out
+    assert any(isinstance(t, NoRootInBracket) for t in outputs["crossing_time"])
+    runs = outputs["iterate_attractor"]
+    kept = sum(isinstance(r, np.ndarray) for r in runs) // 2
+    left = sum(isinstance(r, LeftNeighborhood) for r in runs)
+    assert (kept, left) == {"default": (10, 1), "wide -0.0875": (8, 3), "wide -0.1": (0, 11)}[name]
+    assert len(brentq_calls) > 0
+    assert {key: pin_digest(values) for key, values in outputs.items()} == KERNEL_PINS[name]
