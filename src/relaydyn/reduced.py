@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -241,7 +241,7 @@ class CrossingKernel:
         next(newton)
         return newton.send((x, xdot, g0, u))
 
-    def map_steps(self, tau: float):
+    def map_steps(self, tau: float) -> Generator[tuple[float, float, float], tuple, None]:
         """The half-return map F(y) = -Y_+^(tau + t(y)) y, one ``send`` per iterate.
 
         Returns a primed generator.  Sending (x, x', h, u), with h = :meth:`dot`

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -533,23 +532,16 @@ def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
     # iterate_attractor takes the image from the scalar closed form too: one
     # kernel step per map, evaluating the flow inline, and no array
     # evaluation at all
+    from test_attractor import route_map_steps
+
     steps, advances = [], []
-    real_map_steps, real_advance = reduced.CrossingKernel.map_steps, AffineOscillatorFlow._advance
-
-    def counting_map_steps(kernel, tau):
-        send = real_map_steps(kernel, tau).send
-
-        def counting_send(state):
-            steps.append(state[3])
-            return send(state)
-
-        return SimpleNamespace(send=counting_send)
+    real_advance = AffineOscillatorFlow._advance
 
     def counting_advance(self, *args):
         advances.append(args)
         return real_advance(self, *args)
 
-    monkeypatch.setattr(reduced.CrossingKernel, "map_steps", counting_map_steps)
+    route_map_steps(monkeypatch, steps.append)
     monkeypatch.setattr(AffineOscillatorFlow, "_advance", counting_advance)
     applies.clear()
     attractor.iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 10, 60)
