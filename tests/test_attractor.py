@@ -378,7 +378,7 @@ def sweep_digest(records):
      "10ced17c778e024cca172adbb5a481b4f456b3bf16f5193d9d1511153ccb44b8"),
     ([-0.15, -0.08], ["", "R"],
      "325f8bf810911b04905e70228b9fa2f61b299c3a8393f539cc9d660783a986bc"),
-])
+], ids=["range", "shifted", "retry-holds"])
 def test_sweep_past_tau_4_6_keeps_its_escapes_and_retries(alphas, flags, digest):
     # at tau = 4.65 a warm start from alpha = -0.15 loses the crossing; the
     # default seed then escapes too (E) or holds (R), and each escaped value
