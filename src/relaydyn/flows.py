@@ -9,6 +9,17 @@ constant forcing, advanced in closed form.  It is valid for positive *and*
 negative times, which the return-map construction relies on.  Consumers
 (``RelaySystem``, ``BreakpointHistory``, ``Trajectory``) take any object
 with the same methods.
+
+The closed form of A(t) and v(t) is written once for each rounding that
+callers depend on: ``_transition`` on floats (``apply``, ``flow_matrix``,
+``flow_offset``, ``continuation``'s scalar loops); ``transition_rows``, its
+bit-for-bit twin on arrays with ``math.exp`` per element, since ``np.exp``
+can differ from libm in the last bit (``apply_rows``, so histories and
+trajectories, and ``oscillator``'s stacked corners); and ``apply_batch``,
+factored with ``np.exp``, whose bits ``family`` and the relay's crossing
+scan carry.  ``reduced.CrossingKernel._newton`` writes two more copies
+inline, in ``_transition``'s association, so that ``sweep``'s Newton steps
+make no method call (``BENCH_29.json``).
 """
 
 from __future__ import annotations
@@ -50,34 +61,37 @@ class AffineOscillatorFlow:
         """State-transition matrix A(t) of the homogeneous part."""
         return np.array(self._matrix(t)).reshape(2, 2)
 
-    def _matrix(self, t: float) -> tuple[float, float, float, float]:
-        """The entries of :meth:`flow_matrix`, row by row, as four floats."""
+    def _transition(self, t: float) -> tuple[float, float, float, float, float, float]:
+        """A(t) row by row and v(t), as six floats: a11, a12, a21, a22, v1, v2."""
         z = self.zeta
         e = math.exp(-z * t)
         c = math.cos(t)
         s = math.sin(t)
-        return e * (c + z * s), e * s, -e * self._omsq * s, e * (c - z * s)
+        return (e * (c + z * s), e * s, -e * self._omsq * s, e * (c - z * s),
+                e * (-z * s - c) + 1.0, e * self._omsq * s)
+
+    def transition_rows(self, ts) -> tuple[np.ndarray, ...]:
+        """:meth:`_transition` for each entry of the 1-D ts, bit for bit, as six
+        1-D arrays: the same products in the same order, ``math.exp`` per entry."""
+        ts = np.asarray(ts, dtype=float)
+        z = self.zeta
+        e = np.array(list(map(math.exp, (-z * ts).tolist())))
+        c = np.cos(ts)
+        s = np.sin(ts)
+        return (e * (c + z * s), e * s, -e * self._omsq * s, e * (c - z * s),
+                e * (-z * s - c) + 1.0, e * self._omsq * s)
+
+    def _matrix(self, t: float) -> tuple[float, float, float, float]:
+        """The entries of :meth:`flow_matrix`, row by row, as four floats."""
+        return self._transition(t)[:4]
 
     def flow_offset(self, t: float) -> np.ndarray:
         """Forced response v(t), i.e. the flow of the origin under u = +1."""
-        z = self.zeta
-        e = math.exp(-z * t)
-        c = math.cos(t)
-        s = math.sin(t)
-        return np.array([e * (-z * s - c) + 1.0, e * self._omsq * s])
+        return np.array(self._transition(t)[4:])
 
     def _advance(self, x: float, xdot: float, u: int, t: float) -> tuple[float, float]:
         """:meth:`apply` on a state given as two floats; returns two floats."""
-        z = self.zeta
-        e = math.exp(-z * t)
-        c = math.cos(t)
-        s = math.sin(t)
-        a11 = e * (c + z * s)
-        a12 = e * s
-        a21 = -e * self._omsq * s
-        a22 = e * (c - z * s)
-        v1 = e * (-z * s - c) + 1.0
-        v2 = e * self._omsq * s
+        a11, a12, a21, a22, v1, v2 = self._transition(t)
         return (a11 * x + a12 * xdot + u * v1,
                 a21 * x + a22 * xdot + u * v2)
 
@@ -113,23 +127,13 @@ class AffineOscillatorFlow:
         """Row-paired :meth:`apply`, one input per row: ys[i] under us[i] by ts[i].
 
         Each row equals :meth:`apply` bit for bit: :meth:`_advance`'s
-        arithmetic in its association, with ``math.exp`` per element because
-        ``np.exp`` can differ from libm in the last bit.
+        arithmetic in its association, on :meth:`transition_rows`.  A single
+        input broadcasts.
         """
         ys = np.asarray(ys, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        z = self.zeta
-        e = np.array(list(map(math.exp, (-z * ts).tolist())))
-        c = np.cos(ts)
-        s = np.sin(ts)
-        a11 = e * (c + z * s)
-        a12 = e * s
-        a21 = -e * self._omsq * s
-        a22 = e * (c - z * s)
-        v1 = e * (-z * s - c) + 1.0
-        v2 = e * self._omsq * s
+        a11, a12, a21, a22, v1, v2 = self.transition_rows(ts)
         x, xdot = ys[:, 0], ys[:, 1]
-        out = np.empty((ts.size, 2))
+        out = np.empty((a11.size, 2))
         out[:, 0] = a11 * x + a12 * xdot + us * v1
         out[:, 1] = a21 * x + a22 * xdot + us * v2
         return out

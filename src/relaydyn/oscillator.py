@@ -108,8 +108,7 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     tau < pi come from :func:`surface_corner`'s delay check.
     """
 
-    a, v = _flow_rows(zeta, [tau])
-    y, sv = _switch_points(a, v)
+    y, sv = _switch_points(*_transition_stack(AffineOscillatorFlow(zeta), [tau]))
     if np.isnan(y[0, 0]):
         raise SingularSurface(
             f"I + A(tau) singular at tau={tau:.6g} "
@@ -117,25 +116,14 @@ def collision_point(zeta: float, tau: float) -> np.ndarray:
     return y[0]
 
 
-def _flow_rows(zeta: float, taus) -> tuple[np.ndarray, np.ndarray]:
-    """A(tau) and v(tau) for each delay, stacked.
+def _transition_stack(flow: AffineOscillatorFlow, taus) -> tuple[np.ndarray, np.ndarray]:
+    """A(tau) as a (k, 2, 2) stack and v(tau) as (k, 2), from ``flow.transition_rows``.
 
-    The arrays equal ``flow_matrix`` and ``flow_offset`` per delay bit for
-    bit: the products keep the scalar formulas' order, and the exponential
-    is ``math.exp`` per delay, because ``np.exp`` differs from it in the
-    last bit on some CPUs.
+    Each delay's pair equals ``flow_matrix`` and ``flow_offset`` bit for bit.
     """
-    t = np.asarray(taus, dtype=float).reshape(-1)
-    z, omsq = float(zeta), AffineOscillatorFlow(zeta)._omsq
-    e = np.array([math.exp(x) for x in (-z * t).tolist()])
-    c, s = np.cos(t), np.sin(t)
-    a = np.empty((t.size, 2, 2))
-    a[:, 0, 0] = e * (c + z * s)
-    a[:, 0, 1] = e * s
-    a[:, 1, 0] = -e * omsq * s
-    a[:, 1, 1] = e * (c - z * s)
-    v = np.stack((e * (-z * s - c) + 1.0, e * omsq * s), axis=-1)
-    return a, v
+    a11, a12, a21, a22, v1, v2 = flow.transition_rows(taus)
+    return (np.stack((a11, a12, a21, a22), axis=-1).reshape(-1, 2, 2),
+            np.stack((v1, v2), axis=-1))
 
 
 def _switch_points(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +152,10 @@ def _corner_rows(zeta: float, taus) -> np.ndarray:
     singular) get NaN rows, which every surface point there inherits.
     """
     taus = np.asarray(taus, dtype=float)
-    a, v = _flow_rows(zeta, taus)
+    flow = AffineOscillatorFlow(zeta)
+    a, v = _transition_stack(flow, taus)
     y, _ = _switch_points(a, v)
     y[taus < math.pi + 1e-9] = np.nan
-    flow = AffineOscillatorFlow(zeta)
     x, xdot = y[:, 0], y[:, 1]
     # w = A y + v, summed in the order of flow.apply
     w0 = a[:, 0, 0] * x + a[:, 0, 1] * xdot + v[:, 0]
@@ -369,7 +357,8 @@ def surface_table(zeta: float, taus, alphas) -> np.ndarray:
     """The surface over the (tau, alpha) grid, tau-major, one row per valid point.
 
     Columns: tau, alpha, eps, q, lambda_plus and max |y* + Y_+^tau y*|, the
-    residual of the switch point; all corners come from one stacked solve.
+    residual of the switch point; all corners come from one stacked solve,
+    and the residuals from one ``apply_rows`` call.
     """
     taus, alphas = np.asarray(taus, dtype=float), np.asarray(alphas, dtype=float)
     corners = _corner_rows(zeta, taus)
@@ -377,9 +366,8 @@ def surface_table(zeta: float, taus, alphas) -> np.ndarray:
     taus, corners = taus[has], corners[has]
     tau_col, alpha_col = np.repeat(taus, alphas.size), np.tile(alphas, taus.size)
     eps, q, tests, valid = _surface_batch(np.repeat(corners, alphas.size, axis=0), alpha_col)
-    flow = AffineOscillatorFlow(zeta)
-    resid = [float(np.max(np.abs(y + flow.apply(y, 1, tau))))
-             for tau, y in zip(taus.tolist(), corners[:, 0])]
+    y = corners[:, 0]
+    resid = np.max(np.abs(y + AffineOscillatorFlow(zeta).apply_rows(y, 1, taus)), axis=1)
     return np.column_stack((tau_col, alpha_col, eps, q, tests["trace_plus"],
                             np.repeat(resid, alphas.size)))[valid]
 
@@ -625,7 +613,9 @@ def bifurcation_map(zeta: float,
     |trace| < 2 guard and carry strong-resonance tags (eigenvalue angle
     within 1e-3 of pi, 2*pi/3 or pi/2); points where the fold and flip
     residuals of the same branch both nearly vanish are tagged as PD-SN
-    concurrence candidates.  Both grids need at least 2 points.
+    concurrence candidates.  The guard leaves the 1:2 tag reachable only
+    for trace in (-2, -2 + 1e-6), so the map practically never reports it.
+    Both grids need at least 2 points.
     """
 
     if n_tau < 2 or n_alpha < 2:
@@ -685,7 +675,11 @@ def bifurcation_map(zeta: float,
 
 
 def _curve_point(label, point, residual, epsilon, tv, residual_tol) -> CurvePoint | None:
-    """Validate and tag one refined crossing; None drops it (NaN included)."""
+    """Validate and tag one refined crossing; None drops it (NaN included).
+
+    An NS point needs |trace| < 2, and the 1:2 tag an angle within 1e-3 of
+    pi, so that tag is reachable only for trace in (-2, -2 + 1e-6).
+    """
     if not abs(residual) < residual_tol * 10:
         return None
     tags = []

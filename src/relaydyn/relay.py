@@ -236,7 +236,8 @@ def evolve(system: RelaySystem, state: HybridState, T: float,
     and the trajectory with its crossing/switch log.  The discrete component
     of the given state is normalised first: when the delayed output starts
     outside the open hysteresis band, the relay value is set by that region
-    regardless of ``state.u``.  T and ``scan_dt`` must be positive and finite.
+    regardless of ``state.u``, and the trajectory's ``u_at(0.0)`` records the
+    value that actually ran.  T and ``scan_dt`` must be positive and finite.
 
     Raises :class:`DegenerateCrossing` when the switching signal meets a
     threshold line with slope smaller than 1e-8 in magnitude, and

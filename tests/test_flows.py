@@ -233,6 +233,24 @@ def test_apply_batch_equals_the_stacked_formula_bit_for_bit():
             assert np.array_equal(got, want)
 
 
+def test_transition_rows_equal_the_scalar_transition_bit_for_bit():
+    # compared as bit patterns: == passes -0.0 against +0.0, and a21 of A(0) is -0.0
+    from relaydyn.cli import DEFAULTS
+    bifmap, unfold = DEFAULTS["bifmap"], DEFAULTS["unfold"]
+    rng = np.random.default_rng(30)
+    ts = np.concatenate([rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 2000),
+                         [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-200, 1e-17, -2.0 ** -30],
+                         np.linspace(*bifmap["tau_range"], bifmap["n_tau"]),
+                         np.linspace(math.pi + 0.05, unfold["tau_max"], unfold["n_collision"])])
+    for zeta in (-0.1, -0.3, 0.05, 0.0):
+        flow = AffineOscillatorFlow(zeta)
+        rows = flow.transition_rows(ts)
+        assert all(r.shape == ts.shape and r.flags.c_contiguous for r in rows)
+        want = np.array([flow._transition(t) for t in ts.tolist()])
+        assert np.array_equal(np.stack(rows, axis=-1).view(np.uint64), want.view(np.uint64))
+    assert np.signbit(AffineOscillatorFlow(-0.1).transition_rows([0.0])[2][0])
+
+
 def test_apply_rows_equals_apply_bit_for_bit():
     # np.exp differs from libm in the last bit on some arguments; the rows
     # must not, here over times far past one period too

@@ -748,27 +748,27 @@ def test_platform_numpy_matches_the_scalar_calls(monkeypatch, tmp_path):
 
     taus = np.unique(np.concatenate(taus))
 
-    # _flow_rows builds A(tau) and v(tau) on arrays, but with math.exp per
-    # delay: np.exp differs from it in the last bit on some CPUs
+    # the flow's transition_rows builds A(tau) and v(tau) on arrays, but with
+    # math.exp per delay: np.exp differs from it in the last bit on some CPUs
     unfold_taus = []
-    real = osc._flow_rows
+    real = AffineOscillatorFlow.transition_rows
 
-    def recorded(zeta, delays):
+    def recorded(self, delays):
         unfold_taus.extend(np.asarray(delays, dtype=float).tolist())
-        return real(zeta, delays)
+        return real(self, delays)
 
-    monkeypatch.setattr(osc, "_flow_rows", recorded)
+    monkeypatch.setattr(AffineOscillatorFlow, "transition_rows", recorded)
     cli.cmd_unfold(dict(DEFAULTS["unfold"]), tmp_path, 0)  # find_nsc included
     monkeypatch.undo()
     assert len(set(unfold_taus)) >= 137
     rng = np.random.default_rng(15)
     flow = AffineOscillatorFlow(ZETA)
     for delays in (taus, np.array(unfold_taus), rng.uniform(0.0, 4.0 * math.pi, 1000)):
-        a, v = osc._flow_rows(ZETA, delays)
+        a, v = osc._transition_stack(flow, delays)
         assert np.array_equal(a, [flow.flow_matrix(t) for t in delays.tolist()])
         assert np.array_equal(v, [flow.flow_offset(t) for t in delays.tolist()])
 
-    a, v = osc._flow_rows(ZETA, taus.tolist())
+    a, v = osc._transition_stack(flow, taus.tolist())
     m = np.eye(2) + a
     assert np.array_equal(np.linalg.svd(m, compute_uv=False),
                           [np.linalg.svd(mi, compute_uv=False) for mi in m])

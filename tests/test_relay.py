@@ -188,6 +188,24 @@ def test_evolve_is_partition_independent():
                                    rtol=0, atol=1e-9)
 
 
+def test_evolve_runs_the_relay_output_the_delayed_signal_sets():
+    # the default simulate: h(y(-tau)) = 0.439 >= eps, so u0 = +1 runs as -1,
+    # and the trajectory records the value that ran
+    system = oscillator_system(ZETA, -0.5, TAU, EPS)
+    hist = SampledHistory.constant(np.array([0.5, 0.0]), TAU)
+    assert float(system.h(hist(-TAU))) >= EPS
+    runs = [evolve(system, HybridState(hist, u0), 20.0) for u0 in (1, -1)]
+    (state_p, traj_p), (state_m, traj_m) = runs
+    for state, traj in runs:
+        assert traj.u_at(0.0) == traj.segments[0].u == state.u == -1
+    assert traj_p.crossings == traj_m.crossings and traj_p.switches == traj_m.switches
+    assert [(s.t0, s.y0.tolist(), s.u) for s in traj_p.segments] == \
+        [(s.t0, s.y0.tolist(), s.u) for s in traj_m.segments]
+    ts = np.linspace(-TAU, 20.0, 401)
+    assert np.array_equal(traj_p(ts), traj_m(ts))
+    assert np.array_equal(state_p.history(ts[:70]), state_m.history(ts[:70]))
+
+
 def test_evolve_rejects_short_history():
     system, _, _ = oscillator_setup()
     state = HybridState(SampledHistory.constant([0.5, 0.0], 0.5 * TAU), 1)

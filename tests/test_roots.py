@@ -39,13 +39,33 @@ def solve_both(f, a, b, **kw):
     return got
 
 
+# frames without a name of their own: a call from one counts for the
+# function around it, so moving a call into a comprehension keeps its site
+UNNAMED_FRAMES = {"<listcomp>", "<genexpr>", "<lambda>"}
+
+
+def call_site(frame) -> str:
+    """Name of the nearest enclosing frame that is a named function."""
+    while frame.f_code.co_name in UNNAMED_FRAMES:
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_every_call_site_equals_scipy(monkeypatch):
     sites = Counter()
 
     def checked(f, a, b, **kw):
-        caller = sys._getframe(1).f_code
-        sites[caller.co_name] += 1
+        sites[call_site(sys._getframe(1))] += 1
         return solve_both(f, a, b, **kw)
+
+    def probe():  # calls from a list comprehension, a generator expression and a lambda
+        [checked(lambda x: x - r, 0.0, 1.0) for r in (0.25, 0.5)]
+        sum(checked(math.cos, 0.0, 2.0) for _ in range(1))
+        (lambda: checked(math.sin, 3.0, 4.0))()
+
+    probe()
+    assert sites == {"probe": 4}
+    sites.clear()
 
     for module in (reduced, relay, oscillator, continuation):
         monkeypatch.setattr(module, "brentq", checked)
