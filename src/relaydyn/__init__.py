@@ -17,9 +17,9 @@ from .errors import (BreakupDetected, CentroidOnCurve, DegenerateCrossing,
                      DegenerateDerivative, InitialPointFailed,
                      InsufficientSamples, LeftNeighborhood, NegativeEpsilon,
                      NoConvergence, NonTransversalCorner, NoRootInBracket,
-                     NoRootInInterval, NotAMaximum, NumericalError,
-                     ParametrizationBreakdown, RelayDynError, SingularJacobian,
-                     SingularSurface, ValidationError, WindowTooLarge)
+                     NotAMaximum, NumericalError, ParametrizationBreakdown,
+                     RelayDynError, SingularJacobian, SingularSurface,
+                     ValidationError, WindowTooLarge)
 from .flows import AffineOscillatorFlow
 from .history import (BreakpointHistory, HybridState, SampledHistory,
                       Trajectory)
@@ -31,8 +31,7 @@ from .oscillator import (BifurcationMap, CollisionOrbit, CollisionStability,
                          surface_table)
 from .reduced import (CollisionContext, DomainTag, branch_of, classify,
                       crossing_time, jacobian_F, jacobian_F_branch, map_F,
-                      map_F_branch, oscillator_context, reconstruct_history,
-                      theta)
+                      map_F_branch, oscillator_context, reconstruct_history)
 from .relay import (RelaySystem, SwitchBoundReport, check_weak_transversality,
                     evolve, hysteron, oscillator_system, strict_transversality_q,
                     switch_bound_report)

@@ -22,7 +22,6 @@ __all__ = [
     "SingularSurface",
     "NegativeEpsilon",
     "NonTransversalCorner",
-    "NoRootInInterval",
     "ParametrizationBreakdown",
     "NotAMaximum",
     "BreakupDetected",
@@ -51,7 +50,7 @@ class NoRootInBracket(NumericalError):
 
 
 class DegenerateDerivative(NumericalError):
-    """Newton derivative vanished and the bisection fallback has no bracket."""
+    """A signal meets its threshold tangentially: its slope at the crossing is below tolerance."""
 
 
 class NoConvergence(NumericalError):
@@ -86,10 +85,6 @@ class NegativeEpsilon(ValidationError):
 
 class NonTransversalCorner(ValidationError):
     """The two vector fields do not both cross the threshold at the corner (q <= 0)."""
-
-
-class NoRootInInterval(ValidationError):
-    """Scalar solve over a parameter interval found no sign change."""
 
 
 class ParametrizationBreakdown(ValidationError):

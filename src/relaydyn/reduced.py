@@ -21,16 +21,15 @@ flow otherwise, which splits the phase space into two smooth branches:
 Both branches agree on the line itself, so F is continuous and piecewise
 smooth.  The map and its analytic Jacobians are exact up to the flow
 backend; :func:`reconstruct_history` lifts a map point back to a full
-hybrid state so the event-driven engine can serve as an oracle.
+hybrid state, its one switch a fixed delta before the head, so the
+event-driven engine can serve as an oracle.
 
-The crossing time t(y) and the phase :func:`theta` are roots of one kind
-of signal, a fixed normal dotted with the closed-form flow from y.  One
-:class:`CrossingKernel` solves both, by Newton with a Brent fallback on
-Python floats; each context builds its two kernels once.  The crossing
-kernel also steps the map itself: the attractor loop of
-:mod:`relaydyn.attractor` sends it each iterate and gets the next one back,
-through the same Newton body that :func:`crossing_time`, :func:`theta` and
-:func:`map_F` run.
+The crossing time t(y) is where the threshold normal dotted with the
+closed-form flow from y reaches eps.  The context's one :class:`CrossingKernel` solves
+it by Newton with a Brent fallback on Python floats, and it also steps the
+map itself: the attractor loop of :mod:`relaydyn.attractor` sends it each
+iterate and gets the next one back, through the same Newton body that
+:func:`crossing_time` and :func:`map_F` run.
 
 The context watches the +eps line and propagates with input +1 after the
 switch.  For odd fields and linear h the opposite half-cycle is its
@@ -41,15 +40,14 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from ._roots import SPLITTER, brentq, fused_dot, split_factor
-from .errors import (DegenerateDerivative, NoRootInBracket, NoRootInInterval,
-                     RelayDynError)
+from .errors import DegenerateDerivative, NoRootInBracket
 from .flows import AffineOscillatorFlow
 from .history import BreakpointHistory, HybridState
 
@@ -65,11 +63,12 @@ __all__ = [
     "map_F_branch",
     "jacobian_F",
     "jacobian_F_branch",
-    "theta",
     "reconstruct_history",
 ]
 
 _EPS = float(np.finfo(float).eps)
+# a root whose slope is below this in magnitude is a tangent crossing
+_MIN_SLOPE = 1e-8
 
 
 class DomainTag(enum.Enum):
@@ -88,10 +87,13 @@ class CollisionContext:
     ``c = (cos alpha, sin alpha)``; :meth:`h` and :meth:`dh` read it.
     ``delta`` bounds the crossing-time search to (-delta, delta); it must
     be small enough that the path through any admissible point meets the
-    threshold exactly once in that window.  ``y_ref`` is the collision
-    point itself (used to anchor the phase section of :func:`theta`).
-    The context watches ``h = +eps`` and propagates with input +1.  Its
-    two :class:`CrossingKernel` solvers are built on first use and kept.
+    threshold exactly once in that window; :func:`reconstruct_history`
+    puts the lifted switch delta before the head.  ``y_ref`` is the
+    collision point itself: :func:`~relaydyn.attractor.iterate_attractor`
+    measures its escape radius from it, and ``sweep`` and ``polygon`` seed
+    their runs next to it.  The context watches ``h = +eps`` and propagates
+    with input +1.  Its :class:`CrossingKernel` is built on first use and
+    kept.
     """
 
     flow: AffineOscillatorFlow
@@ -118,23 +120,7 @@ class CollisionContext:
     @cached_property
     def crossing_kernel(self) -> CrossingKernel:
         """Solver of :func:`crossing_time`: h = eps within (-delta, delta) of 0."""
-        d = self.delta
-        return CrossingKernel(
-            self.flow, normal=self.c.tolist(), point=(0.0, 0.0), level=self.epsilon,
-            start=0.0, box=(-d, d), bracket=(-d, d), floor_scale=32.0 * _EPS, min_slope=1e-8,
-            no_root=partial(NoRootInBracket,
-                            f"no threshold crossing within {d:.4g} of the switch point"))
-
-    @cached_property
-    def section_kernel(self) -> CrossingKernel:
-        """Solver of :func:`theta`: the phase section within [0, 2*delta]."""
-        flow, d = self.flow, self.delta
-        return CrossingKernel(
-            flow, normal=flow.velocity(self.y_ref, 1).tolist(),
-            point=flow.apply(self.y_ref, 1, d).tolist(), level=0.0,
-            start=d, box=(-d, 3.0 * d), bracket=(0.0, 2.0 * d), floor_scale=0.0, min_slope=0.0,
-            no_root=partial(NoRootInInterval,
-                            "path does not reach the phase section in [0, 2*delta]"))
+        return CrossingKernel(self.flow, self.c.tolist(), self.epsilon, self.delta)
 
 
 def oscillator_context(zeta: float, alpha: float, tau: float, epsilon: float,
@@ -164,14 +150,13 @@ def branch_of(ctx: CollisionContext, y) -> int:
 
 
 class CrossingKernel:
-    """Root of the signal t -> n . (z(t) - p) - level along a branch flow.
+    """Offset t in the window (-delta, delta) at which n . z(t) = level.
 
     z(t) is the closed-form flow from a state (x, x') under a frozen input
-    u, n a fixed normal and p a fixed point; the slope n . f(z(t), u) comes
-    from the same flow evaluation.  Everything fixed per context is bound
-    at construction: :attr:`CollisionContext.crossing_kernel` watches the
-    threshold line, :attr:`CollisionContext.section_kernel` the phase
-    section of :func:`theta`.
+    u and n a fixed normal; the slope n . f(z(t), u) comes from the same
+    flow evaluation.  Everything fixed per context is bound at
+    construction; :attr:`CollisionContext.crossing_kernel` watches the
+    threshold line, with the threshold normal c and level eps.
 
     One Newton body serves two callers.  :meth:`solve` returns the root for
     one state; :meth:`map_steps` returns the half-return map's next iterate
@@ -179,12 +164,12 @@ class CrossingKernel:
     body is a generator: priming it binds its constants once, for one solve
     or for a whole orbit.
 
-    Newton runs from ``start``.  It accepts an iterate whose residual is
-    below max(1e-13, ``floor_scale`` * max(|x|, |x'|)) and that lies inside
-    ``bracket``, and stops once an iterate leaves ``box`` or meets a zero
-    slope; Brent's method then searches the bracket.  A root whose slope is
-    below ``min_slope`` in magnitude raises :class:`DegenerateDerivative`;
-    a bracket without a sign change raises ``no_root()``.
+    Newton runs from t = 0.  It accepts an iterate whose residual is below
+    max(1e-13, 32 machine epsilons * max(|x|, |x'|)), and stops once an
+    iterate leaves the window or meets a zero slope; Brent's method then
+    searches the window.  A root whose slope is below 1e-8 in magnitude
+    raises :class:`DegenerateDerivative`; a window without a sign change
+    raises :class:`NoRootInBracket`.
 
     The Newton loop evaluates the flow inline, in ``flow._advance``'s exact
     association, and the field in ``flow._accel``'s; the bracket search
@@ -195,32 +180,26 @@ class CrossingKernel:
     :func:`fused_dot`, equal to ``ndarray.dot`` (the BLAS ddot's fused
     multiply-add) bit for bit; the body writes that arithmetic out (Dekker's
     product and ``math.fsum``).  The accepted iterate's residual and the
-    slope tested against ``min_slope`` are plain float sums, rounded exactly
-    only inside a certified margin about their thresholds, so roots and
-    exceptions stay bit for bit.  An iterate outside ``box``, which holds
-    ``bracket``, goes to the bracket search unevaluated, so a far Newton
-    step cannot overflow ``math.exp``.
+    slope tested against the minimum slope are plain float sums, rounded
+    exactly only inside a certified margin about their thresholds, so roots
+    and exceptions stay bit for bit.  An iterate outside the window goes to
+    the bracket search unevaluated, so a far Newton step cannot overflow
+    ``math.exp``.
     """
 
-    def __init__(self, flow: AffineOscillatorFlow, normal, point, level: float,
-                 start: float, box: tuple[float, float], bracket: tuple[float, float],
-                 floor_scale: float, min_slope: float,
-                 no_root: Callable[[], RelayDynError]):
+    def __init__(self, flow: AffineOscillatorFlow, normal, level: float, delta: float):
         self._flow = flow
         self._m2z, self._omsq = -2.0 * flow.zeta, flow._omsq  # flow._accel's factors
         n0, n1 = normal
         self._n0, self._n1 = float(n0), split_factor(float(n1))
-        self._p0, self._p1 = float(point[0]), float(point[1])
-        self._level, self._bracket, self._no_root = float(level), bracket, no_root
-        assert box[0] <= bracket[0] <= bracket[1] <= box[1], "bracket must lie in box"
+        self._level, self._delta = float(level), float(delta)
         # the Newton body's constants, unpacked in one step whenever it is primed
         self._constants = (flow.zeta, self._m2z, self._omsq, self._n0, self._n1, *self._n1,
-                           self._p0, self._p1, self._level, float(start), floor_scale,
-                           min_slope, *box, *bracket)
+                           self._level, 32.0 * _EPS, _MIN_SLOPE, -self._delta, self._delta)
 
     def dot(self, x: float, xdot: float) -> float:
-        """n . ((x, x') - p): the signal plus ``level`` at t = 0."""
-        return fused_dot(self._n0, self._n1, x - self._p0, xdot - self._p1)
+        """n . (x, x'): the signal plus ``level`` at t = 0."""
+        return fused_dot(self._n0, self._n1, x, xdot)
 
     def signal(self, x: float, xdot: float, g0: float, u: int, t: float) -> tuple[float, float]:
         """Signal and slope at offset t from (x, x'), with g0 = :meth:`dot`."""
@@ -257,16 +236,16 @@ class CrossingKernel:
     def _newton(self, tau: float | None):
         """The Newton body: receives (x, x', g0, u) and yields the root t,
         or with ``tau`` the map iterate of :meth:`map_steps`."""
-        (z, m2z, omsq, n0, n1_split, n1, n1_hi, n1_lo, p0, p1, level, start, floor_scale,
-         min_slope, box_lo, box_hi, a, b) = self._constants
+        (z, m2z, omsq, n0, n1_split, n1, n1_hi, n1_lo, level, floor_scale, min_slope,
+         t_min, t_max) = self._constants
         exp, cos, sin, fsum, nan = math.exp, math.cos, math.sin, math.fsum, math.nan
         out = None
         while True:
             x, xdot, g0, u = yield out
             tol = max(1e-13, floor_scale * max(abs(x), abs(xdot)))
-            t, converged = start, False
+            t, converged = 0.0, False
             for _ in range(30):
-                if not box_lo <= t <= box_hi:
+                if not t_min <= t <= t_max:
                     break
                 if t == 0.0:
                     zx, zv, r = x, xdot, g0 - level
@@ -276,24 +255,23 @@ class CrossingKernel:
                     s = sin(t)
                     zx = e * (c + z * s) * x + e * s * xdot + u * (e * (-z * s - c) + 1.0)
                     zv = -e * omsq * s * x + e * (c - z * s) * xdot + u * (e * omsq * s)
-                    w0, w1 = zx - p0, zv - p1
                     # plain r is within 5u(|p| + |q| + |level|) of the fused r (u = 2**-53)
                     # and tol - B rounds by u*tol < u(|p| + |q| + |level|) where |r| can
                     # reach tol, so B = 1e-15(...) > 9u(...) certifies |fused r| < tol
-                    p, q = n0 * w0, n1 * w1
+                    p, q = n0 * zx, n1 * zv
                     r = p + q - level
                     if not (abs(r) < tol and abs(r) < tol - 1e-15 * (abs(p) + abs(q) + abs(level))):
                         err = nan
                         if 1e-250 < abs(q) < 1e250:
-                            sp = SPLITTER * w1
-                            hi = sp - (sp - w1)
-                            lo = w1 - hi
+                            sp = SPLITTER * zv
+                            hi = sp - (sp - zv)
+                            lo = zv - hi
                             err = ((n1_hi * hi - q) + n1_hi * lo + n1_lo * hi) + n1_lo * lo
                         r = (fsum((q, err, p)) if err == err
-                             else fused_dot(n0, n1_split, w0, w1)) - level
+                             else fused_dot(n0, n1_split, zx, zv)) - level
                 acc = m2z * zv - omsq * (zx - u)
                 if abs(r) < tol:
-                    converged = a <= t <= b
+                    converged = True
                     break
                 q, err = n1 * acc, nan
                 if 1e-250 < abs(q) < 1e250:
@@ -307,13 +285,13 @@ class CrossingKernel:
                 t -= r / d
             if not converged:
                 t, d = self._bracket_root(x, xdot, g0, u)
-            elif min_slope:
+            else:
                 # the plain slope lies within 3u(|p| + |q|) of the fused one
                 p, q = n0 * zv, n1 * acc
                 d = p + q
                 if abs(abs(d) - min_slope) <= 1e-15 * (abs(p) + abs(q)):
                     d = fused_dot(n0, n1_split, zv, acc)
-            if min_slope and abs(d) < min_slope:
+            if abs(d) < min_slope:
                 raise DegenerateDerivative(f"threshold met tangentially at offset {t:.6g}")
             if tau is None:
                 out = t
@@ -324,18 +302,20 @@ class CrossingKernel:
             s = sin(t)
             x, xdot = (-(e * (c + z * s) * x + e * s * xdot + (e * (-z * s - c) + 1.0)),
                        -(-e * omsq * s * x + e * (c - z * s) * xdot + e * omsq * s))
-            out = x, xdot, fused_dot(n0, n1_split, x - p0, xdot - p1)
+            out = x, xdot, fused_dot(n0, n1_split, x, xdot)
 
     def _bracket_root(self, x: float, xdot: float, g0: float, u: int) -> tuple[float, float]:
-        """Root and slope by Brent's method over the bracket, else ``no_root()``."""
-        a, b = self._bracket
+        """Root and slope by Brent's method over the window, else
+        :class:`NoRootInBracket`."""
+        b = self._delta
+        a = -b
         (ra, da), (rb, db) = self.signal(x, xdot, g0, u, a), self.signal(x, xdot, g0, u, b)
         if ra == 0.0:
             return a, da
         if rb == 0.0:
             return b, db
         if ra * rb > 0.0:
-            raise self._no_root()
+            raise NoRootInBracket(f"no threshold crossing within {b:.4g} of the switch point")
         t = brentq(lambda s: self.signal(x, xdot, g0, u, s)[0], a, b,
                    xtol=1e-15, rtol=8.9e-16)
         return t, self.signal(x, xdot, g0, u, t)[1]
@@ -347,10 +327,10 @@ def crossing_time(ctx: CollisionContext, y, branch: int) -> float:
     The signal is c . z(t) - eps with c the context's threshold normal and
     z(t) the branch flow from y; its slope c . f(z(t), branch) comes from
     the same flow evaluation.  The context's :attr:`~CollisionContext.crossing_kernel`
-    runs Newton from t = 0 with that slope and falls back to bisection over
-    the full bracket when Newton stalls or leaves it.  The residual floor is
-    1e-13 up to |y| = 14 and 32 machine epsilons of |y| beyond, where the
-    signal's rounding exceeds 1e-13.  Raises :class:`NoRootInBracket` when
+    runs Newton from t = 0 with that slope and falls back to Brent's method
+    over the full bracket when Newton stalls or leaves it.  The residual
+    floor is 1e-13 up to |y| = 14 and 32 machine epsilons of |y| beyond,
+    where the signal's rounding exceeds 1e-13.  Raises :class:`NoRootInBracket` when
     the bracket holds no sign change and :class:`DegenerateDerivative` when
     the signal is tangent at the root.
     """
@@ -406,42 +386,33 @@ def jacobian_F(ctx: CollisionContext, y) -> np.ndarray:
     return jacobian_F_branch(ctx, y, branch_of(ctx, y))
 
 
-def theta(ctx: CollisionContext, y) -> float:
-    """Travel time from y to the phase section downstream of the corner.
-
-    The section is the hyperplane through ``Y_p^delta y_ref`` normal to the
-    reference velocity f(y_ref, p); it is crossed transversally by every
-    path near the collision orbit, giving each map point a well-defined
-    phase theta(y) in [0, 2*delta].  The context's
-    :attr:`~CollisionContext.section_kernel` solves f2 . (z - y_sec) = 0,
-    with f2 = f(y_ref, p), y_sec the section point and z the propagation
-    flow from y, by Newton from delta inside (-delta, 3*delta) and Brent's
-    method over [0, 2*delta] after that.  Raises :class:`NoRootInInterval`
-    when the path does not reach the section in that window.
-    """
-
-    kernel = ctx.section_kernel
-    x, xdot = float(y[0]), float(y[1])
-    return kernel.solve(x, xdot, kernel.dot(x, xdot), 1)
-
-
 def reconstruct_history(ctx: CollisionContext, y, horizon: float | None = None) -> HybridState:
     """Lift a map point to the hybrid state it stands for.
 
-    The history runs the post-switch flow for theta(y) time units (so the
-    head sits on the phase section) and the pre-switch flow before that;
-    the single label change happens exactly at the switch point y.  The
-    returned state evolves under the full delayed dynamics into the switch
-    points -F(y), F(F(y)), ... which is the oracle test for the map.
+    The history's one switch sits at the switch point y, at the fixed
+    offset -delta: the history runs the post-switch flow from y for delta
+    time units up to the head and the pre-switch flow before that.  The
+    path through y meets the threshold at -delta + t(y), with t(y) the
+    :func:`crossing_time` on y's branch, so the state switches next at time
+    tau - delta + t(y), at the point -F(y).  It evolves under the full
+    delayed dynamics into the switch points -F(y), F(F(y)), ... which is the
+    oracle test for the map.
+
+    That next switch lies in the past when -delta + t(y) < -tau, which a
+    window delta > tau / 2 allows; the history holds only the one switch,
+    so the lift would lose it, and raises ``ValueError`` instead.  A point
+    without a map image raises as :func:`crossing_time` does.
     """
 
     y = np.asarray(y, dtype=float)
-    th = theta(ctx, y)
     big = ctx.tau if horizon is None else float(horizon)
     if big < ctx.tau:
         raise ValueError("history horizon must cover the delay")
-    if th >= big:
-        raise ValueError("phase offset exceeds the history horizon")
-    anchor = ctx.flow.apply(y, -1, th - big)
-    hist = BreakpointHistory(ctx.flow, big, anchor, times=[-th], labels=[-1, 1])
+    d = ctx.delta
+    t = crossing_time(ctx, y, branch_of(ctx, y))
+    if t - d < -ctx.tau:
+        raise ValueError(f"the threshold crossing at {t - d:.6g} lies more than one delay "
+                         "back, so the lifted history would miss the next switch")
+    anchor = ctx.flow.apply(y, -1, d - big)
+    hist = BreakpointHistory(ctx.flow, big, anchor, times=[-d], labels=[-1, 1])
     return HybridState(history=hist, u=1)

@@ -10,13 +10,14 @@ from scipy.optimize import brentq
 from relaydyn import reduced
 from relaydyn.attractor import iterate_attractor
 from relaydyn.errors import (DegenerateDerivative, LeftNeighborhood, NoRootInBracket,
-                             NoRootInInterval, RelayDynError)
+                             RelayDynError)
+from relaydyn.history import BreakpointHistory, HybridState
 from relaydyn.oscillator import (collision_context, collision_orbit, surface_alpha,
                                  surface_corner)
 from relaydyn.reduced import (DomainTag, branch_of, classify, crossing_time,
                               jacobian_F, jacobian_F_branch, map_F,
                               map_F_branch, oscillator_context,
-                              reconstruct_history, theta)
+                              reconstruct_history)
 from relaydyn.relay import evolve, oscillator_system
 
 ZETA, TAU, EPS = -0.1, 4.2, 0.1
@@ -138,19 +139,6 @@ def test_branches_coincide_across_line_for_vertical_threshold():
     assert gap > 1e-2  # a genuine corner away from alpha = 0
 
 
-def test_theta_lands_on_phase_section(ctx):
-    rng = np.random.default_rng(21)
-    y_sec = ctx.flow.apply(ctx.y_ref, 1, ctx.delta)
-    f_ref = ctx.flow.velocity(ctx.y_ref, 1)
-    for _ in range(10):
-        y = ctx.y_ref + rng.normal(scale=3e-3, size=2)
-        th = theta(ctx, y)
-        assert 0.0 <= th <= 2.0 * ctx.delta
-        z = ctx.flow.apply(y, 1, th)
-        assert abs(f_ref @ (z - y_sec)) < 1e-11
-    assert theta(ctx, ctx.y_ref) == pytest.approx(ctx.delta, abs=1e-12)
-
-
 def test_reconstruct_history_lifts_map_points(ctx):
     # the lifted state must evolve into switch points -F(y), F(F(y)), ...
     alpha = surface_alpha(ZETA, TAU, EPS)[0]
@@ -159,7 +147,7 @@ def test_reconstruct_history_lifts_map_points(ctx):
     state = reconstruct_history(ctx, y0)
     assert state.u == 1
     # the single label change sits exactly at the lifted switch point
-    np.testing.assert_allclose(state.history(-theta(ctx, y0)), y0, atol=1e-12)
+    np.testing.assert_allclose(state.history(-ctx.delta), y0, atol=1e-12)
     _, traj = evolve(system, state, 3.2 * TAU)
     pts = traj.switch_points()
     assert pts.shape[0] >= 3
@@ -168,6 +156,57 @@ def test_reconstruct_history_lifts_map_points(ctx):
         expected = map_F(ctx, expected)
         sign = -sign
         np.testing.assert_allclose(pts[k], sign * expected, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("tau, alpha", [(4.3, -0.56), (4.25, -0.6), (4.45, -0.4)])
+def test_reconstruct_history_lifts_chaotic_attractors(tau, alpha):
+    # sweep's 0.45 tau window past the torus collision, where the map is
+    # chaotic: every 10th sample of the attractor lifts, and the delayed
+    # system's first 19 switch points follow the map's iterates
+    ctx = wide_context(alpha, tau)
+    run = iterate_attractor(ctx, ctx.y_ref + np.array([1e-3, 0.0]), 1000, 1360, radius=3.0)
+    assert run.period == 0 and run.visited_plus and run.visited_minus
+    system = oscillator_system(ZETA, alpha, tau, EPS)
+    for y0 in run.points[::10]:
+        _, traj = evolve(system, reconstruct_history(ctx, y0), 20.0 * tau)
+        pts = traj.switch_points()
+        assert pts.shape[0] >= 19
+        expected = y0
+        for k, pt in enumerate(pts):
+            expected = map_F(ctx, expected)
+            np.testing.assert_allclose(pt, (-1) ** (k + 1) * expected, rtol=0, atol=1e-11)
+
+
+def test_reconstruct_history_refuses_a_crossing_more_than_one_delay_back(ctx):
+    # with a 0.95 tau window the crossing at -delta + t(y) can lie more than
+    # one delay back; the next switch then falls before the head, and the
+    # history, which holds only the switch at -delta, would lose it
+    alpha = surface_alpha(ZETA, TAU, EPS)[0]
+    delta = 0.95 * TAU
+    wide = oscillator_context(ZETA, alpha, TAU, EPS, ctx.y_ref, delta=delta)
+    system = oscillator_system(ZETA, alpha, TAU, EPS)
+    lifted = refused = 0
+    rng = np.random.default_rng(1)
+    for y in ctx.y_ref + rng.normal(scale=0.5, size=(300, 2)):
+        t = outcome(crossing_time, wide, y, branch_of(wide, y))
+        if isinstance(t, type):
+            continue
+        try:
+            state = reconstruct_history(wide, y)
+        except ValueError:
+            assert t - delta < -TAU
+            refused += 1
+            # the unchecked lift evolves into another first switch
+            unchecked = BreakpointHistory(wide.flow, TAU, wide.flow.apply(y, -1, delta - TAU),
+                                          times=[-delta], labels=[-1, 1])
+            _, traj = evolve(system, HybridState(unchecked, 1), 1.05 * TAU)
+            pts = traj.switch_points()
+            assert pts.shape[0] == 0 or np.max(np.abs(pts[0] + map_F(wide, y))) > 1e-8
+            continue
+        _, traj = evolve(system, state, 1.05 * TAU)
+        np.testing.assert_allclose(traj.switch_points()[0], -map_F(wide, y), rtol=0, atol=1e-8)
+        lifted += 1
+    assert lifted > 0 and refused > 0
 
 
 def test_context_validation():
@@ -224,40 +263,6 @@ def two_eval_crossing_time(ctx, y, branch):
     return t
 
 
-def two_eval_theta(ctx, y):
-    """Phase solve with separate value and slope flow evaluations."""
-    y = np.asarray(y, dtype=float)
-    flow, delta = ctx.flow, ctx.delta
-    f2 = flow.velocity(ctx.y_ref, 1)
-    y_sec = flow.apply(ctx.y_ref, 1, delta)
-
-    def q(th):
-        return float(f2 @ (flow.apply(y, 1, th) - y_sec))
-
-    def dq(th):
-        return float(f2 @ flow.velocity(flow.apply(y, 1, th), 1))
-
-    th = delta
-    for _ in range(30):
-        r = q(th)
-        if abs(r) < 1e-13:
-            if 0.0 <= th <= 2.0 * delta:
-                return th
-            break
-        d = dq(th)
-        if d == 0.0 or not -delta <= th <= 3.0 * delta:
-            break
-        th -= r / d
-    qa, qb = q(0.0), q(2.0 * delta)
-    if qa == 0.0:
-        return 0.0
-    if qb == 0.0:
-        return 2.0 * delta
-    if qa * qb > 0.0:
-        raise NoRootInInterval("no section crossing")
-    return float(brentq(q, 0.0, 2.0 * delta, xtol=1e-15, rtol=8.9e-16))
-
-
 def outcome(fn, *args):
     """Return value, or the error type when the solve refuses."""
     try:
@@ -285,7 +290,6 @@ def test_shared_newton_equals_two_eval_solves_near_corner(ctx, brentq_calls):
         for branch in (1, -1):
             want = two_eval_crossing_time(ctx, y, branch)
             assert crossing_time(ctx, y, branch) == want
-        assert theta(ctx, y) == two_eval_theta(ctx, y)
     assert brentq_calls == []  # Newton converges on every point this close
 
 
@@ -293,9 +297,11 @@ def rare_path_states(ctx):
     """States that reach the crossing solves' rare paths.
 
     x' = 0 and a subnormal x' put c1 x' outside :func:`fused_dot`'s exact
-    range; the states on the threshold line and on the pull-back of the
-    phase section have |y| >= 14, where the crossing solve's residual floor
-    is 32 machine epsilons of |y| rather than 1e-13.
+    range.  The others have |y| >= 14, where the crossing solve's residual
+    floor is 32 machine epsilons of |y| rather than 1e-13: states on the
+    threshold line and next to it, and the pull-back by delta of states on
+    the line through Y_+^delta y_ref across the reference velocity
+    f(y_ref, +1).
     """
     c, flow, delta = ctx.c, ctx.flow, ctx.delta
     along = np.array([-c[1], c[0]])
@@ -319,7 +325,6 @@ def test_shared_newton_equals_two_eval_solves_far_out(ctx, brentq_calls):
             got = outcome(crossing_time, ctx, y, branch)
             assert got == outcome(two_eval_crossing_time, ctx, y, branch)
             kinds.add(got if isinstance(got, type) else float)
-        assert outcome(theta, ctx, y) == outcome(two_eval_theta, ctx, y)
     assert kinds == {float, NoRootInBracket}
     assert len(brentq_calls) > 0
 
@@ -338,85 +343,74 @@ def test_shared_newton_no_root(ctx, brentq_calls):
         crossing_time(ctx, far, 1)
     with pytest.raises(NoRootInBracket):
         two_eval_crossing_time(ctx, far, 1)
-    with pytest.raises(NoRootInInterval):
-        theta(ctx, far)
-    with pytest.raises(NoRootInInterval):
-        two_eval_theta(ctx, far)
     assert brentq_calls == []
 
 
 def test_newton_step_out_of_the_box_ends_in_the_bracket_search(ctx):
-    # with a 0.45 tau window, theta's Newton from the first state steps to
-    # t = 19411, where math.exp overflows; an iterate outside the box must go
-    # to the bracket search unevaluated, so every solve of the seed-32 scan
-    # returns a root on its signal inside its window or refuses documentedly
+    # with a 0.45 tau window, the first state's slope c . f(y, +1) at t = 0
+    # is -1e-5, so Newton's first step on branch +1 lands at t ~ 6.9e4,
+    # where math.exp overflows; an iterate outside the box must go to the
+    # bracket search unevaluated, so every solve of the seed-32 scan returns
+    # a root on its signal inside its window or refuses documentedly
     delta = 0.45 * TAU
     wide = oscillator_context(ZETA, surface_alpha(ZETA, TAU, EPS)[0], TAU, EPS,
                               ctx.y_ref, delta=delta)
-    flow = wide.flow
-    f2 = flow.velocity(wide.y_ref, 1)
-    y_sec = flow.apply(wide.y_ref, 1, delta)
+    flow, (c0, c1) = wide.flow, wide.c
+    x = ctx.y_ref[0] + 0.05
+    steep = np.array([x, (-1e-5 + c1 * flow._omsq * (x - 1.0)) / (c0 - 2.0 * ZETA * c1)])
+    slope = float(wide.c @ flow.velocity(steep, 1))
+    assert slope == pytest.approx(-1e-5, rel=1e-9)
+    assert -(wide.h(steep) - EPS) / slope > 6e4
+    with pytest.raises(NoRootInBracket):
+        crossing_time(wide, steep, 1)
     kinds = set()
     rng = np.random.default_rng(32)
-    states = [np.array([0.6680805834690564, 1.0583089064099311]),
-              *(ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)))]
-    for y in states:
+    for y in [steep, *(ctx.y_ref + rng.normal(scale=0.3, size=(200, 2)))]:
         for branch in (1, -1):
             t = outcome(crossing_time, wide, y, branch)
             if not isinstance(t, type):
                 assert -delta <= t <= delta
                 assert abs(wide.h(flow.apply(y, branch, t)) - EPS) <= 1e-12
             kinds.add(t if isinstance(t, type) else float)
-        th = outcome(theta, wide, y)
-        if not isinstance(th, type):
-            assert 0.0 <= th <= 2.0 * delta
-            assert abs(float(f2 @ (flow.apply(y, 1, th) - y_sec))) <= 1e-12
-        kinds.add(th if isinstance(th, type) else float)
-    assert float in kinds and kinds <= {float, NoRootInBracket, NoRootInInterval,
-                                        DegenerateDerivative}
+    assert float in kinds and kinds <= {float, NoRootInBracket, DegenerateDerivative}
 
 
 # ---------------------------------------------------------------------------
 # the float filters of the crossing kernel at their margins
 
-FILTER_KERNEL = dict(normal=(0.6, -1.3), start=0.05, box=(-0.5, 0.5),
-                     bracket=(-0.4, 0.4), floor_scale=0.0)
+FILTER_NORMAL, FILTER_DELTA = (0.6, -1.3), 0.5
 
 
-def filter_kernel(ctx, level, min_slope):
-    """A :class:`CrossingKernel` whose Newton start is not t = 0, so its
-    first iterate's residual already goes through the float filter."""
-    return reduced.CrossingKernel(ctx.flow, point=ctx.y_ref.tolist(), level=level,
-                                  min_slope=min_slope, no_root=NoRootInBracket,
-                                  **FILTER_KERNEL)
+def filter_kernel(ctx, level):
+    """A :class:`CrossingKernel` on a normal other than the threshold's."""
+    return reduced.CrossingKernel(ctx.flow, FILTER_NORMAL, level, FILTER_DELTA)
 
 
 def array_solve(ctx, level, min_slope, y, u):
     """The kernel's rules with every dot product an ``ndarray.dot``."""
-    normal, point = np.array(FILTER_KERNEL["normal"]), ctx.y_ref
-    (box_lo, box_hi), (a, b) = FILTER_KERNEL["box"], FILTER_KERNEL["bracket"]
-    flow, tol = ctx.flow, 1e-13
+    normal, flow, delta = np.array(FILTER_NORMAL), ctx.flow, FILTER_DELTA
+    tol = max(1e-13, 32.0 * np.finfo(float).eps * float(np.max(np.abs(y))))
 
     def signal(t):
         z = flow.apply(y, u, t)
-        return float(normal @ (z - point)) - level, float(normal @ flow.velocity(z, u))
+        return float(normal @ z) - level, float(normal @ flow.velocity(z, u))
 
-    t, converged = FILTER_KERNEL["start"], False
+    t, converged = 0.0, False
     for _ in range(30):
-        if not box_lo <= t <= box_hi:
+        if not -delta <= t <= delta:
             break
         r, d = signal(t)
         if abs(r) < tol:
-            converged = a <= t <= b
+            converged = True
             break
         if d == 0.0:
             break
         t -= r / d
     if not converged:
-        (ra, da), (rb, db) = signal(a), signal(b)
+        (ra, da), (rb, db) = signal(-delta), signal(delta)
         if ra * rb > 0.0:
             raise NoRootInBracket("no crossing")
-        t = float(brentq(lambda s: signal(s)[0], a, b, xtol=1e-15, rtol=8.9e-16))
+        t = float(brentq(lambda s: signal(s)[0], -delta, delta, xtol=1e-15, rtol=8.9e-16))
         d = signal(t)[1]
     if abs(d) < min_slope:
         raise DegenerateDerivative("tangent")
@@ -428,46 +422,57 @@ def plain_dot(n, w):
 
 
 def test_residual_filter_at_the_floor(ctx):
-    # levels that put the first iterate's residual within a few ulps of the
-    # floor 1e-13 on both sides: the kernel must solve as the all-array
-    # route does, including where the plain residual alone would decide
-    # otherwise
-    n = np.array(FILTER_KERNEL["normal"])
-    start = FILTER_KERNEL["start"]
+    # Newton starts at t = 0, where the residual is read from the dot product
+    # the caller passes in, so the filter first acts on the second iterate
+    # t1.  A level g0 + d0 T' makes t1 = T' and its residual about
+    # g''(0) T'**2 / 2; T' within 0.2 % of sqrt(2e-13 / |g''(0)|) puts that
+    # residual within 4e-16 of the floor 1e-13 on both sides.  The kernel must
+    # solve as the all-array route does, including where the plain residual
+    # alone would decide otherwise.  The kernel does not check its level,
+    # which may be negative here.
+    n = np.array(FILTER_NORMAL)
+    flow = ctx.flow
     rng = np.random.default_rng(45)
     misjudged = accepted = 0
     for y in ctx.y_ref + rng.normal(scale=0.05, size=(30, 2)):
         x, xdot = y.tolist()
         for u in (1, -1):
-            w = ctx.flow.apply(y, u, start) - ctx.y_ref
-            g = float(n @ w)
-            for level in (g - s * 1e-13 + j * math.ulp(g) for s in (1, -1) for j in range(-3, 4)):
-                kernel = filter_kernel(ctx, level, 1e-8)
-                got = outcome(kernel.solve, x, xdot, kernel.dot(x, xdot), u)
-                assert got == outcome(array_solve, ctx, level, 1e-8, y, u)
-                fused = abs(g - level) < 1e-13
-                misjudged += (abs(plain_dot(n, w) - level) < 1e-13) != fused
-                accepted += got == start
+            g0, v = float(n @ y), flow.velocity(y, u)
+            d0 = float(n @ v)
+            curvature = float(n @ [v[1], -2.0 * flow.zeta * v[1] - flow._omsq * v[0]])
+            t_floor = math.sqrt(2e-13 / abs(curvature))
+            for sign in (1, -1):
+                for k in range(-40, 41):
+                    level = g0 + d0 * sign * t_floor * (1.0 + 5e-5 * k)
+                    kernel = filter_kernel(ctx, level)
+                    got = outcome(kernel.solve, x, xdot, kernel.dot(x, xdot), u)
+                    assert got == outcome(array_solve, ctx, level, 1e-8, y, u)
+                    t1 = 0.0 - (g0 - level) / d0
+                    w = flow.apply(y, u, t1)
+                    fused = abs(float(n @ w) - level) < 1e-13
+                    misjudged += (abs(plain_dot(n, w) - level) < 1e-13) != fused
+                    accepted += got == t1
     assert misjudged > 0 and accepted > 0
 
 
-def test_slope_filter_at_the_minimum_slope(ctx):
+def test_slope_filter_at_the_minimum_slope(ctx, monkeypatch):
     # minimum slopes within a few ulps of the root's slope: the kernel must
     # raise DegenerateDerivative exactly where the all-array route does
-    n = np.array(FILTER_KERNEL["normal"])
+    n = np.array(FILTER_NORMAL)
     rng = np.random.default_rng(46)
     misjudged = raised = 0
     for y in ctx.y_ref + rng.normal(scale=0.05, size=(30, 2)):
         x, xdot = y.tolist()
         for u in (1, -1):
-            level = float(n @ (ctx.flow.apply(y, u, 0.1) - ctx.y_ref))  # a root near 0.1
+            level = float(n @ ctx.flow.apply(y, u, 0.1))  # a root near 0.1
             t = array_solve(ctx, level, 0.0, y, u)
             z = ctx.flow.apply(y, u, t)
             v = ctx.flow.velocity(z, u)
             slope = abs(float(n @ v))
             for j in range(-3, 4):
                 min_slope = slope + j * math.ulp(slope)
-                kernel = filter_kernel(ctx, level, min_slope)
+                monkeypatch.setattr(reduced, "_MIN_SLOPE", min_slope)
+                kernel = filter_kernel(ctx, level)
                 got = outcome(kernel.solve, x, xdot, kernel.dot(x, xdot), u)
                 assert got == outcome(array_solve, ctx, level, min_slope, y, u)
                 misjudged += (abs(plain_dot(n, v)) < min_slope) != (slope < min_slope)
@@ -480,13 +485,11 @@ def test_slope_filter_at_the_minimum_slope(ctx):
 
 
 def test_crossing_signal_equals_array_route(ctx):
-    # value and slope of both kernels' signals equal the threshold signal
-    # h(z) - eps, dh(z) . f(z, b) and the section signal f2 . (z - y_sec),
-    # f2 . f(z, +1), built from flow.apply and flow.velocity, bit for bit
+    # value and slope of the kernel's signal equal the threshold signal
+    # h(z) - eps and dh(z) . f(z, b), built from flow.apply and
+    # flow.velocity, bit for bit
     flow, eps, delta = ctx.flow, ctx.epsilon, ctx.delta
-    f2 = flow.velocity(ctx.y_ref, 1)
-    y_sec = flow.apply(ctx.y_ref, 1, delta)
-    crossing, section = ctx.crossing_kernel, ctx.section_kernel
+    crossing = ctx.crossing_kernel
     rng = np.random.default_rng(43)
     ts = np.linspace(-delta, delta, 41)
     points = np.vstack([ctx.y_ref + rng.normal(scale=5e-3, size=(30, 2)),
@@ -499,11 +502,6 @@ def test_crossing_signal_equals_array_route(ctx):
                 z = flow.apply(y, b, t)
                 want = (float(ctx.h(z)) - eps, float(ctx.dh(z) @ flow.velocity(z, b)))
                 assert crossing.signal(x, xdot, g0, b, t) == want
-        g0 = section.dot(x, xdot)
-        for t in ts + delta:
-            z = flow.apply(y, 1, t)
-            want = (float(f2 @ (z - y_sec)), float(f2 @ flow.velocity(z, 1)))
-            assert section.signal(x, xdot, g0, 1, t) == want
 
 
 def test_map_F_evaluates_the_flow_once(monkeypatch, ctx):
@@ -573,25 +571,23 @@ def result(fn, *args):
         return exc
 
 
-def wide_context(alpha):
-    """sweep's neighborhood at tau = 4.65: the 0.45 tau window."""
-    tau = 4.65
+def wide_context(alpha, tau=4.65):
+    """sweep's neighborhood: the corner at tau and the 0.45 tau window."""
     return oscillator_context(ZETA, alpha, tau, EPS, surface_corner(ZETA, tau),
                               delta=0.45 * tau)
 
 
 def kernel_outputs(ctx, seed):
-    """crossing_time on both branches, theta and map_F over a seeded set of
+    """crossing_time on both branches and map_F over a seeded set of
     states, and iterate_attractor from some of them."""
     rng = np.random.default_rng(seed)
     near = ctx.y_ref + rng.normal(scale=5e-3, size=(60, 2))
     far = ctx.y_ref + rng.normal(scale=0.3, size=(60, 2))
     states = [*near, *far, *rare_path_states(ctx)]
-    outputs = {"crossing_time": [], "theta": [], "map_F": [], "iterate_attractor": []}
+    outputs = {"crossing_time": [], "map_F": [], "iterate_attractor": []}
     for y in states:
         for branch in (1, -1):
             outputs["crossing_time"].append(result(crossing_time, ctx, y, branch))
-        outputs["theta"].append(result(theta, ctx, y))
         outputs["map_F"].append(result(map_F, ctx, y))
     for y0 in [ctx.y_ref + np.array([1e-3, 0.0]), *near[:4], *far[:6]]:
         run = result(iterate_attractor, ctx, y0, 20, 120)
@@ -604,19 +600,16 @@ def kernel_outputs(ctx, seed):
 KERNEL_PINS = {
     "default": {
         "crossing_time": "05c137c983c912ceb6e4dd808017e1be496f41154144e89261351ebd498e4371",
-        "theta": "909c980bf74dbec02b3fecc7da662765daf97e466785719848ae3ccfc50ac728",
         "map_F": "fc9e73de0b2142919198c9023ac41125469276cd3200b7f4515423bfe2d82185",
         "iterate_attractor": "eb869b968d81b569c70e88f99aeb7a28520f79632909ecde65e01b48a8f487d1",
     },
     "wide -0.0875": {
         "crossing_time": "1723ecb1a717430e93e9bafb383a13f595ff8aa31443d5f19f8c36d5e5421528",
-        "theta": "ee0116ca978bfbbf95f53fc4091fe0dcd3b864133c666829493f31eab0c79b30",
         "map_F": "49e7140505a6de9243109855a0ca061ba7595e9abaad4811e91bb81da1e61f80",
         "iterate_attractor": "42205d3e3bb6a05f09c8901345d68fc3b41237f112ffd44ad1ffc3aa620f8c38",
     },
     "wide -0.1": {
         "crossing_time": "85d695817bc607bea3a0d7f8307d3532975f7072d96a7289d3428001b4925bbb",
-        "theta": "5f88d1fdd548eb9c307b73b815ea3751a68bb581d7127a22bc9939f4dc03c69a",
         "map_F": "04d13b6736f81a9eeed844c416efd89566f89c52cb6d0f61e613ba38f7b3d703",
         "iterate_attractor": "f62d60ae00c81106ac261d14c279653b7fb5855b2de6623cddaea08b0a75f124",
     },
@@ -641,5 +634,6 @@ def test_crossing_kernel_keeps_its_pinned_bits(ctx, brentq_calls, name):
     kept = sum(isinstance(r, np.ndarray) for r in runs) // 2
     left = sum(isinstance(r, LeftNeighborhood) for r in runs)
     assert (kept, left) == {"default": (10, 1), "wide -0.0875": (8, 3), "wide -0.1": (0, 11)}[name]
-    assert len(brentq_calls) > 0
+    # only the default window hands a solve over to Brent's method
+    assert len(brentq_calls) == {"default": 7, "wide -0.0875": 0, "wide -0.1": 0}[name]
     assert {key: pin_digest(values) for key, values in outputs.items()} == KERNEL_PINS[name]
