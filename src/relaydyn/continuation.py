@@ -5,10 +5,11 @@ Three layers:
 * generic plumbing: :func:`newton` on square residual problems with
   forward-difference Jacobians, and :func:`continue_branch`, a
   pseudo-arclength corrector that halves its step on Newton failure and
-  grows it again after easy steps;
+  multiplies it by 1.5 after every accepted point;
 * the oscillator's algebraic systems: fixed points of the diffeomorphism
   branch (:func:`fixed_point_residual`), their Neimark-Sacker locus
-  (:func:`ns_residual`, :func:`continue_ns_curve`);
+  (:func:`ns_residual` and its closed-form Jacobian :func:`ns_jacobian`,
+  :func:`continue_ns_curve`);
 * closed invariant curves by Fourier collocation (:class:`FourierCurve`,
   :func:`invariant_curve_residual`) and the one-parameter family of
   curves that graze the switching threshold
@@ -49,6 +50,7 @@ __all__ = [
     "fixed_point_residual",
     "solve_fixed_point",
     "ns_residual",
+    "ns_jacobian",
     "continue_ns_curve",
     "FourierCurve",
     "invariant_curve_residual",
@@ -204,9 +206,10 @@ def continue_branch(problem: ResidualProblem | Callable, w0, *, ds: float = 1e-2
     last) frozen; failure raises :class:`InitialPointFailed`.  Each step
     then predicts along the branch tangent and corrects in the hyperplane
     orthogonal to it; Newton failures halve the step (stopping at the
-    floor), easy steps double it up to the cap.  ``stop`` inspects every
-    accepted point and may end the run by returning a reason string or
-    raising a :class:`RelayDynError` (recorded, not propagated).  Every
+    floor), and every accepted point multiplies it by 1.5, up to the cap.
+    ``stop`` inspects every accepted point and may end the run by
+    returning a reason string or raising a :class:`RelayDynError`
+    (recorded, not propagated).  Every
     Jacobian, of the bordered corrector systems and for the tangent, comes
     from ``problem.jac``; a plain callable is wrapped in a
     :class:`ResidualProblem`.  Correctors take at most 12 Newton steps.
@@ -356,6 +359,65 @@ def ns_residual(y0, t0: float, tau: float, alpha: float, epsilon: float,
     return res, j00 + j11
 
 
+def ns_jacobian(y0, t0: float, tau: float, alpha: float, epsilon: float,
+                zeta: float) -> np.ndarray:
+    """The 4 x 5 Jacobian of :func:`ns_residual`'s residual in (x, x', t0, tau, alpha).
+
+    In the notation there, with r^T = c^T A(t0) / g and F = f(w, +1) so
+    that DF_minus = J = -A(T) + F r^T: A' = B A for the linear part B of
+    the vector field, w' = F, z' = f(z, -1), dc/dalpha = c_perp and
+    d det J = tr(adj J dJ).  Each dJ is a sum of outer products p q^T, for
+    which tr(adj J p q^T) = q^T adj(J) p, and of -B A(T) from the delay.
+    Raises :class:`DegenerateDerivative` where :func:`ns_residual` does.
+    """
+
+    flow = AffineOscillatorFlow(zeta)
+    x, xdot, t0 = float(y0[0]), float(y0[1]), float(t0)
+    T = float(tau) + t0
+    w0, w1 = flow._advance(x, xdot, +1, T)
+    z0, z1 = flow._advance(x, xdot, -1, t0)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    zdot = flow._accel(z0, z1, -1)
+    g = ca * z1 + sa * zdot
+    if abs(g) < 1e-12:
+        raise DegenerateDerivative("threshold crossing is tangent, no linearisation")
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = flow._matrix(t0), flow._matrix(T)
+
+    def lin(v0, v1):  # B v
+        return v1, flow._accel(v0, v1, 0)
+
+    (ba11, ba21), (ba12, ba22) = lin(b11, b21), lin(b12, b22)  # B A(T)
+    (ca11, ca21), (ca12, ca22) = lin(a11, a21), lin(a12, a22)  # B A(t0)
+    r0, r1 = (ca * a11 + sa * a21) / g, (ca * a12 + sa * a22) / g
+    f0, f1 = w1, flow._accel(w0, w1, +1)
+    j00, j01 = f0 * r0 - b11, f0 * r1 - b12
+    j10, j11 = f1 * r0 - b21, f1 * r1 - b22
+
+    def quad(p0, p1, q0, q1):  # q^T adj(J) p
+        return q0 * (j11 * p0 - j01 * p1) + q1 * (j00 * p1 - j10 * p0)
+
+    # dg/dy = c^T B A(t0); the y columns of J are (B A(T) e_k - F dg_k / g) r^T
+    dg0, dg1 = ca * ca11 + sa * ca21, ca * ca12 + sa * ca22
+    d_y0 = quad(ba11 - f0 * dg0 / g, ba21 - f1 * dg0 / g, r0, r1)
+    d_y1 = quad(ba12 - f0 * dg1 / g, ba22 - f1 * dg1 / g, r0, r1)
+    # tau moves T only: -B A(T) + (B F) r^T
+    bf0, bf1 = lin(f0, f1)
+    d_tau = quad(bf0, bf1, r0, r1) - (j11 * ba11 - j01 * ba21 - j10 * ba12 + j00 * ba22)
+    # t0 also moves r: dr = (c^T B A(t0) - r c . B z') / g
+    bz0, bz1 = lin(z1, zdot)
+    dg_t = ca * bz0 + sa * bz1
+    d_t0 = d_tau + quad(f0, f1, (dg0 - r0 * dg_t) / g, (dg1 - r1 * dg_t) / g)
+    # alpha moves c: dr = (c_perp^T A(t0) - r c_perp . z') / g
+    dg_a = -sa * z1 + ca * zdot
+    d_alpha = quad(f0, f1, (-sa * a11 + ca * a21 - r0 * dg_a) / g,
+                   (-sa * a12 + ca * a22 - r1 * dg_a) / g)
+    return np.array([[1.0 + b11, b12, f0, f0, 0.0],
+                     [b21, 1.0 + b22, f1, f1, 0.0],
+                     [-(ca * a11 + sa * a21), -(ca * a12 + sa * a22), -g, 0.0,
+                      sa * z0 - ca * z1],
+                     [d_y0, d_y1, d_t0, d_tau, d_alpha]])
+
+
 def continue_ns_curve(zeta: float, epsilon: float, *,
                       nsc: tuple[float, float] | None = None,
                       tau_span: tuple[float, float] = (math.pi + 0.2, 5.5),
@@ -363,8 +425,9 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
                       max_points: int = 400) -> Branch:
     """Neimark-Sacker curve of the branch-minus fixed point in (tau, alpha).
 
-    Unknowns are (y0, t0, tau, alpha) at fixed eps, and the residual is
-    the closed-form :func:`ns_residual`.  The seed is the on-surface NS
+    Unknowns are (y0, t0, tau, alpha) at fixed eps; the residual is the
+    closed-form :func:`ns_residual` and every Jacobian, of the correctors
+    and of the tangents, :func:`ns_jacobian`.  The seed is the on-surface NS
     point ``nsc`` = (tau, alpha), from :func:`find_nsc` when not given,
     where the fixed point is the corner itself (t0 = 0); the locus is
     traced in both delay directions from there and returned ordered by
@@ -390,6 +453,9 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
     def residual(w):
         return ns_residual(w[:2], w[2], w[3], w[4], epsilon, zeta)[0]
 
+    def jacobian(w, f0):
+        return ns_jacobian(w[:2], w[2], w[3], w[4], epsilon, zeta)
+
     def point_data(w):
         _, tr = ns_residual(w[:2], w[2], w[3], w[4], epsilon, zeta)
         return {"tau": w[3], "alpha": w[4], "t0": w[2], "trace": tr}
@@ -413,9 +479,10 @@ def continue_ns_curve(zeta: float, epsilon: float, *,
     def run(sign: float) -> Branch:
         direction = np.zeros(5)
         direction[3] = sign
-        leg = continue_branch(residual, seed, ds=ds, ds_max=ds_max,
-                              max_points=max_points // 2, direction=direction,
-                              fix_index=3, point_data=point_data, stop=stop)
+        leg = continue_branch(ResidualProblem(residual, jacobian), seed, ds=ds,
+                              ds_max=ds_max, max_points=max_points // 2,
+                              direction=direction, fix_index=3,
+                              point_data=point_data, stop=stop)
         if leg.termination in ("trace-guard", "crossing-window") and leg.points:
             leg.points.pop()  # not an NS point of the reduced map
         return leg

@@ -315,24 +315,45 @@ def _tests(j_plus: np.ndarray, j_minus: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def _masked_scalars(rows: np.ndarray, alphas: np.ndarray):
+    """:func:`_orbit_scalars` with q = g_+ g_- and the validity mask.
+
+    A point is valid where the single-point route returns: eps > 0 (else
+    NegativeEpsilon), q > 0 (else NonTransversalCorner), |g_b| >= _G_MIN
+    (else DegenerateDerivative) and a corner exists (NaN rows).  Returns
+    eps, c, g, q and the mask.
+    """
+    eps, c, g = _orbit_scalars(rows, alphas)
+    q = g[:, 0] * g[:, 1]
+    return eps, c, g, q, (eps > 0) & (q > 0) & (np.abs(g) >= _G_MIN).all(axis=1)
+
+
 def _surface_batch(rows: np.ndarray, alphas: np.ndarray):
     """Evaluate the surface at points given by corner rows (k, 6, 2) and alphas.
 
     Returns eps (k,), q = g_+ g_- (k,), the :func:`_tests` arrays and the
-    validity mask.  A point is valid where the single-point route returns:
-    eps > 0 (else NegativeEpsilon), q > 0 (else NonTransversalCorner),
-    |g_b| >= _G_MIN (else DegenerateDerivative) and a corner exists (NaN
-    rows); the test values are NaN elsewhere.
+    validity mask of :func:`_masked_scalars`; the test values are NaN where
+    a point is not valid.
     """
-    eps, c, g = _orbit_scalars(rows, alphas)
-    q = g[:, 0] * g[:, 1]
-    valid = (eps > 0) & (q > 0) & (np.abs(g) >= _G_MIN).all(axis=1)
+    eps, c, g, q, valid = _masked_scalars(rows, alphas)
     idx = np.flatnonzero(valid)
     tests = {}
     for key, value in _tests(*_jacobians(rows[idx], c[idx], g[idx])).items():
         tests[key] = np.full(alphas.shape, np.nan)
         tests[key][idx] = value
     return eps, q, tests, valid
+
+
+def _ns_value(rows: np.ndarray, alpha: float) -> float:
+    """det(DF_minus) - 1 at one point, NaN where :func:`_masked_scalars` masks it.
+
+    The same steps as :func:`_surface_batch` on a stack of one, so the value
+    equals its ``"ns_minus"`` bit for bit, without the other six tests.
+    """
+    _, c, g, _, valid = _masked_scalars(rows[None], np.array([alpha]))
+    if not valid[0]:
+        return math.nan
+    return float(np.linalg.det(_jacobians(rows[None], c, g)[1])[0] - 1.0)
 
 
 def stability_at_collision(orbit: CollisionOrbit) -> CollisionStability:
@@ -448,26 +469,23 @@ def find_nsc(zeta: float, epsilon: float) -> tuple[float, float]:
     """Locate the Neimark-Sacker point on a fixed-eps slice of the surface.
 
     Walks 60 delays over [pi + 0.2, 5.8] as :func:`collision_curve` does, reads
-    det(DF_minus) - 1 from :func:`_surface_batch`, skipping points it masks, and
+    det(DF_minus) - 1 from :func:`_ns_value`, skipping points it masks, and
     bisects the first sign change down to a tau interval of 1e-12; a bisection
     point the kernel masks raises what :func:`collision_orbit` or
     :func:`stability_at_collision` raise there.  Returns (tau, alpha).
     """
 
-    def ns_value(rows: np.ndarray, alpha: float) -> float:
-        return float(_surface_batch(rows[None], np.array([alpha]))[2]["ns_minus"][0])
-
     def ns_at(tau: float, hint: float) -> tuple[float, float]:
         rows = _corner(zeta, tau)
         alpha = _slice_alpha_near(rows[0], tau, epsilon, hint)
-        val = ns_value(rows, alpha)
+        val = _ns_value(rows, alpha)
         if math.isnan(val):  # masked: the single-point route raises its reason
             stability_at_collision(collision_orbit(zeta, tau, alpha))
         return val, alpha
 
     prev = None
     for tau, rows, hint in _slice_walk(zeta, epsilon, np.linspace(math.pi + 0.2, 5.8, 60)):
-        val = math.nan if hint is None else ns_value(rows, hint)
+        val = math.nan if hint is None else _ns_value(rows, hint)
         if math.isnan(val):
             prev = None
             continue

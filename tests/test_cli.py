@@ -348,7 +348,7 @@ DEFAULT_OUTPUT_SHA256 = {
     "unfold/manifest.json":
         "d0085e3ed0facb6286e8af8b46f415fc17eeacfb45769ff4b70ee0136987c3f8",
     "unfold/ns_curve.csv":
-        "cddc25bf57910f96af778849bae503b44379bc82f531c47fa399c0a60bd69536",
+        "8306d5b44eb338df9aafe6dbb30bad5af442c78c68c964a9d13d6a426f752a1b",
     "unfold/nsc.json":
         "d5cb1837da015a95837178263a781dce8847fa353036a57b7797aba2edaf72dd",
 }

@@ -14,12 +14,13 @@ from relaydyn.continuation import (FourierCurve, ResidualProblem, _Bordered,
                                    continue_colliding_family, continue_ns_curve,
                                    fd_jacobian, fixed_point_residual,
                                    fourier_error_estimate,
-                                   invariant_curve_residual, newton, ns_residual,
+                                   invariant_curve_residual, newton, ns_jacobian,
+                                   ns_residual,
                                    curve_radial_mismatch,
                                    seed_colliding_curve, solve_colliding_curve,
                                    solve_fixed_point)
-from relaydyn.errors import (InitialPointFailed, NoConvergence, NotAMaximum,
-                             ParametrizationBreakdown, SingularJacobian)
+from relaydyn.errors import (DegenerateDerivative, InitialPointFailed, NoConvergence,
+                             NotAMaximum, ParametrizationBreakdown, SingularJacobian)
 from relaydyn.flows import AffineOscillatorFlow
 from relaydyn.oscillator import collision_point, find_nsc, surface_alpha
 from relaydyn.output import write_csv, write_curve_snapshot_csv
@@ -296,23 +297,135 @@ def test_ns_residual_equals_the_flow_matrix_route(default_ns_curve):
 
 def test_default_ns_curve_builds_no_flow_matrix(monkeypatch):
     # ns_residual reads A(t0) and A(tau + t0) as floats: 2,482 flow_matrix
-    # arrays went into the 1,241 residuals of the default unfold curve
-    calls = {"flow_matrix": 0, "ns_residual": 0}
-    real_matrix, real_residual = AffineOscillatorFlow.flow_matrix, continuation.ns_residual
+    # arrays once went into the 1,241 residuals of the default unfold curve.
+    # Every Jacobian is ns_jacobian's: the forward differences took 5
+    # residuals each, and the 195 of them made 975 of those 1,241 residuals.
+    calls = {"flow_matrix": 0, "ns_residual": 0, "ns_jacobian": 0, "fd_jacobian": 0}
+    real_matrix = AffineOscillatorFlow.flow_matrix
 
     def counting_matrix(self, t):
         calls["flow_matrix"] += 1
         return real_matrix(self, t)
 
-    def counting_residual(*args):
-        calls["ns_residual"] += 1
-        return real_residual(*args)
-
     monkeypatch.setattr(AffineOscillatorFlow, "flow_matrix", counting_matrix)
-    monkeypatch.setattr(continuation, "ns_residual", counting_residual)
+    for name in ("ns_residual", "ns_jacobian", "fd_jacobian"):
+        real = getattr(continuation, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(continuation, name, counted)
     branch = continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.0))
     assert len(branch) == 68
-    assert calls == {"flow_matrix": 0, "ns_residual": 1241}
+    assert calls == {"flow_matrix": 0, "ns_residual": 266, "ns_jacobian": 195,
+                     "fd_jacobian": 0}
+
+
+# -- the closed-form NS Jacobian and its oracles ----------------------------
+
+def ns_jacobian_cases(default_ns_curve):
+    """ns_residual's arguments at the NS seed, every 5th default row and 200
+    random points drawn as in test_ns_residual_equals_the_flow_matrix_route."""
+    cases = [(collision_point(ZETA, NSC[0]), 0.0, NSC[0], NSC[1], EPS, ZETA)]
+    cases += [(p.w[:2], p.w[2], p.w[3], p.w[4], EPS, ZETA) for p in default_ns_curve.points[::5]]
+    rng = np.random.default_rng(29)
+    cases += [(rng.normal(size=2), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 4.0 * math.pi),
+               rng.uniform(-math.pi / 2, math.pi / 2), rng.uniform(0.0, 1.0),
+               rng.uniform(-0.5, 0.5)) for _ in range(200)]
+    return cases
+
+
+def ns_unknowns(y0, t0, tau, alpha, epsilon, zeta):
+    """The unknown vector (x, x', t0, tau, alpha) and ns_residual's residual in it."""
+    def residual(w):
+        return ns_residual(w[:2], w[2], w[3], w[4], epsilon, zeta)[0]
+
+    return np.array([y0[0], y0[1], t0, tau, alpha]), residual
+
+
+def central_jacobian(fn, w, h, order):
+    """Central differences of fn at w: the 3-point (order 2) or 5-point (order 4) stencil."""
+    J = np.empty((fn(w).size, w.size))
+    for j in range(w.size):
+        e = np.eye(1, w.size, j)[0] * h
+        if order == 2:
+            J[:, j] = (fn(w + e) - fn(w - e)) / (2.0 * h)
+        else:
+            J[:, j] = (8.0 * (fn(w + e) - fn(w - e)) - (fn(w + 2 * e) - fn(w - 2 * e))) / (12 * h)
+    return J
+
+
+def test_ns_jacobian_matches_its_difference_oracles(default_ns_curve):
+    # Central differences of fourth order at h = 1e-5 resolve the Jacobian to
+    # about 1e-10 everywhere.  fd_jacobian's forward step is first order: it
+    # is off by (h/2) G'' + O(h^2), about 5e-8 of |J| on the curve, where it
+    # is held to 1e-6 as it stands.  At random points where g = c . f(z, -1)
+    # is as small as 0.027 that term reaches 8.6e-6 of |J|, so there the
+    # 3-point central difference at the same step measures it and it is
+    # added to the 1e-6.
+    cases = ns_jacobian_cases(default_ns_curve)
+    assert len(cases) == 1 + 14 + 200
+    for n, args in enumerate(cases):
+        w, residual = ns_unknowns(*args)
+        J = ns_jacobian(*args)
+        assert J.shape == (4, 5)
+        ref = central_jacobian(residual, w, 1e-5, order=4)
+        assert np.max(np.abs(J - ref)) <= 1e-8 * np.max(np.abs(ref)), args
+        fd = fd_jacobian(residual, w)
+        tol = 1e-6 * np.max(np.abs(fd))
+        if n >= 15:
+            tol = tol + np.abs(fd - central_jacobian(residual, w, continuation.FD_STEP, order=2))
+        assert np.all(np.abs(J - fd) <= tol), args
+
+
+def test_ns_jacobian_raises_exactly_where_ns_residual_does():
+    # alpha is stepped through the zero of g = c . f(z, -1) so that |g|
+    # straddles ns_residual's 1e-12 floor
+    flow = AffineOscillatorFlow(ZETA)
+    rng = np.random.default_rng(31)
+    raised = returned = 0
+    for _ in range(40):
+        y0, t0, tau = rng.normal(size=2), rng.uniform(-2.0, 2.0), rng.uniform(3.2, 6.0)
+        z = flow.apply(y0, -1, t0)
+        zdot = flow.velocity(z, -1)
+        alpha0 = math.atan2(-zdot[0], zdot[1])
+        for k in (-3.0, -1.5, -0.9, -0.5, 0.0, 0.5, 0.9, 1.5, 3.0):
+            args = (y0, t0, tau, alpha0 + k * 1e-12 / np.hypot(*zdot), EPS, ZETA)
+            try:
+                ns_residual(*args)
+            except DegenerateDerivative:
+                with pytest.raises(DegenerateDerivative, match="threshold crossing is tangent"):
+                    ns_jacobian(*args)
+                raised += 1
+                continue
+            assert np.all(np.isfinite(ns_jacobian(*args)))
+            returned += 1
+    assert raised > 100 and returned > 100
+
+
+def test_continue_ns_curve_on_the_fd_jacobian_keeps_the_default_rows(monkeypatch,
+                                                                     default_ns_curve):
+    # forward differences of the same residual, the Jacobian the curve took
+    # before ns_jacobian, remain its oracle: every row within 1e-8 of the FD
+    # curve by index, and in alpha and t0 at its own tau (linear between FD
+    # rows, and past the end rows along the end segments)
+    def fd_ns_jacobian(*args):
+        w, residual = ns_unknowns(*args)
+        return fd_jacobian(residual, w)
+
+    monkeypatch.setattr(continuation, "ns_jacobian", fd_ns_jacobian)
+    ref = continue_ns_curve(ZETA, EPS, nsc=NSC, tau_span=(math.pi + 0.2, 5.0))
+    branch = default_ns_curve
+    assert (len(branch), branch.termination) == (len(ref), ref.termination) == (68, "tau-bounds")
+    for key in ("tau", "alpha", "t0", "trace"):
+        np.testing.assert_allclose(branch.values(key), ref.values(key), rtol=0, atol=1e-8)
+    tau, ref_tau = branch.values("tau"), ref.values("tau")
+    i = np.clip(np.searchsorted(ref_tau, tau) - 1, 0, ref_tau.size - 2)
+    for key in ("alpha", "t0"):
+        v = ref.values(key)
+        at_tau = v[i] + (v[i + 1] - v[i]) / (ref_tau[i + 1] - ref_tau[i]) * (tau - ref_tau[i])
+        assert np.max(np.abs(at_tau - branch.values(key))) <= 1e-8, key
 
 
 def test_ns_curve_ends_at_the_crossing_window():

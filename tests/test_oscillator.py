@@ -132,14 +132,14 @@ def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
     # each slice crosses a non-transversal corner (q < 0) inside the scan;
     # skipped, it shows the slice has no NS sign change at all
     from relaydyn import oscillator as osc
-    real, tangential = osc._surface_batch, []
+    real, tangential = osc._ns_value, []
 
-    def recorded(rows, alphas):
-        eps, q, tests, valid = real(rows, alphas)
+    def recorded(rows, alpha):
+        eps, _, _, q, _ = osc._masked_scalars(rows[None], np.array([alpha]))
         tangential.extend(q[(eps > 0) & (q <= 0)].tolist())
-        return eps, q, tests, valid
+        return real(rows, alpha)
 
-    monkeypatch.setattr(osc, "_surface_batch", recorded)
+    monkeypatch.setattr(osc, "_ns_value", recorded)
     with pytest.raises(NegativeEpsilon, match="no Neimark-Sacker point on this slice"):
         find_nsc(zeta, epsilon)
     assert tangential
@@ -148,17 +148,16 @@ def test_find_nsc_skips_tangential_scan_points(monkeypatch, zeta, epsilon):
 def test_find_nsc_skips_degenerate_scan_points(monkeypatch):
     # a tangential crossing at the first scan point leaves the NS point as is
     from relaydyn import oscillator as osc
-    real, calls = osc._surface_batch, []
+    real, calls = osc._ns_value, []
 
-    def degenerate_at_first(rows, alphas):
-        eps, q, tests, valid = real(rows, alphas)
+    def degenerate_at_first(rows, alpha):
+        value = real(rows, alpha)
         if not calls:  # masked as at |g_b| < 1e-8
-            tests = {k: np.full_like(v, np.nan) for k, v in tests.items()}
-            valid = np.zeros_like(valid)
-        calls.append(alphas)
-        return eps, q, tests, valid
+            value = math.nan
+        calls.append(alpha)
+        return value
 
-    monkeypatch.setattr(osc, "_surface_batch", degenerate_at_first)
+    monkeypatch.setattr(osc, "_ns_value", degenerate_at_first)
     assert find_nsc(ZETA, EPS) == NSC
     assert len(calls) > 1
 
@@ -555,11 +554,11 @@ def test_closed_form_jacobians_on_the_default_bifmap_grid():
 
 
 def test_closed_form_jacobians_on_find_nsc_slices(monkeypatch):
-    # every point find_nsc hands the surface kernel, its bisection included,
+    # every point find_nsc evaluates its NS test at, its bisection included,
     # on the default slice and on three slices that cross a tangential
     # corner; each corner row is traced back to the delay it was solved at
     from relaydyn import oscillator as osc
-    real_rows, real_batch = osc._corner_rows, osc._surface_batch
+    real_rows, real_value = osc._corner_rows, osc._ns_value
     delay_of, points = {}, []
 
     def rows_recorded(zeta, taus):
@@ -568,12 +567,12 @@ def test_closed_form_jacobians_on_find_nsc_slices(monkeypatch):
                         for r, t in zip(rows, np.asarray(taus, dtype=float).tolist()))
         return rows
 
-    def batch_recorded(rows, alphas):
-        points.extend((*delay_of[r.tobytes()], a) for r, a in zip(rows, alphas.tolist()))
-        return real_batch(rows, alphas)
+    def value_recorded(rows, alpha):
+        points.append((*delay_of[rows.tobytes()], alpha))
+        return real_value(rows, alpha)
 
     monkeypatch.setattr(osc, "_corner_rows", rows_recorded)
-    monkeypatch.setattr(osc, "_surface_batch", batch_recorded)
+    monkeypatch.setattr(osc, "_ns_value", value_recorded)
     assert find_nsc(ZETA, EPS) == NSC
     for zeta, epsilon in [(-0.2, 0.1), (-0.3, 0.1), (-0.1, 0.5)]:
         with pytest.raises(NegativeEpsilon):
@@ -719,6 +718,50 @@ def test_batched_evaluator_equals_the_single_point_route():
     assert all(raised.get(exc, 0) > 50 for exc in (SingularSurface, NegativeEpsilon,
                                                   NonTransversalCorner, DegenerateDerivative)), raised
     assert valid.sum() > 1500
+
+
+def ns_value_sample():
+    """(rows, alpha) at every delay of find_nsc's 60-delay walk on four slices,
+    at the walk's alpha where it has one and at 7 fixed alphas, plus random
+    points from below pi to 2 pi, where q <= 0 and missing corners occur."""
+    from relaydyn import oscillator as osc
+    points, n_walk = [], 0
+    fixed = np.linspace(-math.pi / 2, math.pi / 2, 7).tolist()
+    for zeta, epsilon in [(-0.1, 0.1), (-0.2, 0.1), (-0.3, 0.1), (-0.1, 0.5)]:
+        for _, rows, alpha in osc._slice_walk(zeta, epsilon,
+                                              np.linspace(math.pi + 0.2, 5.8, 60)):
+            n_walk += 1
+            points += [(rows, a) for a in ([] if alpha is None else [alpha]) + fixed]
+    assert n_walk == 4 * 60
+    rng = np.random.default_rng(33)
+    for _ in range(600):
+        tau = float(rng.uniform(math.pi - 0.3, 2 * math.pi))
+        points.append((osc._corner_rows(ZETA, [tau])[0],
+                       float(rng.uniform(-math.pi / 2, math.pi / 2))))
+    return points
+
+
+def test_ns_value_equals_the_batch_kernel_bit_for_bit(monkeypatch):
+    from relaydyn import oscillator as osc
+    n_valid = n_tangential = n_no_corner = 0
+    for rows, alpha in ns_value_sample():
+        got = osc._ns_value(rows, alpha)
+        eps, q, tests, valid = osc._surface_batch(rows[None], np.array([alpha]))
+        ref = tests["ns_minus"][0]
+        if valid[0]:
+            n_valid += 1
+            assert np.array(got).view(np.uint64) == np.array(ref).view(np.uint64)
+        else:
+            assert math.isnan(got) and math.isnan(ref)
+            n_tangential += bool(eps[0] > 0 and q[0] <= 0)
+            n_no_corner += bool(np.isnan(rows[0, 0]))
+    assert n_valid > 500 and n_tangential > 50 and n_no_corner > 20
+
+    def refuse(rows, alphas):
+        raise AssertionError("find_nsc reached the batch kernel")
+
+    monkeypatch.setattr(osc, "_surface_batch", refuse)
+    assert find_nsc(ZETA, EPS) == NSC
 
 
 def test_platform_numpy_matches_the_scalar_calls(monkeypatch, tmp_path):
