@@ -386,9 +386,10 @@ def ns_jacobian(y0, t0: float, tau: float, alpha: float, epsilon: float,
     def lin(v0, v1):  # B v
         return v1, flow._accel(v0, v1, 0)
 
-    (ba11, ba21), (ba12, ba22) = lin(b11, b21), lin(b12, b22)  # B A(T)
-    (ca11, ca21), (ca12, ca22) = lin(a11, a21), lin(a12, a22)  # B A(t0)
-    r0, r1 = (ca * a11 + sa * a21) / g, (ca * a12 + sa * a22) / g
+    (db11, db21), (db12, db22) = lin(b11, b21), lin(b12, b22)  # A'(T) = B A(T)
+    (da11, da21), (da12, da22) = lin(a11, a21), lin(a12, a22)  # A'(t0)
+    h0, h1 = ca * a11 + sa * a21, ca * a12 + sa * a22  # c^T A(t0) = dh(z)/dy
+    r0, r1 = h0 / g, h1 / g
     f0, f1 = w1, flow._accel(w0, w1, +1)
     j00, j01 = f0 * r0 - b11, f0 * r1 - b12
     j10, j11 = f1 * r0 - b21, f1 * r1 - b22
@@ -397,12 +398,12 @@ def ns_jacobian(y0, t0: float, tau: float, alpha: float, epsilon: float,
         return q0 * (j11 * p0 - j01 * p1) + q1 * (j00 * p1 - j10 * p0)
 
     # dg/dy = c^T B A(t0); the y columns of J are (B A(T) e_k - F dg_k / g) r^T
-    dg0, dg1 = ca * ca11 + sa * ca21, ca * ca12 + sa * ca22
-    d_y0 = quad(ba11 - f0 * dg0 / g, ba21 - f1 * dg0 / g, r0, r1)
-    d_y1 = quad(ba12 - f0 * dg1 / g, ba22 - f1 * dg1 / g, r0, r1)
+    dg0, dg1 = ca * da11 + sa * da21, ca * da12 + sa * da22
+    d_y0 = quad(db11 - f0 * dg0 / g, db21 - f1 * dg0 / g, r0, r1)
+    d_y1 = quad(db12 - f0 * dg1 / g, db22 - f1 * dg1 / g, r0, r1)
     # tau moves T only: -B A(T) + (B F) r^T
     bf0, bf1 = lin(f0, f1)
-    d_tau = quad(bf0, bf1, r0, r1) - (j11 * ba11 - j01 * ba21 - j10 * ba12 + j00 * ba22)
+    d_tau = quad(bf0, bf1, r0, r1) - (j11 * db11 - j01 * db21 - j10 * db12 + j00 * db22)
     # t0 also moves r: dr = (c^T B A(t0) - r c . B z') / g
     bz0, bz1 = lin(z1, zdot)
     dg_t = ca * bz0 + sa * bz1
@@ -413,8 +414,7 @@ def ns_jacobian(y0, t0: float, tau: float, alpha: float, epsilon: float,
                    (-sa * a12 + ca * a22 - r1 * dg_a) / g)
     return np.array([[1.0 + b11, b12, f0, f0, 0.0],
                      [b21, 1.0 + b22, f1, f1, 0.0],
-                     [-(ca * a11 + sa * a21), -(ca * a12 + sa * a22), -g, 0.0,
-                      sa * z0 - ca * z1],
+                     [-h0, -h1, -g, 0.0, sa * z0 - ca * z1],
                      [d_y0, d_y1, d_t0, d_tau, d_alpha]])
 
 
